@@ -110,7 +110,7 @@ std::shared_ptr<EpochState> DynamicIndex::BuildEpoch(
   // Value-initialization zeroes the stamps: no post-install removes yet.
   epoch->deleted_at.reset(new std::atomic<uint64_t>[epoch->ids.size()]());
   (void)dim;  // consulted only by the assert
-  assert(epoch->ids.empty() || epoch->data.cols() == dim);
+  assert(epoch->ids.empty() || epoch->data.dim() == dim);
   if (!epoch->ids.empty()) {
     epoch->index = factory();
     epoch->index->Build(epoch->data);

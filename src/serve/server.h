@@ -127,8 +127,11 @@ class Server {
     size_t max_batch = 64;
     /// ... or this many microseconds after its first query was admitted.
     uint64_t max_delay_us = 1000;
-    /// Fan-out for the batch execution (ShardedSnapshot::QueryBatch);
-    /// 0 = hardware concurrency.
+    /// Fan-out for the batch execution (ShardedSnapshot::QueryBatch): a
+    /// window's shards run across the pool, one task per shard, and each
+    /// shard's engine runs inline within its task (a single shard fans its
+    /// own engine out instead). 0 = hardware concurrency, 1 = fully
+    /// sequential.
     size_t num_threads = 0;
     /// Admission bound (queued, not-yet-served requests of either kind);
     /// 0 = unbounded.

@@ -36,49 +36,45 @@ size_t ShardedIndex::ShardOf(int32_t id, size_t num_shards) {
 
 std::vector<util::Neighbor> ShardedSnapshot::Query(const float* query,
                                                    size_t k) const {
-  std::vector<std::vector<util::Neighbor>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] = shards_[s].snapshot.Query(query, k);
-    // Local -> global is monotone (ascending within a shard), so each list
-    // stays sorted by (distance, global id) after the remap.
-    const std::vector<int32_t>& map = *shards_[s].local_to_global;
-    for (util::Neighbor& nb : per_shard[s]) {
-      nb.id = map[static_cast<size_t>(nb.id)];
-    }
-  }
-  return util::MergeSortedTopK(per_shard, k);
+  return std::move(QueryBatch(query, 1, k)[0]);
 }
 
 std::vector<std::vector<util::Neighbor>> ShardedSnapshot::QueryBatch(
     const float* queries, size_t num_queries, size_t k,
     size_t num_threads) const {
-  // Scatter: every shard view answers the whole batch through its own
-  // QueryBatch (cache-blocked epoch scan + parallel delta scan on the
-  // shared pool).
+  // Scatter: one pool task per shard. A nested ParallelFor runs inline
+  // inside a pool task, so each shard engine owns one core; with S = 1
+  // ParallelFor calls the task directly, outside the pool, and the shard
+  // engine keeps its inner fan-out. ParallelFor rethrows a shard's error
+  // only after every task has finished (the tasks write per_shard).
   std::vector<std::vector<std::vector<util::Neighbor>>> per_shard(
       shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] =
-        shards_[s].snapshot.QueryBatch(queries, num_queries, k, num_threads);
-  }
-  // Gather: remap + S-way merge per query, fanned out over the pool.
-  std::vector<std::vector<util::Neighbor>> results(num_queries);
   util::ParallelFor(
-      num_queries,
+      shards_.size(),
       [&](size_t begin, size_t end) {
-        std::vector<std::vector<util::Neighbor>> lists(shards_.size());
-        for (size_t q = begin; q < end; ++q) {
-          for (size_t s = 0; s < shards_.size(); ++s) {
-            lists[s] = std::move(per_shard[s][q]);
-            const std::vector<int32_t>& map = *shards_[s].local_to_global;
-            for (util::Neighbor& nb : lists[s]) {
+        for (size_t s = begin; s < end; ++s) {
+          per_shard[s] = shards_[s].snapshot.QueryBatch(queries, num_queries,
+                                                        k, num_threads);
+          // Local -> global is monotone (ascending within a shard), so each
+          // list stays sorted by (distance, global id) after the remap.
+          const std::vector<int32_t>& map = *shards_[s].local_to_global;
+          for (std::vector<util::Neighbor>& list : per_shard[s]) {
+            for (util::Neighbor& nb : list) {
               nb.id = map[static_cast<size_t>(nb.id)];
             }
           }
-          results[q] = util::MergeSortedTopK(lists, k);
         }
       },
       num_threads);
+  // Gather: S-way merge per query.
+  std::vector<std::vector<util::Neighbor>> results(num_queries);
+  std::vector<std::vector<util::Neighbor>> lists(shards_.size());
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      lists[s] = std::move(per_shard[s][q]);
+    }
+    results[q] = util::MergeSortedTopK(lists, k);
+  }
   return results;
 }
 

@@ -29,13 +29,17 @@ class ShardedSnapshot {
  public:
   ShardedSnapshot() = default;
 
-  /// k nearest surviving neighbors at state_version(), global ids: each
-  /// shard view answers for k, results are remapped and S-way merged —
-  /// identical to ShardedIndex::Query at the acquisition point.
+  /// k nearest surviving neighbors at state_version(), global ids —
+  /// QueryBatch over a window of one, identical to ShardedIndex::Query at
+  /// the acquisition point.
   std::vector<util::Neighbor> Query(const float* query, size_t k) const;
 
-  /// Batched queries over the same cut; identical per row to Query by
-  /// construction.
+  /// Batched queries over the same cut. The S shard views answer the whole
+  /// window concurrently, one util::ParallelFor task per shard (each
+  /// shard's engine runs inline within its task), then every row's S
+  /// remapped top-k lists are merged. Rows do not depend on the window's
+  /// other rows or on num_threads (1 = fully sequential); a shard that
+  /// throws fails the whole call once every shard task has finished.
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const;
@@ -63,8 +67,11 @@ class ShardedSnapshot {
 /// Partitions points across S per-shard core::DynamicIndex instances —
 /// the data-plane half of the serving engine (serve::Server is the control
 /// plane). Sharding bounds per-shard epoch size, so consolidations rebuild
-/// 1/S of the data at a time, and lets a batch of queries fan out across
-/// shards on the shared thread pool.
+/// 1/S of the data at a time, and splits a batch of queries two ways:
+/// the S shards go across the shared thread pool, one task per shard, and
+/// each shard's engine (hashing, CSA search, verification) runs inline
+/// within its task over its own 1/S of the rows. A single shard keeps the
+/// engine's own fan-out across the pool instead.
 ///
 /// Id spaces: the ShardedIndex assigns **global** ids in insert order
 /// (0, 1, 2, ... — exactly like a single DynamicIndex, so the two are

@@ -1,15 +1,22 @@
 // Sharding unit tests for serve::ShardedIndex: global ↔ local id mapping,
 // k larger than any shard, empty shards, the S = 1 degenerate case (must be
-// bit-identical to a single core::DynamicIndex), and the consolidation
-// scheduler (MaintainShards policy over DynamicIndex::stats snapshots).
+// bit-identical to a single core::DynamicIndex), window rows independent of
+// window composition and fan-out, a failing shard failing its whole window,
+// and the consolidation scheduler (MaintainShards policy over
+// DynamicIndex::stats snapshots).
 //
 // Shard configurations run in exhaustive-verification mode where oracle
 // identity is asserted, exactly like tests/test_dynamic_index.cc.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +25,7 @@
 #include "baselines/linear_scan.h"
 #include "core/dynamic_index.h"
 #include "dataset/synthetic.h"
+#include "serve/server.h"
 #include "serve/sharded_index.h"
 #include "storage/flat_file.h"
 #include "storage/mmap_store.h"
@@ -274,6 +282,178 @@ TEST(ShardedIndexBatch, BatchIdenticalToSequentialQueries) {
           << "threads " << threads << " query " << q;
     }
   }
+}
+
+// A window's rows depend on nothing but themselves: not on the window's
+// size or its other rows, and not on the fan-out. Approximate LCCS shards
+// (λ far below n/S, so the bound cascade really prunes) over a mutated
+// index, from the degenerate S = 1 to more shards than pool workers; every
+// row must equal the same query answered alone on the fully sequential path
+// (a window of one with num_threads = 1).
+TEST(ShardedIndexBatch, RowsIndependentOfWindowCompositionAndFanOut) {
+  baselines::LccsLshIndex::Params params;
+  params.m = 16;
+  params.lambda = 12;  // n/S >= 100 rows per shard
+  params.w = 4.0;
+  const auto approximate = [params] {
+    return std::make_unique<baselines::LccsLshIndex>(params);
+  };
+  constexpr size_t kRows = 800;
+  constexpr size_t kQueries = 64;
+  constexpr size_t kK = 10;
+  const auto data = MakeData(kRows, 61, kQueries);
+
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                              size_t{8}}) {
+    // The same mutations on an exact single-shard index give the oracle
+    // that proves the LCCS configuration is genuinely approximate.
+    ShardedIndex::Options options;
+    options.num_shards = shards;
+    ShardedIndex index(approximate, options);
+    options.num_shards = 1;
+    ShardedIndex exact(LinearScanFactory(), options);
+    index.Build(data);
+    exact.Build(data);
+    util::Rng rng(70 + shards);
+    for (int i = 0; i < 40; ++i) {
+      const auto vec = RandomVector(rng);
+      ASSERT_EQ(index.Insert(vec.data()), exact.Insert(vec.data()));
+    }
+    for (int32_t id = 0; id < static_cast<int32_t>(kRows); id += 9) {
+      ASSERT_EQ(index.Remove(id), exact.Remove(id));
+    }
+    const ShardedSnapshot snap = index.AcquireSnapshot();
+
+    std::vector<std::vector<util::Neighbor>> alone(kQueries);
+    size_t inexact = 0;
+    for (size_t q = 0; q < kQueries; ++q) {
+      alone[q] = snap.QueryBatch(data.queries.Row(q), 1, kK, 1)[0];
+      if (alone[q] != exact.Query(data.queries.Row(q), kK)) ++inexact;
+      EXPECT_EQ(snap.Query(data.queries.Row(q), kK), alone[q])
+          << "S " << shards << " query " << q;
+    }
+    EXPECT_GT(inexact, 0u) << "S " << shards << ": shards answered exactly";
+
+    for (const size_t window : {size_t{1}, size_t{7}, size_t{64}}) {
+      for (const size_t threads : {size_t{0}, size_t{1}}) {
+        for (size_t begin = 0; begin < kQueries; begin += window) {
+          const size_t n = std::min(window, kQueries - begin);
+          const auto rows =
+              snap.QueryBatch(data.queries.Row(begin), n, kK, threads);
+          ASSERT_EQ(rows.size(), n);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(rows[i], alone[begin + i])
+                << "S " << shards << " window " << window << " threads "
+                << threads << " query " << begin + i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Shared state of the shards FaultyScan builds: the shard whose Build takes
+// ticket `fail_ticket` throws from QueryBatch while `armed`; the others
+// count the window tasks they start and finish.
+struct FaultProbe {
+  std::atomic<int> next_ticket{0};
+  int fail_ticket = 0;
+  std::atomic<bool> armed{true};
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+};
+
+class FaultyScan : public baselines::LinearScan {
+ public:
+  explicit FaultyScan(std::shared_ptr<FaultProbe> probe)
+      : probe_(std::move(probe)) {}
+
+  void Build(const dataset::Dataset& data) override {
+    failing_ = probe_->next_ticket.fetch_add(1) == probe_->fail_ticket;
+    LinearScan::Build(data);
+  }
+
+  std::vector<std::vector<util::Neighbor>> QueryBatch(
+      const float* queries, size_t num_queries, size_t k,
+      size_t num_threads) const override {
+    if (!probe_->armed.load()) {
+      return LinearScan::QueryBatch(queries, num_queries, k, num_threads);
+    }
+    if (failing_) throw std::runtime_error("injected shard failure");
+    probe_->started.fetch_add(1);
+    // Slow enough that a rethrow racing ahead of this task would be seen.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto result = LinearScan::QueryBatch(queries, num_queries, k, num_threads);
+    probe_->finished.fetch_add(1);
+    return result;
+  }
+
+ private:
+  std::shared_ptr<FaultProbe> probe_;
+  bool failing_ = false;
+};
+
+// Builds a 4-shard index whose shard 0 (first in Build order, and the
+// scatter's caller-run chunk) fails while the probe is armed.
+std::unique_ptr<ShardedIndex> MakeFaultyIndex(
+    const std::shared_ptr<FaultProbe>& probe, const dataset::Dataset& data) {
+  ShardedIndex::Options options;
+  options.num_shards = 4;
+  auto index = std::make_unique<ShardedIndex>(
+      [probe] { return std::make_unique<FaultyScan>(probe); }, options);
+  index->Build(data);
+  return index;
+}
+
+TEST(ShardedIndexFailure, FailingShardFailsWindowAfterEveryShardTask) {
+  const auto data = MakeData(200, 83, 8);
+  auto probe = std::make_shared<FaultProbe>();
+  const auto index = MakeFaultyIndex(probe, data);
+  const ShardedSnapshot snap = index->AcquireSnapshot();
+
+  EXPECT_THROW(snap.QueryBatch(data.queries.data(), 8, 5), std::runtime_error);
+  // The scatter splits into at least two tasks, and the one without shard 0
+  // runs to completion before the error surfaces.
+  EXPECT_GE(probe->started.load(), 2);
+  EXPECT_EQ(probe->finished.load(), probe->started.load());
+
+  EXPECT_THROW(snap.Query(data.queries.Row(0), 5), std::runtime_error);
+  EXPECT_EQ(probe->finished.load(), probe->started.load());
+
+  probe->armed = false;
+  EXPECT_EQ(snap.Query(data.queries.Row(0), 5).size(), 5u);
+}
+
+TEST(ShardedIndexFailure, ServerBreaksFailedWindowAndServesTheNext) {
+  const auto data = MakeData(200, 89, 8);
+  auto probe = std::make_shared<FaultProbe>();
+  const auto index = MakeFaultyIndex(probe, data);
+
+  Server::Options options;
+  options.max_batch = 4;
+  options.max_delay_us = 10'000'000;  // windows close only when full
+  Server server(index.get(), options);
+
+  std::vector<std::future<QueryResponse>> failed;
+  for (size_t q = 0; q < 4; ++q) {
+    failed.push_back(server.SubmitQuery(data.queries.Row(q), 5));
+  }
+  for (auto& future : failed) {
+    EXPECT_THROW(future.get(), std::runtime_error);
+  }
+  EXPECT_EQ(probe->finished.load(), probe->started.load());
+
+  probe->armed = false;
+  std::vector<std::future<QueryResponse>> served;
+  for (size_t q = 4; q < 8; ++q) {
+    served.push_back(server.SubmitQuery(data.queries.Row(q), 5));
+  }
+  for (size_t i = 0; i < served.size(); ++i) {
+    const QueryResponse response = served[i].get();
+    EXPECT_EQ(response.batch_size, 4u);
+    EXPECT_EQ(response.neighbors, index->Query(data.queries.Row(4 + i), 5));
+  }
+  server.Stop();
 }
 
 TEST(ShardedIndexScheduler, MaintainShardsConsolidatesOverThreshold) {

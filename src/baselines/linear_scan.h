@@ -15,15 +15,17 @@ class LinearScan : public AnnIndex {
   /// memory-mapped flat file); the Dataset struct itself is not referenced
   /// afterwards.
   void Build(const dataset::Dataset& data) override;
+  /// A one-row QueryBatch on the calling thread.
   std::vector<util::Neighbor> Query(const float* query,
                                     size_t k) const override;
-  /// Cache-blocked override: each worker sweeps the base vectors once for
-  /// its whole chunk of queries (base row outer, query inner), so every
-  /// loaded row is reused across the chunk instead of being re-streamed per
-  /// query. Point order per query is unchanged, so results stay identical.
-  /// Tombstone-aware like Query: rows masked by set_deleted_filter are
-  /// skipped inside each block, so a filtered batch equals a scan over the
-  /// surviving points only (the exact oracle for dynamic-index recall).
+  /// Cache-blocked scan: each worker sweeps the base vectors once for its
+  /// whole chunk of queries (base row outer, query inner), so every loaded
+  /// row is reused across the chunk instead of being re-streamed per query.
+  /// Rows masked by set_deleted_filter are skipped inside each block, so a
+  /// filtered batch equals a scan over the surviving points only (the exact
+  /// oracle for dynamic-index recall). With a quantized tier attached, each
+  /// query instead sweeps the int8 codes and reranks its k' survivors
+  /// through storage::ExactRerank.
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const override;

@@ -461,8 +461,8 @@ bool DynamicIndex::ClaimRebuild() {
 }
 
 void DynamicIndex::LaunchRebuild() {
-  // A dedicated thread, NOT ThreadPool::Submit: RunRebuild blocks on mutex_
-  // (shared at capture, exclusive at install), and Submit tasks may be
+  // A dedicated thread, NOT a pool task: RunRebuild blocks on mutex_
+  // (shared at capture, exclusive at install), and queued pool tasks may be
   // stolen by any thread helping to drain a ParallelRange — including a
   // QueryBatch caller already holding mutex_ in shared mode, which would
   // then recursively re-acquire the shared lock and self-deadlock waiting
@@ -784,9 +784,8 @@ void DynamicIndex::SerializeState(std::ostream& out, const EpochWriter& writer,
     // Quantized tier: only the codebook is persisted — codes are a pure
     // function of (floats, codebook) and re-encode deterministically at
     // load, so the save stays small and a corrupt-code class of failures
-    // cannot exist. QuantizedShared (not ActiveQuantized) on purpose: the
-    // attachment is state; the LCCS_QUANTIZED escape hatch is serving
-    // policy and must not silently strip saves.
+    // cannot exist. QuantizedShared, not ActiveQuantized: the save needs an
+    // owning handle to the attachment itself.
     std::shared_ptr<const storage::QuantizedStore> quantized =
         epoch_->data.data.store() != nullptr
             ? epoch_->data.data.store()->QuantizedShared()

@@ -67,10 +67,10 @@ namespace core {
 /// the O(remaining delta) reconciliation, measured by bench/micro_dynamic.
 /// Snapshots acquired before the install keep the retired epoch and delta
 /// buffer alive and bit-identical for as long as they are held. (A
-/// dedicated thread and not ThreadPool::Submit: the rebuild blocks on the
-/// index rwlock, which Submit's no-blocking contract forbids — a QueryBatch
-/// caller helping to drain a ParallelRange could steal the task and
-/// deadlock against the shared lock it already holds.)
+/// dedicated thread and not a pool task: the rebuild blocks on the index
+/// rwlock, and a QueryBatch caller helping to drain a ParallelRange could
+/// steal a queued task and deadlock against the shared lock it already
+/// holds.)
 ///
 /// Thread safety: Query/QueryBatch/AcquireSnapshot take a reader lock and
 /// may run freely in parallel; Insert/Remove take the writer lock and may

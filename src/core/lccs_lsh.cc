@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <utility>
 
 #include "storage/quantized_store.h"
@@ -15,22 +14,17 @@ namespace core {
 namespace {
 
 /// First pass of two-phase verification: scores every live candidate on the
-/// store's quantized sibling (heap-resident int8 codes — no disk faults) and
-/// keeps the best k' = RerankKeep(k) ids, returned ascending so the exact
-/// rerank scores them in a deterministic order. Returns false — caller runs
-/// the classic exact-only path — when no quantized tier is active or the
-/// live candidate list is not larger than k' (then pruning could only drop
-/// candidates the exact pass would have scored anyway, so the quantized and
-/// exact paths degenerate to the same verification).
-bool QuantizedPrune(const storage::VectorStore& store, util::Metric metric,
+/// store's quantized sibling `qs` (heap-resident int8 codes — no disk
+/// faults) and keeps the best k' = RerankKeep(k) ids, returned ascending so
+/// the exact rerank scores them in a deterministic order. Returns false —
+/// the query takes the exact-only gather — when the live candidate list is
+/// not larger than k' (then pruning could only drop candidates the exact
+/// pass would have scored anyway).
+bool QuantizedPrune(const storage::QuantizedStore& qs, size_t row_offset,
                     const float* query,
                     const std::vector<LccsCandidate>& cands,
                     const uint8_t* deleted, size_t k,
                     std::vector<int32_t>* pruned) {
-  size_t row_offset = 0;
-  const storage::QuantizedStore* qs =
-      storage::ActiveQuantized(&store, metric, &row_offset);
-  if (qs == nullptr || k == 0) return false;
   const size_t keep = storage::RerankKeep(k);
   std::vector<int32_t> live;
   live.reserve(cands.size());
@@ -39,10 +33,9 @@ bool QuantizedPrune(const storage::VectorStore& store, util::Metric metric,
     live.push_back(c.id);
   }
   if (live.size() <= keep) return false;
-  const storage::QuantizedStore::PreparedQuery pq = qs->Prepare(query);
+  const storage::QuantizedStore::PreparedQuery pq = qs.Prepare(query);
   std::vector<float> scores(live.size());
-  qs->ScoreCandidates(pq, live.data(), live.size(), row_offset,
-                      scores.data());
+  qs.ScoreCandidates(pq, live.data(), live.size(), row_offset, scores.data());
   storage::RerankSelector selector(keep);
   for (size_t i = 0; i < live.size(); ++i) {
     selector.Offer(scores[i], live[i]);
@@ -121,14 +114,6 @@ void LccsLsh::PrepareSearch(const float* query, const HashValue* hash,
   scratch->probe_ptrs.assign(1, hash);
 }
 
-void LccsLsh::AppendCandidates(const float* query, const HashValue* hash,
-                               size_t count, QueryScratch* scratch,
-                               std::vector<LccsCandidate>* out) const {
-  PrepareSearch(query, hash, scratch);
-  csa_.CollectFromHeap(scratch->probe_ptrs.data(), scratch->probe_ptrs.size(),
-                       count, &scratch->csa, out);
-}
-
 std::vector<LccsCandidate> LccsLsh::Candidates(const float* query,
                                                size_t count) const {
   assert(store_ != nullptr);
@@ -140,31 +125,7 @@ std::vector<LccsCandidate> LccsLsh::Candidates(const float* query,
 
 std::vector<util::Neighbor> LccsLsh::Query(const float* query, size_t k,
                                            size_t lambda) const {
-  assert(store_ != nullptr);
-  const std::unique_ptr<QueryScratch> scratch = MakeScratch();
-  scratch->hash.resize(family_->num_functions());
-  family_->Hash(query, scratch->hash.data());
-  std::vector<LccsCandidate> candidates;
-  AppendCandidates(query, scratch->hash.data(), CandidateBudget(k, lambda),
-                   scratch.get(), &candidates);
-  std::vector<int32_t> ids;
-  if (QuantizedPrune(*store_, metric_, query, candidates, deleted_rows(), k,
-                     &ids)) {
-    // Two-phase path: only the k' survivors' exact rows are touched — in
-    // place for heap stores, via a copy gather for budget-mapped ones. The
-    // pruned list is already tombstone-filtered.
-    util::TopK topk(k);
-    storage::ExactRerank(*store_, metric_, query, ids.data(), ids.size(),
-                         topk);
-    return topk.Sorted();
-  }
-  ids.reserve(candidates.size());
-  for (const LccsCandidate& c : candidates) ids.push_back(c.id);
-  store_->PrefetchRows(ids.data(), ids.size());
-  util::TopK topk(k);
-  util::VerifyCandidates(metric_, store_->data(), d_, query, ids.data(),
-                         ids.size(), topk, /*first_id=*/0, deleted_rows());
-  return topk.Sorted();
+  return QueryBatch(query, 1, k, lambda, /*num_threads=*/1)[0];
 }
 
 std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
@@ -193,14 +154,10 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   // then CollectFromHeapInterleaved drains the groups' heaps round-robin —
   // the pop loop is a dependent chain of random hash-row reads, and
   // interleaving keeps kInterleave misses in flight where a solo drain has
-  // one. Per query the iterations are identical, so each query's list still
-  // preserves the sequential surfacing order — that order is replayed in
-  // phase 5, so TopK tie-breaking matches per-query Query.
-  static const size_t kInterleave = [] {
-    const char* env = std::getenv("LCCS_BATCH_INTERLEAVE");
-    const long v = env != nullptr ? std::atol(env) : 0;
-    return v >= 1 ? static_cast<size_t>(v) : size_t{8};
-  }();
+  // one. Per query the pop iterations are those of a solo Algorithm 2
+  // drain, so each list keeps the order the search surfaces candidates in —
+  // the order phase 6 replays, which fixes TopK tie-breaking.
+  constexpr size_t kInterleave = 8;
   std::vector<std::vector<LccsCandidate>> cands(num_queries);
   util::ParallelFor(
       num_queries,
@@ -226,48 +183,67 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       },
       num_threads);
 
-  // Phase 2.5: quantized first-pass prune. When the store carries an active
-  // quantized sibling, each query's candidate list is rewritten to its k'
-  // survivors (ascending ids, tombstones already dropped) before the exact
-  // phases — so the blocked gather below faults only survivor rows, exactly
-  // like the per-query two-phase path. The rewrite preserves the
-  // Query ≡ QueryBatch identity: both paths verify the same pruned set in
-  // the same ascending order.
-  util::ParallelFor(
-      num_queries,
-      [&](size_t begin, size_t end) {
-        std::vector<int32_t> pruned;
-        for (size_t q = begin; q < end; ++q) {
-          if (!QuantizedPrune(*store_, metric_, queries + q * d_, cands[q],
-                              deleted, k, &pruned)) {
-            continue;
+  // Phase 3: int8 prune + exact rerank. With a quantized tier attached, a
+  // query whose live candidates outnumber k' = RerankKeep(k) is scored on
+  // the in-RAM codes and its k' survivors go straight to
+  // storage::ExactRerank — in place for heap stores, a copy gather for
+  // budget-mapped ones, so the rerank neither faults the mapping nor ticks
+  // its residency clock. The answered query's list is cleared, which takes
+  // it out of the shared exact gather below.
+  size_t qoff = 0;
+  const storage::QuantizedStore* qs =
+      k > 0 ? storage::ActiveQuantized(store_.get(), metric_, &qoff) : nullptr;
+  if (qs != nullptr) {
+    util::ParallelFor(
+        num_queries,
+        [&](size_t begin, size_t end) {
+          std::vector<int32_t> pruned;
+          for (size_t q = begin; q < end; ++q) {
+            const float* query = queries + q * d_;
+            if (!QuantizedPrune(*qs, qoff, query, cands[q], deleted, k,
+                                &pruned)) {
+              continue;
+            }
+            util::TopK topk(k);
+            storage::ExactRerank(*store_, metric_, query, pruned.data(),
+                                 pruned.size(), topk);
+            results[q] = topk.Sorted();
+            cands[q].clear();
           }
-          std::vector<LccsCandidate> replaced(pruned.size());
-          for (size_t i = 0; i < pruned.size(); ++i) {
-            replaced[i] = LccsCandidate{pruned[i], 0};
-          }
-          cands[q] = std::move(replaced);
-        }
-      },
-      num_threads);
+        },
+        num_threads);
+  }
 
-  // Phase 3: dedup the union of live candidate ids across the window and
-  // advise the store once — an mmap-resident base set faults each candidate
-  // page once per window instead of once per query. Each query's live
-  // candidates are then counting-sorted into cache-block-major order
-  // (block = id / rows_per_block over the id space): O(candidates) per
-  // query, and phase 4 reads each (query, block) run straight from the
-  // precomputed offsets instead of binary-searching a sorted id list.
-  const size_t row_bytes = d_ * sizeof(float) > 0 ? d_ * sizeof(float) : 1;
-  const size_t rows_per_block =
-      std::max<size_t>(size_t{1}, (size_t{256} << 10) / row_bytes);
-  const size_t num_blocks = (n_ + rows_per_block - 1) / rows_per_block;
+  // Phase 4: lay out the exact gather. Each remaining query's live
+  // candidates are counting-sorted into cache-block-major order (block =
+  // id >> block_shift over the id space): O(candidates) per query, and
+  // phase 5 reads each (query, block) run straight from the precomputed
+  // offsets. The union of live ids is advised to the store once per window,
+  // so an mmap-resident base set faults each candidate page once per window
+  // instead of once per query. Blocking and dedup only pay when several
+  // lists can name the same row: a lone list is one block and, since the
+  // CSA surfaces each id at most once, its own union.
   std::vector<size_t> offsets(num_queries + 1, 0);
+  size_t lists = 0;
   for (size_t q = 0; q < num_queries; ++q) {
     offsets[q + 1] = offsets[q] + cands[q].size();
+    if (!cands[q].empty()) ++lists;
   }
+  const bool shared = lists > 1;
+  // A shared block spans 2^block_shift rows, the largest power of two
+  // within 256 KB of rows, so a candidate's block is a shift, not a
+  // division. Shift 31 puts the whole int32 id space in one block.
+  size_t block_shift = 31;
+  if (shared) {
+    const size_t row_bytes = std::max<size_t>(1, d_ * sizeof(float));
+    block_shift = 0;
+    while ((row_bytes << (block_shift + 1)) <= (size_t{256} << 10)) {
+      ++block_shift;
+    }
+  }
+  const size_t num_blocks = n_ > 0 ? ((n_ - 1) >> block_shift) + 1 : 0;
   const size_t total = offsets[num_queries];
-  std::vector<uint8_t> in_union(n_, 0);
+  std::vector<uint8_t> in_union(shared ? n_ : 0, 0);
   std::vector<int32_t> union_ids;
   std::vector<int32_t> blocked_ids(total);    // per query, block-major
   std::vector<int32_t> blocked_slots(total);  // original slot of blocked_ids[i]
@@ -280,28 +256,31 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
     const std::vector<LccsCandidate>& list = cands[q];
     int32_t* boff = block_off.data() + q * (num_blocks + 1);
     for (size_t s = 0; s < list.size(); ++s) {
-      const int32_t id = list[s].id;
+      const auto id = static_cast<size_t>(list[s].id);
       if (deleted != nullptr && deleted[id] != 0) continue;
-      ++boff[static_cast<size_t>(id) / rows_per_block + 1];
-      if (!in_union[static_cast<size_t>(id)]) {
-        in_union[static_cast<size_t>(id)] = 1;
-        union_ids.push_back(id);
+      ++boff[(id >> block_shift) + 1];
+      if (shared) {
+        if (in_union[id]) continue;
+        in_union[id] = 1;
       }
+      union_ids.push_back(list[s].id);
     }
     for (size_t b = 1; b <= num_blocks; ++b) boff[b] += boff[b - 1];
     for (size_t s = 0; s < list.size(); ++s) {
       const int32_t id = list[s].id;
       if (deleted != nullptr && deleted[id] != 0) continue;
-      const size_t b = static_cast<size_t>(id) / rows_per_block;
+      const size_t b = static_cast<size_t>(id) >> block_shift;
       const size_t pos = static_cast<size_t>(boff[b]++);
       blocked_ids[offsets[q] + pos] = id;
       blocked_slots[offsets[q] + pos] = static_cast<int32_t>(s);
     }
   }
-  std::sort(union_ids.begin(), union_ids.end());
-  store_->PrefetchRows(union_ids.data(), union_ids.size());
+  if (shared) std::sort(union_ids.begin(), union_ids.end());
+  if (!union_ids.empty()) {
+    store_->PrefetchRows(union_ids.data(), union_ids.size());
+  }
 
-  // Phase 4: blocked verification gather. Rows are scored block-by-block so
+  // Phase 5: blocked verification gather. Rows are scored block-by-block so
   // a row shared by several queries in the window is pulled into cache once
   // and reused; distances land at the candidate's original slot. The SIMD
   // kernels are bit-identical regardless of row grouping, so this changes
@@ -325,15 +304,17 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       },
       num_threads);
 
-  // Phase 5: replay each query's TopK pushes in the original candidate
-  // order, skipping tombstoned rows — exactly the push sequence
-  // VerifyCandidates would have produced for the per-query path.
+  // Phase 6: replay each gathered query's TopK pushes in the original
+  // candidate order, skipping tombstoned rows — exactly the push sequence
+  // util::VerifyCandidates would produce over the list. A query with an
+  // empty list has its answer already (phase 3) or no candidates at all.
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
         for (size_t q = begin; q < end; ++q) {
-          util::TopK topk(k);
           const std::vector<LccsCandidate>& list = cands[q];
+          if (list.empty()) continue;
+          util::TopK topk(k);
           for (size_t s = 0; s < list.size(); ++s) {
             const int32_t id = list[s].id;
             if (deleted != nullptr && deleted[id] != 0) continue;

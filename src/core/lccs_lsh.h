@@ -48,19 +48,20 @@ class LccsLsh {
   /// of H(q) — plus one extra per tombstoned row when a deleted filter is
   /// installed, so heavy deletion can never starve the answer below k while
   /// live rows exist — and returns the k nearest by true distance
-  /// (ascending). Dispatches through AppendCandidates, so MpLccsLsh reuses
-  /// this body with its multi-probe candidate generation.
+  /// (ascending). A one-row QueryBatch on the calling thread.
   std::vector<util::Neighbor> Query(const float* query, size_t k,
                                     size_t lambda) const;
 
-  /// Cross-query batched form of Query: answers `num_queries` queries stored
-  /// row-major and contiguously (dim() floats each), bit-identical per row
-  /// to Query. The window is processed in shared passes — one ParallelFor
-  /// hashing sweep, per-thread reusable search scratch for the CSA walks,
-  /// and one deduplicated PrefetchRows + cache-blocked verification gather
-  /// over the union of candidate rows, scattering distances back into each
-  /// query's TopK in its original candidate order (which is what keeps
-  /// tie-breaking, and therefore results, bit-identical).
+  /// Answers `num_queries` queries stored row-major and contiguously (dim()
+  /// floats each) — the one query path of the scheme. The window is
+  /// processed in shared passes: one ParallelFor hashing sweep, interleaved
+  /// CSA heap drains over per-thread reusable scratch, an int8 prune +
+  /// storage::ExactRerank for queries the store's quantized tier can cut to
+  /// k' = RerankKeep(k), and, for the rest, one deduplicated PrefetchRows +
+  /// cache-blocked verification gather over the union of candidate rows,
+  /// scattering distances back into each query's TopK in its original
+  /// candidate order (which fixes tie-breaking, so a row's answer does not
+  /// depend on the window it shares).
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
                                                       size_t num_queries,
                                                       size_t k, size_t lambda,
@@ -126,7 +127,6 @@ class LccsLsh {
   /// shared across threads.
   struct QueryScratch {
     CircularShiftArray::SearchScratch csa;
-    std::vector<HashValue> hash;  ///< H(q) buffer for the sequential path
     /// Probe strings feeding the heap, set by PrepareSearch (one entry —
     /// the unperturbed hash — for the base scheme). Must stay valid until
     /// the collect phase finishes.
@@ -140,19 +140,10 @@ class LccsLsh {
   /// the perturbed probes of Section 4.2), and records the probe string
   /// pointers in scratch->probe_ptrs. Splitting here lets QueryBatch prepare
   /// several queries and drain their heaps interleaved
-  /// (CollectFromHeapInterleaved) while the sequential path drains solo —
-  /// both run the identical per-query pop iteration.
+  /// (CollectFromHeapInterleaved), with the same per-query pop iteration as
+  /// the solo CollectFromHeap drain of MpLccsLsh::Candidates.
   virtual void PrepareSearch(const float* query, const HashValue* hash,
                              QueryScratch* scratch) const;
-
-  /// Appends up to `count` LCCS candidates of the query (whose hash string
-  /// `hash` is already computed) to `out`, in the exact order the sequential
-  /// search surfaces them: PrepareSearch followed by a solo CollectFromHeap.
-  /// Both Query and QueryBatch funnel through PrepareSearch, which is what
-  /// makes the batched path identical-by-construction to the sequential one.
-  void AppendCandidates(const float* query, const HashValue* hash,
-                        size_t count, QueryScratch* scratch,
-                        std::vector<LccsCandidate>* out) const;
 
   /// Candidates fetched per query: λ + k - 1 of the paper plus the count of
   /// tombstoned rows, so post-filtering can drop every deleted candidate and

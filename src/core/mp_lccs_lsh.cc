@@ -99,9 +99,11 @@ std::vector<LccsCandidate> MpLccsLsh::Candidates(const float* query,
   std::vector<HashValue> hq(family_->num_functions());
   family_->Hash(query, hq.data());
   const std::unique_ptr<QueryScratch> scratch = MakeScratch();
+  PrepareSearch(query, hq.data(), scratch.get());
   std::vector<LccsCandidate> out;
   out.reserve(std::min<size_t>(count, n_));
-  AppendCandidates(query, hq.data(), count, scratch.get(), &out);
+  csa_.CollectFromHeap(scratch->probe_ptrs.data(), scratch->probe_ptrs.size(),
+                       count, &scratch->csa, &out);
   return out;
 }
 

@@ -43,11 +43,11 @@ class MpLccsLsh : public LccsLsh {
   const ProbeParams& probe_params() const { return params_; }
   void set_probe_params(const ProbeParams& params) { params_ = params; }
 
-  /// Raw candidates across the probing sequence (no verification). Query and
-  /// QueryBatch are inherited from LccsLsh: both dispatch through the
-  /// PrepareSearch override below, so the multi-probe scheme gets the
-  /// batched engine (shared hashing pass, interleaved heap drain,
-  /// deduplicated gather) for free.
+  /// Raw candidates across the probing sequence (no verification): the
+  /// PrepareSearch override below plus a solo heap drain. Query and
+  /// QueryBatch are inherited from LccsLsh and dispatch through the same
+  /// override, so the multi-probe scheme gets the batched engine (shared
+  /// hashing pass, interleaved heap drain, deduplicated gather) for free.
   std::vector<LccsCandidate> Candidates(const float* query,
                                         size_t count) const;
 

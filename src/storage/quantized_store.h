@@ -36,7 +36,7 @@ namespace storage {
 /// Codes live on the heap (1 byte/dim + 4 bytes/row) regardless of where
 /// the float rows live, so an mmap-backed index can score its whole
 /// candidate list without touching disk and fault in only the top
-/// k' = k * rerank_overfetch exact rows for the final rerank
+/// k' = RerankKeep(k) exact rows for the final rerank
 /// (bench/disk_store's `quantized` mode). Scores are approximate; the tier
 /// never decides final ranks, only which candidates reach the exact pass.
 ///
@@ -146,24 +146,11 @@ class QuantizedStore {
   std::vector<float> terms_;    ///< per-row metric term (see class comment)
 };
 
-/// --- Serving policy knobs -------------------------------------------------
-
-/// Rerank overfetch factor: the quantized pass keeps k' = max(k,
-/// ceil(k * overfetch)) candidates for the exact pass. Default 2.0;
-/// overridable via the LCCS_RERANK_OVERFETCH environment variable or
-/// SetRerankOverfetch (tests/benchmarks; values < 1 clear the override and
-/// fall back to the environment/default).
-double RerankOverfetch();
-void SetRerankOverfetch(double overfetch);
-size_t RerankKeep(size_t k);
-
-/// Escape hatch: quantized candidate scoring is consulted only when this
-/// returns true. Default on; LCCS_QUANTIZED=off|0 disables it process-wide
-/// without rebuilding anything (the exact path is always still there).
-/// SetQuantizedServing overrides the environment: 1 on, 0 off, -1 back to
-/// the environment default.
-bool QuantizedServingEnabled();
-void SetQuantizedServing(int mode);
+/// Candidates the quantized pass keeps for the exact rerank: k' = 2k. At
+/// paper scale (10^6 Gaussian rows, d = 128, λ = 128) the int8 prune's top-2k
+/// contains the exact top-k every time even at 1.5k; 2k buys slack for
+/// harder data while keeping the rerank at 2k row reads per query.
+inline size_t RerankKeep(size_t k) { return 2 * k; }
 
 /// Builds and attaches a quantized sibling to `store` if none is attached
 /// yet (first-wins under the store's lock). Returns the attached sibling,
@@ -185,8 +172,8 @@ void ExactRerank(const VectorStore& store, util::Metric metric,
                  util::TopK& topk);
 
 /// The quantized sibling a query path should score against right now:
-/// `store`'s attached sibling, provided the escape hatch is open and the
-/// sibling was built for `metric`. Sets `*row_offset` as
+/// `store`'s attached sibling, provided it was built for `metric` — the tier
+/// is on exactly when one is attached (EnsureQuantized). Sets `*row_offset` as
 /// VectorStore::Quantized does.
 const QuantizedStore* ActiveQuantized(const VectorStore* store,
                                       util::Metric metric,

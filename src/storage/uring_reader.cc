@@ -29,7 +29,7 @@ int SysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
                                   min_complete, flags, nullptr, 0));
 }
 
-// Ring size: an exact-rerank gather is k' = k * overfetch rows (tens); 64
+// Ring size: an exact-rerank gather is k' = 2k rows (tens); 64
 // covers every caller in one chunk without wasting ring pages.
 constexpr unsigned kRingEntries = 64;
 

@@ -85,10 +85,6 @@ void ThreadPool::PushTask(std::function<void()> task) {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  PushTask(std::move(task));
-}
-
 bool ThreadPool::RunOneTask(size_t home_index) {
   std::function<void()> task;
   {
@@ -201,14 +197,8 @@ void ThreadPool::ParallelRange(size_t n, size_t parallelism,
       std::lock_guard<std::mutex> lock(state.mu);
       if (state.remaining == 0) break;
     }
-    try {
-      if (RunOneTask(0)) continue;
-    } catch (...) {
-      // A stolen foreign task (Submit) threw; our own chunks self-catch.
-      // Surface it from here rather than losing the stack.
-      record_error(std::current_exception());
-      continue;
-    }
+    // Every queued task is some range's chunk, and chunks self-catch.
+    if (RunOneTask(0)) continue;
     std::unique_lock<std::mutex> lock(state.mu);
     if (state.remaining == 0) break;
     // In-flight chunks are running on workers; wake on completion, with a

@@ -49,17 +49,6 @@ class ThreadPool {
   void ParallelRange(size_t n, size_t parallelism,
                      const std::function<void(size_t, size_t)>& fn);
 
-  /// Fire-and-forget task submission (round-robin across worker deques).
-  /// Building block for long-lived request serving on top of the pool.
-  /// Tasks must not block indefinitely: a thread helping a ParallelRange
-  /// drain can steal any queued task, so a blocking task would stall that
-  /// caller (and occupies a worker either way). Queue work, don't park in
-  /// it. No execution guarantee at shutdown — tasks still queued when the
-  /// pool is destroyed (process exit) are dropped; a task that throws on a
-  /// worker terminates the process (std::thread semantics), one that
-  /// throws while stolen by a helping caller surfaces there.
-  void Submit(std::function<void()> task);
-
  private:
   struct Worker;
 

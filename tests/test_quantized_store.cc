@@ -1,10 +1,12 @@
 // Tests for the int8 quantized candidate tier (storage/quantized_store.h):
 // codebook round-trip bounds, scalar vs AVX2 kernel bit-identity, codebook
 // serialization (including corrupt-input rejection), the recall-floor
-// oracle across {LCCS-LSH, MP-LCCS-LSH, LinearScan} x {heap, mmap}, the
-// dynamic-index lifecycle (delta encoding, consolidation, persistence), and
-// the CSA ReleaseNextLinks contract the memory-tight serving mode relies on.
+// oracle across {LCCS-LSH, MP-LCCS-LSH, LinearScan} x {heap, mmap, budgeted
+// mmap}, the serving rerank's copy gather, the dynamic-index lifecycle
+// (delta encoding, consolidation, persistence), and the CSA
+// ReleaseNextLinks contract the memory-tight serving mode relies on.
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
@@ -19,8 +21,10 @@
 #include "baselines/lccs_adapter.h"
 #include "baselines/linear_scan.h"
 #include "core/dynamic_index.h"
+#include "core/mp_lccs_lsh.h"
 #include "core/serialize.h"
 #include "dataset/dataset.h"
+#include "lsh/family_factory.h"
 #include "storage/flat_file.h"
 #include "storage/mmap_store.h"
 #include "storage/quantized_store.h"
@@ -46,12 +50,10 @@ std::shared_ptr<const InMemoryStore> MakeStore(size_t rows, size_t cols,
   return std::make_shared<InMemoryStore>(RandomMatrix(rows, cols, seed));
 }
 
-/// Restores process-wide serving policy after each test, whatever it did.
+/// Removes the temp files a test created.
 class QuantizedStoreTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    SetQuantizedServing(-1);
-    SetRerankOverfetch(0.0);
     for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
@@ -263,38 +265,25 @@ TEST_F(QuantizedStoreTest, CorruptCodebookRaisesRuntimeErrorNeverBadAlloc) {
   }
 }
 
-// --- Serving-policy knobs ---------------------------------------------------
+// --- Tier attachment -------------------------------------------------------
 
-TEST_F(QuantizedStoreTest, RerankKeepFollowsOverfetch) {
-  SetRerankOverfetch(3.0);
-  EXPECT_EQ(RerankKeep(10), 30u);
-  EXPECT_EQ(RerankKeep(0), 0u);
-  EXPECT_EQ(RerankKeep(1), 3u);
-  SetRerankOverfetch(1.0);
-  EXPECT_EQ(RerankKeep(10), 10u);
-  SetRerankOverfetch(2.5);
-  EXPECT_EQ(RerankKeep(10), 25u);
-  EXPECT_EQ(RerankKeep(3), 8u);  // ceil(7.5)
-}
-
-TEST_F(QuantizedStoreTest, ServingSwitchGatesActiveQuantized) {
+TEST_F(QuantizedStoreTest, ActiveQuantizedFollowsAttachmentAndMetric) {
   auto store = MakeStore(32, 8, 11);
+  size_t off = 99;
+  // The tier is on exactly when one is attached.
+  EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kEuclidean, &off),
+            nullptr);
   const QuantizedStore* attached =
       EnsureQuantized(store, util::Metric::kEuclidean);
   ASSERT_NE(attached, nullptr);
   // Second call returns the already-attached sibling (first-wins).
   EXPECT_EQ(EnsureQuantized(store, util::Metric::kEuclidean), attached);
 
-  size_t off = 99;
-  SetQuantizedServing(1);
   EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kEuclidean, &off),
             attached);
   EXPECT_EQ(off, 0u);
   // Metric mismatch: the sibling was built for Euclidean combination.
   EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kAngular, &off),
-            nullptr);
-  SetQuantizedServing(0);
-  EXPECT_EQ(ActiveQuantized(store.get(), util::Metric::kEuclidean, &off),
             nullptr);
 }
 
@@ -332,8 +321,6 @@ namespace core {
 namespace {
 
 using storage::EnsureQuantized;
-using storage::SetQuantizedServing;
-using storage::SetRerankOverfetch;
 
 util::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   util::Matrix m(rows, cols);
@@ -345,8 +332,6 @@ util::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 class QuantizedRecallTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    SetQuantizedServing(-1);
-    SetRerankOverfetch(0.0);
     for (const std::string& path : cleanup_) std::remove(path.c_str());
   }
 
@@ -388,9 +373,10 @@ std::unique_ptr<baselines::AnnIndex> MakeNamedIndex(const std::string& name) {
   return std::make_unique<baselines::LccsLshIndex>(params);
 }
 
-// The tentpole acceptance bound: with the quantized first pass on, recall@10
-// against the exact oracle must stay within one point of the same index's
-// full-precision recall, for every index family and both storage backends.
+// The acceptance bound: with the quantized first pass on, recall@10 against
+// the exact oracle must stay within one point of the same index's
+// full-precision recall, for every index family and every storage backend —
+// heap, mmap, and a budgeted mmap whose rerank copy-gathers its rows.
 TEST_F(QuantizedRecallTest, QuantizedRerankStaysWithinOnePointOfExact) {
   const size_t n = 3000, d = 32, num_queries = 40, k = 10;
   util::Matrix base = RandomMatrix(n, d, 20260807);
@@ -399,8 +385,7 @@ TEST_F(QuantizedRecallTest, QuantizedRerankStaysWithinOnePointOfExact) {
   const std::string flat = Path("quantized_recall.flat");
   storage::WriteFlatFile(flat, base);
 
-  // Exact ground truth, once (full-precision linear scan, quantization off).
-  SetQuantizedServing(0);
+  // Exact ground truth, once (full-precision linear scan, no tier).
   dataset::Dataset oracle_data;
   oracle_data.metric = util::Metric::kEuclidean;
   oracle_data.data = RandomMatrix(n, d, 20260807);
@@ -411,34 +396,44 @@ TEST_F(QuantizedRecallTest, QuantizedRerankStaysWithinOnePointOfExact) {
     truth[qi] = oracle.Query(queries.Row(qi), k);
   }
 
+  enum class Leg { kHeap, kMmap, kBudgetedMmap };
   for (const std::string& name :
        {std::string("LCCS-LSH"), std::string("MP-LCCS-LSH"),
         std::string("LinearScan")}) {
-    for (const bool mmap_backed : {false, true}) {
-      dataset::Dataset data;
-      data.name = name + (mmap_backed ? "/mmap" : "/heap");
-      data.metric = util::Metric::kEuclidean;
-      if (mmap_backed) {
-        data.data = storage::MmapStore::Open(flat);
-      } else {
-        data.data = RandomMatrix(n, d, 20260807);
-      }
+    for (const Leg leg : {Leg::kHeap, Leg::kMmap, Leg::kBudgetedMmap}) {
+      // A fresh store per call: the full-precision index must run over a
+      // store no tier was ever attached to.
+      const auto make_data = [&] {
+        dataset::Dataset data;
+        data.name = name + (leg == Leg::kHeap   ? "/heap"
+                            : leg == Leg::kMmap ? "/mmap"
+                                                : "/budgeted-mmap");
+        data.metric = util::Metric::kEuclidean;
+        if (leg == Leg::kHeap) {
+          data.data = RandomMatrix(n, d, 20260807);
+        } else {
+          storage::MmapStore::Options options;
+          if (leg == Leg::kBudgetedMmap) {
+            options.residency_budget_bytes = size_t{1} << 16;
+          }
+          data.data = storage::MmapStore::Open(flat, options);
+        }
+        return data;
+      };
 
-      auto index = MakeNamedIndex(name);
-      index->Build(data);
-
-      // Full-precision pass: quantized scoring globally off.
-      SetQuantizedServing(0);
+      const dataset::Dataset plain = make_data();
+      auto full_index = MakeNamedIndex(name);
+      full_index->Build(plain);
       std::vector<std::vector<util::Neighbor>> full(num_queries);
       for (size_t qi = 0; qi < num_queries; ++qi) {
-        full[qi] = index->Query(queries.Row(qi), k);
+        full[qi] = full_index->Query(queries.Row(qi), k);
       }
 
-      // Quantized pass over the same built index.
-      ASSERT_NE(EnsureQuantized(data.data.store(), data.metric), nullptr)
-          << data.name;
-      SetQuantizedServing(1);
-      SetRerankOverfetch(3.0);
+      const dataset::Dataset tiered = make_data();
+      ASSERT_NE(EnsureQuantized(tiered.data.store(), tiered.metric), nullptr)
+          << tiered.name;
+      auto index = MakeNamedIndex(name);
+      index->Build(tiered);
       std::vector<std::vector<util::Neighbor>> quant(num_queries);
       for (size_t qi = 0; qi < num_queries; ++qi) {
         quant[qi] = index->Query(queries.Row(qi), k);
@@ -447,39 +442,92 @@ TEST_F(QuantizedRecallTest, QuantizedRerankStaysWithinOnePointOfExact) {
       const double recall_full = RecallAgainst(truth, full, k);
       const double recall_quant = RecallAgainst(truth, quant, k);
       EXPECT_GE(recall_quant, recall_full - 0.01)
-          << data.name << ": quantized recall " << recall_quant
+          << tiered.name << ": quantized recall " << recall_quant
           << " vs full-precision " << recall_full;
-
-      // The shipped default overfetch (smaller keep than the 3.0 above)
-      // must hold the same floor — it is what bench/disk_store and any
-      // un-tuned deployment actually serve with.
-      SetRerankOverfetch(0.0);
-      std::vector<std::vector<util::Neighbor>> quant_default(num_queries);
-      for (size_t qi = 0; qi < num_queries; ++qi) {
-        quant_default[qi] = index->Query(queries.Row(qi), k);
-      }
-      EXPECT_GE(RecallAgainst(truth, quant_default, k), recall_full - 0.01)
-          << data.name << ": default-overfetch recall "
-          << RecallAgainst(truth, quant_default, k) << " vs full-precision "
-          << recall_full;
-      SetRerankOverfetch(3.0);
 
       // The batched path must return exactly what per-query calls return,
       // quantized pruning included.
       const auto batch =
           index->QueryBatch(queries.data(), num_queries, k, /*threads=*/2);
-      ASSERT_EQ(batch.size(), num_queries) << data.name;
+      ASSERT_EQ(batch.size(), num_queries) << tiered.name;
       for (size_t qi = 0; qi < num_queries; ++qi) {
         ASSERT_EQ(batch[qi].size(), quant[qi].size())
-            << data.name << " query " << qi;
+            << tiered.name << " query " << qi;
         for (size_t r = 0; r < quant[qi].size(); ++r) {
           EXPECT_EQ(batch[qi][r].id, quant[qi][r].id)
-              << data.name << " query " << qi << " rank " << r;
+              << tiered.name << " query " << qi << " rank " << r;
           EXPECT_EQ(batch[qi][r].dist, quant[qi][r].dist)
-              << data.name << " query " << qi << " rank " << r;
+              << tiered.name << " query " << qi << " rank " << r;
         }
       }
-      SetQuantizedServing(-1);
+    }
+  }
+}
+
+/// A heap matrix that asks for copy gathers, like a budgeted MmapStore, and
+/// counts the rows each access route sees: NoteGather rows are in-place
+/// scattered reads (what would fault and charge a mapping), ReadRowsInto
+/// rows are copies.
+class CopyGatherCountingStore : public storage::VectorStore {
+ public:
+  explicit CopyGatherCountingStore(util::Matrix matrix)
+      : matrix_(std::move(matrix)) {
+    SetView(matrix_.data(), matrix_.rows(), matrix_.cols());
+  }
+  bool PrefersCopyGather() const override { return true; }
+  void NoteGather(size_t n) const override { gather_rows += n; }
+  void ReadRowsInto(const int32_t* ids, size_t n, float* out) const override {
+    copied_rows += n;
+    VectorStore::ReadRowsInto(ids, n, out);
+  }
+  std::string DebugName() const override { return "CopyGatherCountingStore"; }
+
+  mutable std::atomic<size_t> gather_rows{0};
+  mutable std::atomic<size_t> copied_rows{0};
+
+ private:
+  util::Matrix matrix_;
+};
+
+// The serving rerank of a window never reads a copy-gather store in place:
+// every query the int8 prune cuts to k' goes through storage::ExactRerank,
+// which copies exactly its k' rows, and nothing is advised to (or faulted
+// through) the mapping.
+TEST_F(QuantizedRecallTest, BatchRerankCopyGathersAndNeverTouchesMapping) {
+  const size_t n = 1000, d = 16, num_queries = 12, k = 10, lambda = 64;
+  auto store =
+      std::make_shared<CopyGatherCountingStore>(RandomMatrix(n, d, 71));
+  ASSERT_NE(EnsureQuantized(store, util::Metric::kEuclidean), nullptr);
+  util::Matrix queries = RandomMatrix(num_queries, d, 72);
+  const size_t keep = storage::RerankKeep(k);
+
+  const auto make_family = [&] {
+    return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection, d, 16, 4.0, 73);
+  };
+  std::vector<std::unique_ptr<LccsLsh>> schemes;
+  schemes.push_back(
+      std::make_unique<LccsLsh>(make_family(), util::Metric::kEuclidean));
+  ProbeParams pp;
+  pp.num_probes = 8;
+  schemes.push_back(std::make_unique<MpLccsLsh>(
+      make_family(), util::Metric::kEuclidean, pp));
+  // Every query surfaces λ + k − 1 < n candidates, more than k', so the
+  // prune cuts every query of the window.
+  ASSERT_GT(lambda + k - 1, keep);
+  const size_t pruned_queries = num_queries;
+  for (size_t i = 0; i < schemes.size(); ++i) {
+    LccsLsh& scheme = *schemes[i];
+    scheme.Build(store);
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+      store->gather_rows = 0;
+      store->copied_rows = 0;
+      const auto batch =
+          scheme.QueryBatch(queries.data(), num_queries, k, lambda, threads);
+      ASSERT_EQ(batch.size(), num_queries);
+      EXPECT_EQ(store->gather_rows.load(), 0u)
+          << "scheme " << i << " threads " << threads;
+      EXPECT_EQ(store->copied_rows.load(), keep * pruned_queries)
+          << "scheme " << i << " threads " << threads;
     }
   }
 }
@@ -497,7 +545,6 @@ TEST_F(QuantizedRecallTest, ReportedDistancesAreExactUnderQuantization) {
   auto index = MakeNamedIndex("LCCS-LSH");
   index->Build(data);
   ASSERT_NE(EnsureQuantized(data.data.store(), data.metric), nullptr);
-  SetQuantizedServing(1);
 
   util::Matrix queries = RandomMatrix(8, d, 32);
   for (size_t qi = 0; qi < 8; ++qi) {
@@ -531,13 +578,11 @@ TEST_F(QuantizedRecallTest, DynamicIndexQuantizedLifecycleAndPersistence) {
   dataset::Dataset data;
   data.metric = options.metric;
   data.data = RandomMatrix(600, d, 91);
-  index.Build(data);
   // Epoch store carries a quantized sibling when quantize is on.
-  SetQuantizedServing(1);
-  SetRerankOverfetch(3.0);
+  index.Build(data);
 
   // Grow a delta big enough that the delta scan's quantized prune engages
-  // (live delta rows > RerankKeep(k) = 15), with some removals mixed in.
+  // (live delta rows > RerankKeep(k) = 10), with some removals mixed in.
   util::Rng rng(92);
   std::vector<float> vec(d);
   std::vector<int32_t> inserted;
@@ -615,14 +660,11 @@ TEST_F(QuantizedRecallTest, DynamicIndexQuantizedMatchesExactOracle) {
       rng.FillGaussian(vec.data(), d);
       index.Insert(vec.data());
     }
-    SetQuantizedServing(quantize ? 1 : 0);
-    SetRerankOverfetch(3.0);
     std::vector<std::vector<util::Neighbor>> runs(16);
     for (size_t qi = 0; qi < 16; ++qi) {
       runs[qi] = index.Query(queries.Row(qi), k);
     }
     results.push_back(std::move(runs));
-    SetQuantizedServing(-1);
   }
   const double recall =
       RecallAgainst(results[0], results[1], k);

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -100,21 +99,6 @@ TEST(ThreadPoolTest, InstanceIsPersistent) {
   ThreadPool& b = ThreadPool::Instance();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.num_workers(), 1u);
-}
-
-TEST(ThreadPoolTest, SubmitRunsFireAndForgetTasks) {
-  constexpr int kTasks = 64;
-  std::atomic<int> done{0};
-  for (int i = 0; i < kTasks; ++i) {
-    ThreadPool::Instance().Submit([&done] { done.fetch_add(1); });
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (done.load() < kTasks &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(done.load(), kTasks);
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {

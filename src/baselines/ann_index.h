@@ -53,41 +53,12 @@ class AnnIndex {
   /// unknown or already removed. Default-throwing like Insert.
   virtual bool Remove(int32_t id);
 
-  /// Installs (or clears, with nullptr) a tombstone bitmap indexed by row
-  /// id: rows with (*deleted)[id] != 0 are excluded from every subsequent
-  /// Query/QueryBatch result, as if the index had been built without them.
-  /// The bitmap is borrowed, must cover every row of the built index, and —
-  /// like Build — must not be resized while queries run; flipping bits
-  /// between (not during) queries is fine. core::DynamicIndex points this
-  /// at its tombstone set so deleted points vanish from the static epoch
-  /// without a rebuild, and recall accounting (e.g. candidate counters)
-  /// only sees live rows.
-  virtual void set_deleted_filter(const std::vector<uint8_t>* deleted) {
-    deleted_rows_ = deleted;
-  }
-
   /// Memory held by the index structures (excluding the raw dataset, which
   /// all methods share).
   virtual size_t IndexSizeBytes() const = 0;
 
   /// Display name, e.g. "LCCS-LSH" or "C2LSH".
   virtual std::string name() const = 0;
-
- protected:
-  /// Tombstone bitmap for candidate verification (nullptr when no filter is
-  /// installed) — pass straight to util::VerifyCandidates.
-  const uint8_t* deleted_rows() const {
-    return deleted_rows_ != nullptr ? deleted_rows_->data() : nullptr;
-  }
-
-  /// True when `id` is masked out by the installed filter.
-  bool IsDeletedRow(int32_t id) const {
-    return deleted_rows_ != nullptr &&
-           (*deleted_rows_)[static_cast<size_t>(id)] != 0;
-  }
-
- private:
-  const std::vector<uint8_t>* deleted_rows_ = nullptr;
 };
 
 }  // namespace baselines

@@ -72,12 +72,9 @@ std::vector<util::Neighbor> C2Lsh::Query(const float* query, size_t k) const {
   // Points that cross the collision threshold are queued (in crossing
   // order) and verified in one batched pass after the rounds finish; the
   // round logic only ever consults the `verified` count, never a distance.
-  // Tombstoned rows never enter the queue or the count, so the candidate
-  // budget is spent on live points only.
   std::vector<int32_t> pending;
   auto bump = [&](int32_t id) {
-    if (static_cast<size_t>(++counts[id]) == threshold_ &&
-        !IsDeletedRow(id)) {
+    if (static_cast<size_t>(++counts[id]) == threshold_) {
       pending.push_back(id);
       ++verified;
     }
@@ -170,15 +167,13 @@ std::vector<util::Neighbor> C2Lsh::Query(const float* query, size_t k) const {
     for (size_t i = 0; i < take; ++i) {
       const int32_t id = by_count[i];
       if (static_cast<size_t>(counts[id]) >= threshold_) continue;  // done
-      if (IsDeletedRow(id)) continue;
       pending.push_back(id);
     }
   }
   store_->PrefetchRows(pending.data(), pending.size());
   util::TopK topk(k);
   util::VerifyCandidates(metric_, store_->data(), d, query, pending.data(),
-                         pending.size(), topk,
-                         /*first_id=*/0, deleted_rows());
+                         pending.size(), topk);
   return topk.Sorted();
 }
 

@@ -12,14 +12,12 @@ LccsLshIndex::LccsLshIndex(Params params) : params_(params) {
 void LccsLshIndex::Build(const dataset::Dataset& data) {
   scheme_ = MakeScheme(data);
   scheme_->Build(data.data.store());
-  scheme_->set_deleted_filter(deleted_filter_);
 }
 
 void LccsLshIndex::AttachPrebuilt(const dataset::Dataset& data,
                                   core::CircularShiftArray csa) {
   scheme_ = MakeScheme(data);
   scheme_->AttachPrebuilt(data.data.store(), std::move(csa));
-  scheme_->set_deleted_filter(deleted_filter_);
 }
 
 std::unique_ptr<core::MpLccsLsh> LccsLshIndex::MakeScheme(
@@ -34,12 +32,6 @@ std::unique_ptr<core::MpLccsLsh> LccsLshIndex::MakeScheme(
   probe.num_alternatives = params_.num_alternatives;
   return std::make_unique<core::MpLccsLsh>(std::move(family), data.metric,
                                            probe);
-}
-
-void LccsLshIndex::set_deleted_filter(const std::vector<uint8_t>* deleted) {
-  AnnIndex::set_deleted_filter(deleted);
-  deleted_filter_ = deleted;
-  if (scheme_ != nullptr) scheme_->set_deleted_filter(deleted);
 }
 
 void LccsLshIndex::set_num_probes(size_t num_probes) {

@@ -41,9 +41,6 @@ class LccsLshIndex : public AnnIndex {
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const override;
-  /// Forwards the tombstone bitmap to the wrapped scheme so deleted rows are
-  /// dropped during candidate verification (survives a later Build).
-  void set_deleted_filter(const std::vector<uint8_t>* deleted) override;
   size_t dim() const override { return scheme_ ? scheme_->dim() : 0; }
   size_t IndexSizeBytes() const override;
   std::string name() const override {
@@ -83,7 +80,6 @@ class LccsLshIndex : public AnnIndex {
 
   Params params_;
   std::unique_ptr<core::MpLccsLsh> scheme_;
-  const std::vector<uint8_t>* deleted_filter_ = nullptr;  // not owned
 };
 
 }  // namespace baselines

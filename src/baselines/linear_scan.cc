@@ -14,11 +14,10 @@ namespace baselines {
 namespace {
 
 /// Quantized first pass of a full scan: scores all n rows on the int8 codes
-/// (contiguous, heap-resident) and keeps the best k' live rows, ascending.
+/// (contiguous, heap-resident) and keeps the best k' rows, ascending.
 std::vector<int32_t> QuantizedSweep(const storage::QuantizedStore& qs,
                                     const storage::QuantizedStore::PreparedQuery& pq,
-                                    size_t row_offset, size_t n, size_t keep,
-                                    const uint8_t* deleted) {
+                                    size_t row_offset, size_t n, size_t keep) {
   storage::RerankSelector selector(keep);
   // Block the contiguous sweep so the score buffer stays cache-resident.
   constexpr size_t kBlock = 4096;
@@ -28,9 +27,7 @@ std::vector<int32_t> QuantizedSweep(const storage::QuantizedStore& qs,
     qs.ScoreCandidates(pq, /*ids=*/nullptr, len, row_offset + row,
                        scores.data());
     for (size_t i = 0; i < len; ++i) {
-      const size_t id = row + i;
-      if (deleted != nullptr && deleted[id] != 0) continue;
-      selector.Offer(scores[i], static_cast<int32_t>(id));
+      selector.Offer(scores[i], static_cast<int32_t>(row + i));
     }
   }
   return selector.TakeAscendingIds();
@@ -57,7 +54,6 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
   const util::Metric metric = metric_;
   const float* base = store_->data();
   const storage::VectorStore& rows = *store_;
-  const uint8_t* deleted = deleted_rows();
   std::vector<std::vector<util::Neighbor>> results(num_queries);
   size_t qoff = 0;
   const storage::QuantizedStore* qs =
@@ -73,7 +69,7 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
           for (size_t q = begin; q < end; ++q) {
             const std::vector<int32_t> pruned = QuantizedSweep(
                 *qs, qs->Prepare(queries + q * d), qoff, n,
-                storage::RerankKeep(k), deleted);
+                storage::RerankKeep(k));
             util::TopK topk(k);
             storage::ExactRerank(rows, metric, queries + q * d,
                                  pruned.data(), pruned.size(), topk);
@@ -108,7 +104,7 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
             for (size_t q = begin; q < end; ++q) {
               util::VerifyCandidates(metric, base, d, queries + q * d,
                                      /*ids=*/nullptr, len, heaps[q - begin],
-                                     static_cast<int32_t>(row), deleted);
+                                     static_cast<int32_t>(row));
             }
           }
         }

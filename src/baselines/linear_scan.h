@@ -21,11 +21,8 @@ class LinearScan : public AnnIndex {
   /// Cache-blocked scan: each worker sweeps the base vectors once for its
   /// whole chunk of queries (base row outer, query inner), so every loaded
   /// row is reused across the chunk instead of being re-streamed per query.
-  /// Rows masked by set_deleted_filter are skipped inside each block, so a
-  /// filtered batch equals a scan over the surviving points only (the exact
-  /// oracle for dynamic-index recall). With a quantized tier attached, each
-  /// query instead sweeps the int8 codes and reranks its k' survivors
-  /// through storage::ExactRerank.
+  /// With a quantized tier attached, each query instead sweeps the int8
+  /// codes and reranks its k' survivors through storage::ExactRerank.
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const override;

@@ -141,8 +141,7 @@ std::vector<util::Neighbor> LshForest::Query(const float* query,
   store_->PrefetchRows(cand_ids.data(), cand_ids.size());
   util::TopK topk(k);
   util::VerifyCandidates(metric_, store_->data(), store_->cols(), query,
-                         cand_ids.data(), cand_ids.size(), topk,
-                         /*first_id=*/0, deleted_rows());
+                         cand_ids.data(), cand_ids.size(), topk);
   return topk.Sorted();
 }
 

@@ -73,12 +73,10 @@ std::vector<util::Neighbor> QaLsh::Query(const float* query, size_t k) const {
 
   // Threshold-crossing points are queued in crossing order and verified in
   // one batched pass after the widening rounds; the rounds themselves only
-  // consult the `verified` count. Tombstoned rows never enter either, so
-  // the budget is spent on live points only.
+  // consult the `verified` count.
   std::vector<int32_t> pending;
   auto bump = [&](int32_t id) {
-    if (static_cast<size_t>(++counts[id]) == threshold_ &&
-        !IsDeletedRow(id)) {
+    if (static_cast<size_t>(++counts[id]) == threshold_) {
       pending.push_back(id);
       ++verified;
     }
@@ -118,8 +116,7 @@ std::vector<util::Neighbor> QaLsh::Query(const float* query, size_t k) const {
   store_->PrefetchRows(pending.data(), pending.size());
   util::TopK topk(k);
   util::VerifyCandidates(util::Metric::kEuclidean, store_->data(), d, query,
-                         pending.data(), pending.size(), topk,
-                         /*first_id=*/0, deleted_rows());
+                         pending.data(), pending.size(), topk);
   return topk.Sorted();
 }
 

@@ -79,9 +79,6 @@ std::vector<util::Neighbor> Srs::Query(const float* query, size_t k) const {
         }
       }
     }
-    // Tombstoned points neither count against the candidate budget nor
-    // enter the heap — the projected-distance stream simply skips them.
-    if (IsDeletedRow(id)) continue;
     // One candidate at a time through the batched verifier: the early-stop
     // test above consults the heap threshold after every push, so SRS can't
     // defer verification the way the count-based methods do.

@@ -83,10 +83,6 @@ std::vector<util::Neighbor> StaticLsh::Query(const float* query,
     const auto it = table.find(key);
     if (it == table.end()) return;
     for (const int32_t id : it->second) {
-      // Tombstoned rows are dropped before deduplication, so
-      // last_candidates_ — the denominator of the recall-vs-candidates
-      // accounting — only ever counts live points.
-      if (IsDeletedRow(id)) continue;
       if (!seen.insert(id).second) continue;
       cand_ids.push_back(id);
     }

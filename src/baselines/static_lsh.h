@@ -58,11 +58,8 @@ class StaticLsh : public AnnIndex {
   }
 
   /// Total number of candidate verifications performed by the last Query
-  /// call. Tombstone-aware: rows masked via set_deleted_filter are dropped
-  /// during bucket probing and never counted, so recall-per-candidate
-  /// accounting stays correct after deletions. Under a concurrent QueryBatch
-  /// the value reflects whichever query finished last (the store is atomic,
-  /// so reads are merely racy, not UB).
+  /// call. Under a concurrent QueryBatch the value reflects whichever query
+  /// finished last (the store is atomic, so reads are merely racy, not UB).
   size_t last_candidate_count() const {
     return last_candidates_.load(std::memory_order_relaxed);
   }

@@ -106,15 +106,13 @@ std::shared_ptr<EpochState> DynamicIndex::BuildEpoch(
   epoch->data.metric = metric;
   epoch->data.data = std::move(rows);
   epoch->ids = std::move(ids);
-  epoch->deleted.assign(epoch->ids.size(), 0);
-  // Value-initialization zeroes the stamps: no post-install removes yet.
+  // Value-initialization zeroes the stamps: every row starts live.
   epoch->deleted_at.reset(new std::atomic<uint64_t>[epoch->ids.size()]());
   (void)dim;  // consulted only by the assert
   assert(epoch->ids.empty() || epoch->data.dim() == dim);
   if (!epoch->ids.empty()) {
     epoch->index = factory();
     epoch->index->Build(epoch->data);
-    epoch->index->set_deleted_filter(&epoch->deleted);
     if (quantize) {
       // After the index build on purpose: building first lets the index
       // free its scratch before the codes (1 byte/dim/row) are allocated,
@@ -203,8 +201,8 @@ size_t DynamicIndex::IndexSizeBytes() const {
   }
   if (epoch_ != nullptr) {
     bytes += epoch_->data.SizeBytes() +
-             epoch_->ids.size() * sizeof(int32_t) + epoch_->deleted.size() +
-             epoch_->ids.size() * sizeof(std::atomic<uint64_t>);
+             epoch_->ids.size() *
+                 (sizeof(int32_t) + sizeof(std::atomic<uint64_t>));
     if (epoch_->index != nullptr) bytes += epoch_->index->IndexSizeBytes();
   }
   return bytes;
@@ -291,16 +289,12 @@ util::Matrix DynamicIndex::LiveVectorsLocked(std::vector<int32_t>* ids) const {
   };
   // Epoch ids all precede delta ids, and both regions are stored ascending,
   // so this sweep emits global-id order without sorting. A row is live iff
-  // neither dead at install (base bitmap) nor stamped since. Const access
-  // only: a non-const Row() on the shared epoch handle would trigger its
-  // copy-on-write clone.
+  // unstamped. Const access only: a non-const Row() on the shared epoch
+  // handle would trigger its copy-on-write clone.
   if (epoch_ != nullptr) {
     const EpochState& ep = *epoch_;
     for (size_t r = 0; r < ep.ids.size(); ++r) {
-      if (ep.deleted[r] ||
-          ep.deleted_at[r].load(std::memory_order_relaxed) != 0) {
-        continue;
-      }
+      if (ep.deleted_at[r].load(std::memory_order_relaxed) != 0) continue;
       append(ep.ids[r], ep.data.data.Row(r));
     }
   }
@@ -384,14 +378,6 @@ int32_t DynamicIndex::Insert(const float* vec) {
   return id;
 }
 
-void DynamicIndex::set_deleted_filter(const std::vector<uint8_t>* deleted) {
-  if (deleted != nullptr) {
-    throw std::runtime_error(
-        "DynamicIndex manages its own tombstones; use Remove() instead of "
-        "set_deleted_filter()");
-  }
-}
-
 bool DynamicIndex::Remove(int32_t id) {
   bool schedule = false;
   {
@@ -411,8 +397,8 @@ bool DynamicIndex::Remove(int32_t id) {
     }
     live_.erase(it);
     // Epoch stamps widen every snapshot's over-fetch margin until the next
-    // consolidation sweeps them into the base set; bound that cost the same
-    // way delta growth is bounded.
+    // consolidation drops the rows; bound that cost the same way delta
+    // growth is bounded.
     schedule = options_.background_rebuild &&
                epoch_removed_ >= options_.rebuild_threshold;
   }
@@ -504,14 +490,14 @@ void DynamicIndex::FinishRebuild(std::exception_ptr error) {
 void DynamicIndex::RunRebuild() {
   try {
     // Capture under the reader lock: the epoch shared_ptr, the delta buffer
-    // shared_ptr, the used prefix length, and the *merged* tombstone flags
-    // of both regions as of now — never the floats themselves. Both stores
+    // shared_ptr, the used prefix length, and which rows of both regions
+    // are stamped as of now — never the floats themselves. Both stores
     // are immutable over the captured range (rows are written before the
     // releasing writer unlock that happens-before this reader lock) and
     // kept alive by the shared_ptrs, so the heavy survivor materialization
     // below runs with no lock held; for a memory-mapped epoch this is the
     // difference between consolidation costing O(delta) heap and costing
-    // the whole base set. Writers wait only for the O(rows) flag merges.
+    // the whole base set. Writers wait only for the O(rows) stamp reads.
     std::shared_ptr<const EpochState> old_epoch;
     std::shared_ptr<const DeltaBuffer> old_delta;
     std::vector<uint8_t> epoch_dead;
@@ -525,7 +511,6 @@ void DynamicIndex::RunRebuild() {
         epoch_dead.resize(old_epoch->ids.size());
         for (size_t r = 0; r < epoch_dead.size(); ++r) {
           epoch_dead[r] =
-              old_epoch->deleted[r] ||
               old_epoch->deleted_at[r].load(std::memory_order_relaxed) != 0;
         }
       }
@@ -614,31 +599,25 @@ void DynamicIndex::RunRebuild() {
     // Install: reconcile mutations that raced the build, then swap.
     {
       auto lock = WriteLock();
-      // Deletions since capture land in the fresh *base* bitmap (the rows
-      // are baked into the new static structure, and no snapshot older
-      // than this install can ever see the new epoch, so collapsing their
-      // stamps to base tombstones loses nothing); the id is gone from
-      // live_ already.
+      // Rows removed since capture are baked into the new static structure;
+      // stamp them with the current version. No snapshot older than this
+      // install can ever see the new epoch, so the original remove versions
+      // are not needed. The id is gone from live_ already.
+      size_t reconciled = 0;
       for (size_t row = 0; row < epoch->ids.size(); ++row) {
         const auto it = live_.find(epoch->ids[row]);
         if (it == live_.end()) {
-          epoch->deleted[row] = 1;
+          epoch->deleted_at[row].store(version_, std::memory_order_relaxed);
+          ++reconciled;
         } else {
           it->second = Location{false, row};
         }
       }
-      // BuildEpoch installed the filter before the reconciliation above
-      // flipped bits; re-install so the index's cached tombstone count (its
-      // per-query over-fetch) reflects the final base bitmap. The epoch is
-      // not yet published, so no query can observe the transition.
-      if (epoch->index != nullptr) {
-        epoch->index->set_deleted_filter(&epoch->deleted);
-      }
       // Inserts since capture become the new delta generation. Copy from
       // the *current* buffer (a doubling may have superseded the captured
       // one), stamps verbatim — every stamp is at most version_, hence
-      // visible-as-dead to all future snapshots, matching the collapsed
-      // epoch handling above.
+      // visible-as-dead to all future snapshots, like the epoch stamps
+      // above.
       const size_t leftover = delta_len_ - delta_end;
       if (leftover == 0) {
         delta_.reset();
@@ -675,7 +654,7 @@ void DynamicIndex::RunRebuild() {
         delta_len_ = leftover;
       }
       epoch_ = std::move(epoch);
-      epoch_removed_ = 0;
+      epoch_removed_ = reconciled;
       ++epoch_sequence_;
     }
     FinishRebuild(nullptr);
@@ -768,13 +747,12 @@ void DynamicIndex::SerializeState(std::ostream& out, const EpochWriter& writer,
     }
     out.write(reinterpret_cast<const char*>(epoch_->ids.data()),
               epoch_rows * sizeof(int32_t));
-    // Version stamps collapse into the base bitmap: the stream format is a
+    // Version stamps collapse into dead bytes: the stream format is a
     // point-in-time save, and every stamp at save time is at or below the
     // version any post-load snapshot will carry.
     std::vector<uint8_t> epoch_dead(epoch_rows);
     for (size_t r = 0; r < epoch_rows; ++r) {
       epoch_dead[r] =
-          epoch_->deleted[r] ||
           epoch_->deleted_at[r].load(std::memory_order_relaxed) != 0;
     }
     out.write(reinterpret_cast<const char*>(epoch_dead.data()), epoch_rows);
@@ -852,6 +830,7 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
   auto epoch = std::make_shared<EpochState>();
   epoch->data.name = "dynamic-epoch";
   epoch->data.metric = options.metric;
+  std::vector<uint8_t> epoch_dead;
   if (epoch_rows > 0) {
     uint8_t storage_kind = 0;
     ReadPod(in, &storage_kind);
@@ -910,7 +889,7 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
         epoch->data.data.Resize(epoch_rows, dim);
       }
       epoch->ids.resize(epoch_rows);
-      epoch->deleted.resize(epoch_rows);
+      epoch_dead.resize(epoch_rows);
     } catch (const std::bad_alloc&) {
       // Reachable only on non-seekable streams (no byte budget): translate
       // the allocator's verdict into the promised corrupt-stream error.
@@ -923,7 +902,7 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
     }
     in.read(reinterpret_cast<char*>(epoch->ids.data()),
             epoch_rows * sizeof(int32_t));
-    in.read(reinterpret_cast<char*>(epoch->deleted.data()), epoch_rows);
+    in.read(reinterpret_cast<char*>(epoch_dead.data()), epoch_rows);
     if (!in) throw std::runtime_error("truncated dynamic index stream");
     uint8_t has_index = 0;
     ReadPod(in, &has_index);
@@ -935,7 +914,6 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
           "dynamic index stream corrupt: snapshot without an epoch index");
     }
     epoch->index = reader(in, epoch->data);
-    epoch->index->set_deleted_filter(&epoch->deleted);
     uint8_t has_quantized = 0;
     ReadPod(in, &has_quantized);
     if (has_quantized > 1) {
@@ -954,9 +932,15 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
       index->options_.quantize = true;
     }
   }
-  // Saved epoch tombstones are all base tombstones (stamps collapse at save
-  // time); no row is stamped post-install yet.
+  // Rows saved dead get stamp 1, like delta rows below (the clock restarts
+  // at 1), and all count towards the snapshot over-fetch.
   epoch->deleted_at.reset(new std::atomic<uint64_t>[epoch_rows]());
+  for (size_t r = 0; r < epoch_rows; ++r) {
+    if (epoch_dead[r]) {
+      epoch->deleted_at[r].store(1, std::memory_order_relaxed);
+      ++index->epoch_removed_;
+    }
+  }
   index->epoch_ = std::move(epoch);
 
   const uint64_t max_points = static_cast<uint64_t>(next_id);
@@ -1041,7 +1025,7 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
 
   // Rebuild the id -> location map from the persisted tombstones.
   for (size_t row = 0; row < index->epoch_->ids.size(); ++row) {
-    if (!index->epoch_->deleted[row]) {
+    if (!epoch_dead[row]) {
       index->live_[index->epoch_->ids[row]] = Location{false, row};
     }
   }

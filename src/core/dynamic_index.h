@@ -37,11 +37,13 @@ namespace core {
 ///     inserted since, answered by brute force with the batched SIMD
 ///     verifier (util::VerifyCandidates makes a few thousand rows
 ///     essentially free next to the probing cost);
-///   * **tombstones** carrying the version of the mutation that set them.
-///     Epoch rows already dead at install sit in a frozen base bitmap the
-///     wrapped index filters through AnnIndex::set_deleted_filter; removes
-///     after the install — epoch or delta — stamp a per-row atomic version
-///     instead, so any point in mutation history can still be read.
+///   * **tombstones**: one per-row atomic version stamp, epoch or delta,
+///     carrying the version of the mutation that removed the row (rows
+///     removed while a rebuild ran are stamped at its install, rows loaded
+///     dead at version 1). The wrapped index never sees them: only
+///     core::Snapshot reads the stamps, and a row is visible iff it is
+///     unstamped or stamped after the reader's version, so any point in
+///     mutation history can still be read.
 ///
 /// Reads are MVCC snapshots: AcquireSnapshot() captures the epoch
 /// shared_ptr, the delta buffer shared_ptr, the delta prefix length and the
@@ -57,8 +59,8 @@ namespace core {
 /// ranking an index over the surviving points would produce (the
 /// oracle-equivalence property tests/test_dynamic_index.cc locks down).
 ///
-/// When the delta outgrows Options::rebuild_threshold (or accumulated
-/// epoch tombstones do — they widen every snapshot's over-fetch margin), an
+/// When the delta outgrows Options::rebuild_threshold (or the stamped epoch
+/// rows do — they widen every snapshot's over-fetch margin), an
 /// **epoch rebuild** consolidates survivors into a fresh static index on a
 /// dedicated background thread: the heavy build runs from an immutable
 /// capture without blocking anything, queries keep being served from the
@@ -81,9 +83,8 @@ class DynamicIndex : public baselines::AnnIndex {
  public:
   /// Creates the epoch index for a snapshot. Called once per consolidation
   /// with no arguments; the returned index is then Built over the snapshot
-  /// dataset. The index must honor set_deleted_filter (every index in this
-  /// repository routes verification through util::VerifyCandidates and
-  /// does).
+  /// dataset and never mutated: removed rows are hidden by core::Snapshot
+  /// after the index answers, so any AnnIndex works.
   using Factory = std::function<std::unique_ptr<baselines::AnnIndex>()>;
 
   struct Options {
@@ -91,8 +92,8 @@ class DynamicIndex : public baselines::AnnIndex {
     /// Dimensionality; required when inserting into a never-Built index
     /// (Build overrides it from the dataset).
     size_t dim = 0;
-    /// Delta size (or post-install epoch-tombstone count) that triggers
-    /// consolidation into a fresh epoch.
+    /// Delta size (or stamped epoch-row count) that triggers consolidation
+    /// into a fresh epoch.
     size_t rebuild_threshold = 1024;
     /// Consolidate on a dedicated background thread (true) or only when the
     /// caller invokes Consolidate() explicitly (false — deterministic, used
@@ -151,13 +152,6 @@ class DynamicIndex : public baselines::AnnIndex {
   /// consolidation once enough epoch rows are stamped.
   bool Remove(int32_t id) override;
 
-  /// Refused (throws std::runtime_error for a non-null bitmap): this index
-  /// manages its own tombstones via Remove, and an external bitmap indexed
-  /// by this wrapper's global ids would silently conflict with them.
-  /// Accepting it quietly would break the honor-the-filter contract every
-  /// other AnnIndex keeps, so the conflict fails loudly instead.
-  void set_deleted_filter(const std::vector<uint8_t>* deleted) override;
-
   size_t dim() const override;
   size_t IndexSizeBytes() const override;
   std::string name() const override;
@@ -196,8 +190,9 @@ class DynamicIndex : public baselines::AnnIndex {
     size_t epoch_rows = 0;      ///< rows in the static snapshot
     size_t delta_rows = 0;      ///< delta rows (live + tombstoned)
     size_t tombstones = 0;      ///< tombstones not yet consolidated away
-    /// Epoch rows stamped since the install — the over-fetch margin every
-    /// snapshot query currently pays (consolidation resets it).
+    /// Stamped epoch rows — removed since the install, removed while the
+    /// epoch was being built, or loaded dead. The over-fetch margin every
+    /// snapshot query currently pays; consolidation drops these rows.
     size_t epoch_stamped = 0;
     uint64_t epoch_sequence = 0;
     uint64_t version = 0;       ///< mutations applied so far
@@ -272,7 +267,7 @@ class DynamicIndex : public baselines::AnnIndex {
   };
 
   /// Builds an EpochState over the store behind `rows` (global-id
-  /// ascending) via the factory and installs the deleted filter. Static so
+  /// ascending) via the factory, every row unstamped. Static so
   /// the background task can run it without touching any member state.
   static std::shared_ptr<EpochState> BuildEpoch(const Factory& factory,
                                                 util::Metric metric,
@@ -325,7 +320,7 @@ class DynamicIndex : public baselines::AnnIndex {
   std::unordered_map<int32_t, Location> live_;
   int32_t next_id_ = 0;
   uint64_t version_ = 0;        ///< mutations applied (stamp source)
-  size_t epoch_removed_ = 0;    ///< epoch rows stamped since install
+  size_t epoch_removed_ = 0;    ///< stamped epoch rows (Stats::epoch_stamped)
   uint64_t epoch_sequence_ = 0;
 
   /// Rebuild coordination. Never held while acquiring mutex_.

@@ -13,32 +13,27 @@ namespace core {
 
 namespace {
 
-/// First pass of two-phase verification: scores every live candidate on the
+/// First pass of two-phase verification: scores every candidate on the
 /// store's quantized sibling `qs` (heap-resident int8 codes — no disk
 /// faults) and keeps the best k' = RerankKeep(k) ids, returned ascending so
 /// the exact rerank scores them in a deterministic order. Returns false —
-/// the query takes the exact-only gather — when the live candidate list is
-/// not larger than k' (then pruning could only drop candidates the exact
-/// pass would have scored anyway).
+/// the query takes the exact-only gather — when the candidate list is not
+/// larger than k' (then pruning could only drop candidates the exact pass
+/// would have scored anyway).
 bool QuantizedPrune(const storage::QuantizedStore& qs, size_t row_offset,
                     const float* query,
-                    const std::vector<LccsCandidate>& cands,
-                    const uint8_t* deleted, size_t k,
+                    const std::vector<LccsCandidate>& cands, size_t k,
                     std::vector<int32_t>* pruned) {
   const size_t keep = storage::RerankKeep(k);
-  std::vector<int32_t> live;
-  live.reserve(cands.size());
-  for (const LccsCandidate& c : cands) {
-    if (deleted != nullptr && deleted[c.id] != 0) continue;
-    live.push_back(c.id);
-  }
-  if (live.size() <= keep) return false;
+  if (cands.size() <= keep) return false;
+  std::vector<int32_t> ids(cands.size());
+  for (size_t i = 0; i < cands.size(); ++i) ids[i] = cands[i].id;
   const storage::QuantizedStore::PreparedQuery pq = qs.Prepare(query);
-  std::vector<float> scores(live.size());
-  qs.ScoreCandidates(pq, live.data(), live.size(), row_offset, scores.data());
+  std::vector<float> scores(ids.size());
+  qs.ScoreCandidates(pq, ids.data(), ids.size(), row_offset, scores.data());
   storage::RerankSelector selector(keep);
-  for (size_t i = 0; i < live.size(); ++i) {
-    selector.Offer(scores[i], live[i]);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    selector.Offer(scores[i], ids[i]);
   }
   *pruned = selector.TakeAscendingIds();
   return true;
@@ -94,14 +89,6 @@ void LccsLsh::AttachPrebuilt(const float* data, size_t n, size_t d,
   AttachPrebuilt(storage::WrapBorrowed(data, n, d), std::move(csa));
 }
 
-void LccsLsh::set_deleted_filter(const std::vector<uint8_t>* deleted) {
-  deleted_ = deleted;
-  deleted_count_ = 0;
-  if (deleted != nullptr) {
-    for (const uint8_t bit : *deleted) deleted_count_ += (bit != 0) ? 1 : 0;
-  }
-}
-
 std::unique_ptr<LccsLsh::QueryScratch> LccsLsh::MakeScratch() const {
   return std::make_unique<QueryScratch>();
 }
@@ -136,7 +123,6 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   assert(store_ != nullptr);
   const size_t m = family_->num_functions();
   const size_t count = CandidateBudget(k, lambda);
-  const uint8_t* deleted = deleted_rows();
 
   // Phase 1: hash the whole window in one ParallelFor pass.
   std::vector<HashValue> hashes(num_queries * m);
@@ -184,7 +170,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       num_threads);
 
   // Phase 3: int8 prune + exact rerank. With a quantized tier attached, a
-  // query whose live candidates outnumber k' = RerankKeep(k) is scored on
+  // query whose candidates outnumber k' = RerankKeep(k) is scored on
   // the in-RAM codes and its k' survivors go straight to
   // storage::ExactRerank — in place for heap stores, a copy gather for
   // budget-mapped ones, so the rerank neither faults the mapping nor ticks
@@ -200,8 +186,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
           std::vector<int32_t> pruned;
           for (size_t q = begin; q < end; ++q) {
             const float* query = queries + q * d_;
-            if (!QuantizedPrune(*qs, qoff, query, cands[q], deleted, k,
-                                &pruned)) {
+            if (!QuantizedPrune(*qs, qoff, query, cands[q], k, &pruned)) {
               continue;
             }
             util::TopK topk(k);
@@ -214,11 +199,11 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
         num_threads);
   }
 
-  // Phase 4: lay out the exact gather. Each remaining query's live
-  // candidates are counting-sorted into cache-block-major order (block =
+  // Phase 4: lay out the exact gather. Each remaining query's candidates
+  // are counting-sorted into cache-block-major order (block =
   // id >> block_shift over the id space): O(candidates) per query, and
   // phase 5 reads each (query, block) run straight from the precomputed
-  // offsets. The union of live ids is advised to the store once per window,
+  // offsets. The union of ids is advised to the store once per window,
   // so an mmap-resident base set faults each candidate page once per window
   // instead of once per query. Blocking and dedup only pay when several
   // lists can name the same row: a lone list is one block and, since the
@@ -250,14 +235,13 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   std::vector<double> dists(total);
   // block_off row q: after the place pass, query q's block b run sits at
   // [b == 0 ? 0 : row[b-1], row[b]) within the query's region; row
-  // [num_blocks] stays the query's live-candidate count.
+  // [num_blocks] stays the query's candidate count.
   std::vector<int32_t> block_off((num_blocks + 1) * num_queries, 0);
   for (size_t q = 0; q < num_queries; ++q) {
     const std::vector<LccsCandidate>& list = cands[q];
     int32_t* boff = block_off.data() + q * (num_blocks + 1);
     for (size_t s = 0; s < list.size(); ++s) {
       const auto id = static_cast<size_t>(list[s].id);
-      if (deleted != nullptr && deleted[id] != 0) continue;
       ++boff[(id >> block_shift) + 1];
       if (shared) {
         if (in_union[id]) continue;
@@ -268,7 +252,6 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
     for (size_t b = 1; b <= num_blocks; ++b) boff[b] += boff[b - 1];
     for (size_t s = 0; s < list.size(); ++s) {
       const int32_t id = list[s].id;
-      if (deleted != nullptr && deleted[id] != 0) continue;
       const size_t b = static_cast<size_t>(id) >> block_shift;
       const size_t pos = static_cast<size_t>(boff[b]++);
       blocked_ids[offsets[q] + pos] = id;
@@ -305,9 +288,9 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       num_threads);
 
   // Phase 6: replay each gathered query's TopK pushes in the original
-  // candidate order, skipping tombstoned rows — exactly the push sequence
-  // util::VerifyCandidates would produce over the list. A query with an
-  // empty list has its answer already (phase 3) or no candidates at all.
+  // candidate order — exactly the push sequence util::VerifyCandidates
+  // would produce over the list. A query with an empty list has its answer
+  // already (phase 3) or no candidates at all.
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
@@ -316,9 +299,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
           if (list.empty()) continue;
           util::TopK topk(k);
           for (size_t s = 0; s < list.size(); ++s) {
-            const int32_t id = list[s].id;
-            if (deleted != nullptr && deleted[id] != 0) continue;
-            topk.Push(id, dists[offsets[q] + s]);
+            topk.Push(list[s].id, dists[offsets[q] + s]);
           }
           results[q] = topk.Sorted();
         }

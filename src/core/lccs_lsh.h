@@ -45,10 +45,8 @@ class LccsLsh {
   void Build(const float* data, size_t n, size_t d);
 
   /// c-k-ANNS query: verifies (λ + k - 1) candidates from the k-LCCS search
-  /// of H(q) — plus one extra per tombstoned row when a deleted filter is
-  /// installed, so heavy deletion can never starve the answer below k while
-  /// live rows exist — and returns the k nearest by true distance
-  /// (ascending). A one-row QueryBatch on the calling thread.
+  /// of H(q) and returns the k nearest by true distance (ascending). A
+  /// one-row QueryBatch on the calling thread.
   std::vector<util::Neighbor> Query(const float* query, size_t k,
                                     size_t lambda) const;
 
@@ -102,18 +100,6 @@ class LccsLsh {
   void AttachPrebuilt(const float* data, size_t n, size_t d,
                       CircularShiftArray csa);
 
-  /// Tombstone bitmap over the n() rows (borrowed; nullptr clears). Rows
-  /// marked deleted still live in the CSA — rebuilding it per deletion would
-  /// defeat the point — but are dropped during candidate verification, so
-  /// they can never appear in a Query result. core::DynamicIndex flips bits
-  /// here instead of rebuilding until the next consolidation epoch.
-  ///
-  /// The set bits are counted here, once, and every query over-fetches that
-  /// many extra candidates (the k + removed rule of the snapshot layer):
-  /// a caller that flips bits after installation must re-install the filter
-  /// to refresh the count, or risk verified sets thinning below k again.
-  void set_deleted_filter(const std::vector<uint8_t>* deleted);
-
   // The user-declared (virtual) destructor would otherwise suppress moves,
   // and tests build indexes in by-value helper functions.
   LccsLsh(LccsLsh&&) = default;
@@ -145,16 +131,9 @@ class LccsLsh {
   virtual void PrepareSearch(const float* query, const HashValue* hash,
                              QueryScratch* scratch) const;
 
-  /// Candidates fetched per query: λ + k - 1 of the paper plus the count of
-  /// tombstoned rows, so post-filtering can drop every deleted candidate and
-  /// still leave λ + k - 1 live ones.
-  size_t CandidateBudget(size_t k, size_t lambda) const {
-    return lambda + (k > 0 ? k - 1 : 0) + deleted_count_;
-  }
-
-  /// Raw tombstone bitmap for verification call sites (nullptr = no filter).
-  const uint8_t* deleted_rows() const {
-    return deleted_ != nullptr ? deleted_->data() : nullptr;
+  /// Candidates fetched per query: the paper's λ + k - 1.
+  static size_t CandidateBudget(size_t k, size_t lambda) {
+    return lambda + (k > 0 ? k - 1 : 0);
   }
 
   std::unique_ptr<lsh::HashFamily> family_;
@@ -163,8 +142,6 @@ class LccsLsh {
   size_t n_ = 0;
   size_t d_ = 0;
   CircularShiftArray csa_;
-  const std::vector<uint8_t>* deleted_ = nullptr;  // not owned
-  size_t deleted_count_ = 0;  ///< set bits in *deleted_ at install time
 };
 
 }  // namespace core

@@ -95,9 +95,9 @@ std::vector<std::vector<util::Neighbor>> Snapshot::QueryBatch(
   // The static epoch answers the whole batch through its own QueryBatch
   // (cache-blocked / parallel); filtering and the delta scan run per query
   // in parallel. The epoch over-fetches by the number of its rows stamped
-  // at acquisition: the wrapped index filters only the frozen base bitmap,
-  // so at most epoch_overfetch_ of its answers can be stamped away — k
-  // survivors always remain when they exist.
+  // at acquisition: the wrapped index sees no deletes, so at most
+  // epoch_overfetch_ of its answers can be stamped away — k survivors
+  // always remain when they exist.
   std::vector<std::vector<util::Neighbor>> stat(num_queries);
   if (epoch_ != nullptr && epoch_->index != nullptr) {
     stat = epoch_->index->QueryBatch(queries, num_queries,

@@ -52,18 +52,16 @@ struct DeltaBuffer {
 };
 
 /// One consolidation generation of a DynamicIndex: the static snapshot the
-/// wrapped AnnIndex was built over, plus two tombstone layers. `deleted` is
-/// the *base* bitmap — rows already dead when the epoch was installed —
-/// frozen afterwards (it is the bitmap the wrapped index filters through,
-/// and snapshot queries read it lock-free). Removes that land after the
-/// install stamp `deleted_at` with their mutation version instead, so every
-/// snapshot filters exactly the removes at or before its own version.
+/// wrapped AnnIndex was built over, plus one version stamp per row. The
+/// wrapped index is immutable after Build and knows nothing about deletes;
+/// core::Snapshot is the only reader of the stamps and hides a row exactly
+/// when 0 < stamp <= its version. Rows removed while the epoch was being
+/// built are stamped at install, rows saved dead are stamped at load.
 struct EpochState {
   dataset::Dataset data;           ///< snapshot (queries member unused)
   std::vector<int32_t> ids;        ///< row -> global id, strictly ascending
-  std::vector<uint8_t> deleted;    ///< base tombstones, frozen at install
-  /// Row -> version of the post-install mutation that removed it; 0 = not
-  /// removed since install. Same visibility rule as DeltaBuffer::deleted_at.
+  /// Row -> version of the mutation that removed it; 0 = live. Same
+  /// visibility rule as DeltaBuffer::deleted_at.
   std::unique_ptr<std::atomic<uint64_t>[]> deleted_at;
   std::unique_ptr<baselines::AnnIndex> index;  ///< null when no rows
 };
@@ -83,12 +81,12 @@ struct EpochState {
 ///
 /// Query semantics match DynamicIndex::Query at the acquisition point
 /// exactly: top-k over (epoch ∪ delta prefix) ∖ {tombstones at or before
-/// version()}, merged by (distance, global id). Epoch-row removes that
-/// happened after the install are filtered *post*-query: the wrapped index
-/// answers k + overfetch (overfetch = stamped epoch rows at acquisition, at
-/// most the tombstones one consolidation cycle accumulates), the stamped
-/// rows are dropped, and the survivors truncated back to k — exact for the
-/// exhaustive configurations the oracle tests replay.
+/// version()}, merged by (distance, global id). Stamped epoch rows are
+/// filtered *post*-query: the wrapped index answers k + overfetch
+/// (overfetch = stamped epoch rows at acquisition, at most the tombstones
+/// one consolidation cycle accumulates), the stamped rows are dropped, and
+/// the survivors truncated back to k — exact for the exhaustive
+/// configurations the oracle tests replay.
 class Snapshot {
  public:
   Snapshot() = default;
@@ -113,8 +111,8 @@ class Snapshot {
  private:
   friend class DynamicIndex;
 
-  /// Epoch results with post-install removes at or before version_ dropped
-  /// and row ids remapped to global ids, truncated to k.
+  /// Epoch results with rows stamped at or before version_ dropped and row
+  /// ids remapped to global ids, truncated to k.
   std::vector<util::Neighbor> FilterEpoch(std::vector<util::Neighbor> stat,
                                           size_t k) const;
   /// Brute-force top-k over the live pinned delta prefix, global ids.

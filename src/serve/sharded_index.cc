@@ -413,14 +413,6 @@ int32_t ShardedIndex::Insert(const float* vec) { return ApplyInsert(vec).id; }
 
 bool ShardedIndex::Remove(int32_t id) { return ApplyRemove(id).applied; }
 
-void ShardedIndex::set_deleted_filter(const std::vector<uint8_t>* deleted) {
-  if (deleted != nullptr) {
-    throw std::runtime_error(
-        "ShardedIndex manages its own tombstones; use Remove() instead of "
-        "set_deleted_filter()");
-  }
-}
-
 ShardedSnapshot ShardedIndex::AcquireSnapshot() const {
   auto lock = ReadLock();
   ShardedSnapshot snap;

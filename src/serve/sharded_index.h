@@ -210,10 +210,6 @@ class ShardedIndex : public baselines::AnnIndex {
   /// carry). Build resets it to 0.
   uint64_t state_version() const;
 
-  /// Refused for non-null bitmaps, same contract as DynamicIndex: the
-  /// shards manage their own tombstones via Remove.
-  void set_deleted_filter(const std::vector<uint8_t>* deleted) override;
-
   size_t dim() const override;
   size_t IndexSizeBytes() const override;
   std::string name() const override;

@@ -541,27 +541,8 @@ void DistanceScatter(Metric metric, const float* data, size_t d,
 
 void VerifyCandidates(Metric metric, const float* data, size_t d,
                       const float* query, const int32_t* ids, size_t n,
-                      TopK& topk, int32_t first_id, const uint8_t* deleted) {
+                      TopK& topk, int32_t first_id) {
   if (n == 0) return;
-  if (deleted != nullptr) {
-    // Compact the surviving ids into fixed-size chunks and recurse without
-    // the filter. Order is preserved, so the grouped kernels see survivors
-    // exactly as an unfiltered call over a tombstone-free candidate list
-    // would — distances and tie-breaks stay bit-identical.
-    int32_t live[256];
-    size_t count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t id = ids ? ids[i] : first_id + static_cast<int32_t>(i);
-      if (deleted[id]) continue;
-      live[count++] = id;
-      if (count == sizeof(live) / sizeof(live[0])) {
-        VerifyCandidates(metric, data, d, query, live, count, topk);
-        count = 0;
-      }
-    }
-    VerifyCandidates(metric, data, d, query, live, count, topk);
-    return;
-  }
   const double qnorm2 = QueryNorm2(metric, query, d);
   auto row_id = [&](size_t i) {
     return ids ? ids[i] : first_id + static_cast<int32_t>(i);

@@ -84,16 +84,9 @@ void DistanceScatter(Metric metric, const float* data, size_t d,
 /// Batched candidate verification: scores candidates as DistanceMany and
 /// pushes (id, distance) into `topk` in candidate order — drop-in for the
 /// per-candidate Push loops that previously dominated query time.
-///
-/// `deleted`, when non-null, is a tombstone bitmap indexed by candidate id:
-/// candidates with deleted[id] != 0 are dropped before scoring, so they
-/// neither enter `topk` nor perturb its tie-breaking (surviving candidates
-/// are offered in the same relative order as without the filter). This is
-/// how every query path masks out rows removed from a core::DynamicIndex.
 void VerifyCandidates(Metric metric, const float* data, size_t d,
                       const float* query, const int32_t* ids, size_t n,
-                      TopK& topk, int32_t first_id = 0,
-                      const uint8_t* deleted = nullptr);
+                      TopK& topk, int32_t first_id = 0);
 
 }  // namespace util
 }  // namespace lccs

@@ -124,72 +124,6 @@ TEST(StaticLshTest, MoreProbesImproveRecallWithFewTables) {
   EXPECT_GE(probed, base);
 }
 
-// Deleted-filter contract (used by core::DynamicIndex): masked rows vanish
-// from results, and StaticLsh's candidate accounting — the denominator of
-// recall-per-candidate sweeps — must only count live points.
-TEST(StaticLshTest, DeletedFilterMasksRowsAndCandidateCount) {
-  const auto data = EasyClusters(util::Metric::kEuclidean, 95);
-  StaticLsh::Params params;
-  params.k_funcs = 4;
-  params.num_tables = 8;
-  params.w = 8.0;
-  StaticLsh index("E2LSH", lsh::FamilyKind::kRandomProjection, params);
-  index.Build(data);
-
-  const auto before = index.Query(data.queries.Row(0), 10);
-  const size_t candidates_before = index.last_candidate_count();
-  ASSERT_FALSE(before.empty());
-
-  // Tombstone every id the unfiltered query returned.
-  std::vector<uint8_t> deleted(data.n(), 0);
-  for (const auto& nb : before) deleted[nb.id] = 1;
-  index.set_deleted_filter(&deleted);
-
-  const auto after = index.Query(data.queries.Row(0), 10);
-  const size_t candidates_after = index.last_candidate_count();
-  for (const auto& nb : after) {
-    EXPECT_EQ(deleted[nb.id], 0) << "returned a tombstoned row";
-  }
-  EXPECT_EQ(candidates_after, candidates_before - before.size())
-      << "last_candidate_count still counts tombstoned candidates";
-
-  index.set_deleted_filter(nullptr);
-  EXPECT_EQ(index.Query(data.queries.Row(0), 10), before);
-}
-
-TEST(LinearScanTest, DeletedFilterEquivalentToRebuiltScan) {
-  const auto data = EasyClusters(util::Metric::kEuclidean, 96);
-  LinearScan scan;
-  scan.Build(data);
-  std::vector<uint8_t> deleted(data.n(), 0);
-  for (size_t i = 0; i < data.n(); i += 3) deleted[i] = 1;
-  scan.set_deleted_filter(&deleted);
-
-  // Reference: a scan over only the surviving rows, ids remapped back.
-  dataset::Dataset survivors;
-  survivors.metric = data.metric;
-  std::vector<int32_t> ids;
-  survivors.data.Resize(data.n() - (data.n() + 2) / 3, data.dim());
-  for (size_t i = 0, r = 0; i < data.n(); ++i) {
-    if (deleted[i]) continue;
-    std::copy(data.data.Row(i), data.data.Row(i) + data.dim(),
-              survivors.data.Row(r++));
-    ids.push_back(static_cast<int32_t>(i));
-  }
-  LinearScan oracle;
-  oracle.Build(survivors);
-
-  // Query and the cache-blocked QueryBatch must both match the oracle.
-  const auto batched =
-      scan.QueryBatch(data.queries.Row(0), data.num_queries(), 10, 3);
-  for (size_t q = 0; q < data.num_queries(); ++q) {
-    auto want = oracle.Query(data.queries.Row(q), 10);
-    for (auto& nb : want) nb.id = ids[nb.id];
-    EXPECT_EQ(scan.Query(data.queries.Row(q), 10), want) << "query " << q;
-    EXPECT_EQ(batched[q], want) << "batched query " << q;
-  }
-}
-
 TEST(StaticLshTest, DeterministicAcrossRebuilds) {
   const auto data = EasyClusters(util::Metric::kEuclidean, 94);
   StaticLsh::Params params;

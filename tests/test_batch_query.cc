@@ -251,11 +251,11 @@ TEST(QueryBatchTest, AngularMetricSupported) {
 
 // ---------------------------------------------------------------------------
 // Core-level identity matrix for the cross-query batch engine:
-// {LCCS-LSH, MP-LCCS-LSH} × {probes 1, 8} × {heap, mmap store} ×
-// {with, without deleted filter}. The adapter tests above exercise the
-// default parameters; this drives core::LccsLsh::QueryBatch directly so a
-// regression in any leg (scratch reuse, union dedup, scatter verification,
-// tombstone handling) is pinned to its exact configuration.
+// {LCCS-LSH, MP-LCCS-LSH} × {probes 1, 8} × {heap, mmap store}. The adapter
+// tests above exercise the default parameters; this drives
+// core::LccsLsh::QueryBatch directly so a regression in any leg (scratch
+// reuse, union dedup, scatter verification) is pinned to its exact
+// configuration.
 TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
   const auto data = SmallClusters(util::Metric::kEuclidean, 127);
   const std::string flat_path =
@@ -266,57 +266,43 @@ TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
   const std::shared_ptr<const storage::VectorStore> mmap_store =
       storage::MmapStore::Open(flat_path, open_options);
 
-  std::vector<uint8_t> deleted(data.n(), 0);
-  for (size_t i = 0; i < deleted.size(); i += 3) deleted[i] = 1;
-
   const size_t k = 10;
   const size_t lambda = 80;
   for (const size_t probes : {size_t{1}, size_t{8}}) {
     for (const bool use_mmap : {false, true}) {
-      for (const bool use_filter : {false, true}) {
-        const std::shared_ptr<const storage::VectorStore> store =
-            use_mmap ? mmap_store : data.data.store();
-        auto make_family = [&] {
-          return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection,
-                                 data.dim(), 32, 8.0, 2024);
-        };
-        std::vector<std::unique_ptr<core::LccsLsh>> schemes;
-        if (probes == 1) {
-          // The single-probe class itself is only meaningful at 1 probe.
-          schemes.push_back(std::make_unique<core::LccsLsh>(
-              make_family(), data.metric));
-        }
-        core::ProbeParams pp;
-        pp.num_probes = probes;
-        schemes.push_back(std::make_unique<core::MpLccsLsh>(
-            make_family(), data.metric, pp));
+      const std::shared_ptr<const storage::VectorStore> store =
+          use_mmap ? mmap_store : data.data.store();
+      auto make_family = [&] {
+        return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection,
+                               data.dim(), 32, 8.0, 2024);
+      };
+      std::vector<std::unique_ptr<core::LccsLsh>> schemes;
+      if (probes == 1) {
+        // The single-probe class itself is only meaningful at 1 probe.
+        schemes.push_back(std::make_unique<core::LccsLsh>(
+            make_family(), data.metric));
+      }
+      core::ProbeParams pp;
+      pp.num_probes = probes;
+      schemes.push_back(std::make_unique<core::MpLccsLsh>(
+          make_family(), data.metric, pp));
 
-        for (const auto& scheme : schemes) {
-          scheme->Build(store);
-          if (use_filter) scheme->set_deleted_filter(&deleted);
-          const std::string leg =
-              std::string("probes=") + std::to_string(probes) +
-              (use_mmap ? " mmap" : " heap") +
-              (use_filter ? " filtered" : " unfiltered");
-          std::vector<std::vector<util::Neighbor>> expected;
-          for (size_t q = 0; q < data.num_queries(); ++q) {
-            expected.push_back(
-                scheme->Query(data.queries.Row(q), k, lambda));
-            if (use_filter) {
-              for (const util::Neighbor& nb : expected.back()) {
-                ASSERT_EQ(deleted[nb.id], 0)
-                    << leg << ": tombstoned id in sequential result";
-              }
-            }
-          }
-          for (const size_t threads : {size_t{1}, size_t{3}}) {
-            const auto batched = scheme->QueryBatch(
-                data.queries.Row(0), data.num_queries(), k, lambda, threads);
-            ASSERT_EQ(batched.size(), expected.size()) << leg;
-            for (size_t q = 0; q < expected.size(); ++q) {
-              EXPECT_EQ(batched[q], expected[q])
-                  << leg << " query " << q << " threads " << threads;
-            }
+      for (const auto& scheme : schemes) {
+        scheme->Build(store);
+        const std::string leg = std::string("probes=") +
+                                std::to_string(probes) +
+                                (use_mmap ? " mmap" : " heap");
+        std::vector<std::vector<util::Neighbor>> expected;
+        for (size_t q = 0; q < data.num_queries(); ++q) {
+          expected.push_back(scheme->Query(data.queries.Row(q), k, lambda));
+        }
+        for (const size_t threads : {size_t{1}, size_t{3}}) {
+          const auto batched = scheme->QueryBatch(
+              data.queries.Row(0), data.num_queries(), k, lambda, threads);
+          ASSERT_EQ(batched.size(), expected.size()) << leg;
+          for (size_t q = 0; q < expected.size(); ++q) {
+            EXPECT_EQ(batched[q], expected[q])
+                << leg << " query " << q << " threads " << threads;
           }
         }
       }
@@ -326,28 +312,20 @@ TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
 }
 
 // The paper's query rule (Section 4.1), computed outside the batch engine:
-// take the λ + k − 1 candidates a solo Algorithm 2 drain surfaces — plus
-// one per tombstone, which are then dropped — and keep the k nearest by
-// exact distance. `mp` selects the multi-probe candidate generator.
+// take the λ + k − 1 candidates a solo Algorithm 2 drain surfaces and keep
+// the k nearest by exact distance. `mp` selects the multi-probe candidate
+// generator.
 std::vector<util::Neighbor> PaperOracle(const core::LccsLsh& scheme,
                                         const core::MpLccsLsh* mp,
                                         const storage::VectorStore& store,
                                         const float* query, size_t k,
-                                        size_t lambda,
-                                        const std::vector<uint8_t>* deleted) {
-  size_t count = lambda + k - 1;
-  if (deleted != nullptr) {
-    count += static_cast<size_t>(
-        std::count(deleted->begin(), deleted->end(), uint8_t{1}));
-  }
+                                        size_t lambda) {
+  const size_t count = lambda + k - 1;
   const std::vector<core::LccsCandidate> cands =
       mp != nullptr ? mp->Candidates(query, count)
                     : scheme.Candidates(query, count);
   std::vector<int32_t> ids;
-  for (const core::LccsCandidate& c : cands) {
-    if (deleted != nullptr && (*deleted)[c.id] != 0) continue;
-    ids.push_back(c.id);
-  }
+  for (const core::LccsCandidate& c : cands) ids.push_back(c.id);
   util::TopK topk(k);
   util::VerifyCandidates(scheme.metric(), store.data(), store.cols(), query,
                          ids.data(), ids.size(), topk);
@@ -356,61 +334,51 @@ std::vector<util::Neighbor> PaperOracle(const core::LccsLsh& scheme,
 
 // Every QueryBatch row equals the paper oracle, whatever window it shares
 // and however many threads run it: {LCCS, MP-LCCS} × {probes 1, 8} ×
-// {with, without deleted filter} × windows {1, 7, all} × threads {1, 3}.
+// windows {1, 7, all} × threads {1, 3}.
 TEST(QueryBatchTest, CoreSchemesMatchPaperOracleAtEveryWindow) {
   const auto data = SmallClusters(util::Metric::kEuclidean, 128);
   const storage::VectorStore& store = *data.data.store();
-  std::vector<uint8_t> deleted(data.n(), 0);
-  for (size_t i = 0; i < deleted.size(); i += 3) deleted[i] = 1;
   const size_t k = 10;
   const size_t lambda = 80;
   const size_t nq = data.num_queries();
   for (const size_t probes : {size_t{1}, size_t{8}}) {
-    for (const bool use_filter : {false, true}) {
-      auto make_family = [&] {
-        return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection,
-                               data.dim(), 32, 8.0, 2025);
-      };
-      std::vector<std::unique_ptr<core::LccsLsh>> schemes;
-      if (probes == 1) {
-        schemes.push_back(
-            std::make_unique<core::LccsLsh>(make_family(), data.metric));
-      }
-      core::ProbeParams pp;
-      pp.num_probes = probes;
-      auto mp = std::make_unique<core::MpLccsLsh>(make_family(), data.metric,
-                                                  pp);
-      const core::MpLccsLsh* mp_ptr = mp.get();
-      schemes.push_back(std::move(mp));
+    auto make_family = [&] {
+      return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection, data.dim(),
+                             32, 8.0, 2025);
+    };
+    std::vector<std::unique_ptr<core::LccsLsh>> schemes;
+    if (probes == 1) {
+      schemes.push_back(
+          std::make_unique<core::LccsLsh>(make_family(), data.metric));
+    }
+    core::ProbeParams pp;
+    pp.num_probes = probes;
+    auto mp =
+        std::make_unique<core::MpLccsLsh>(make_family(), data.metric, pp);
+    const core::MpLccsLsh* mp_ptr = mp.get();
+    schemes.push_back(std::move(mp));
 
-      for (const auto& scheme : schemes) {
-        scheme->Build(data.data.store());
-        const std::vector<uint8_t>* filter = use_filter ? &deleted : nullptr;
-        scheme->set_deleted_filter(filter);
-        const core::MpLccsLsh* as_mp =
-            scheme.get() == mp_ptr ? mp_ptr : nullptr;
-        const std::string leg = std::string(as_mp ? "MP-LCCS" : "LCCS") +
-                                " probes=" + std::to_string(probes) +
-                                (use_filter ? " filtered" : " unfiltered");
-        std::vector<std::vector<util::Neighbor>> expected;
-        for (size_t q = 0; q < nq; ++q) {
-          expected.push_back(PaperOracle(*scheme, as_mp, store,
-                                         data.queries.Row(q), k, lambda,
-                                         filter));
-        }
-        for (const size_t window : {size_t{1}, size_t{7}, nq}) {
-          for (const size_t threads : {size_t{1}, size_t{3}}) {
-            for (size_t first = 0; first < nq; first += window) {
-              const size_t len = std::min(window, nq - first);
-              const auto batched =
-                  scheme->QueryBatch(data.queries.Row(first), len, k, lambda,
-                                     threads);
-              ASSERT_EQ(batched.size(), len) << leg;
-              for (size_t i = 0; i < len; ++i) {
-                EXPECT_EQ(batched[i], expected[first + i])
-                    << leg << " query " << first + i << " window " << window
-                    << " threads " << threads;
-              }
+    for (const auto& scheme : schemes) {
+      scheme->Build(data.data.store());
+      const core::MpLccsLsh* as_mp = scheme.get() == mp_ptr ? mp_ptr : nullptr;
+      const std::string leg = std::string(as_mp ? "MP-LCCS" : "LCCS") +
+                              " probes=" + std::to_string(probes);
+      std::vector<std::vector<util::Neighbor>> expected;
+      for (size_t q = 0; q < nq; ++q) {
+        expected.push_back(PaperOracle(*scheme, as_mp, store,
+                                       data.queries.Row(q), k, lambda));
+      }
+      for (const size_t window : {size_t{1}, size_t{7}, nq}) {
+        for (const size_t threads : {size_t{1}, size_t{3}}) {
+          for (size_t first = 0; first < nq; first += window) {
+            const size_t len = std::min(window, nq - first);
+            const auto batched = scheme->QueryBatch(data.queries.Row(first),
+                                                    len, k, lambda, threads);
+            ASSERT_EQ(batched.size(), len) << leg;
+            for (size_t i = 0; i < len; ++i) {
+              EXPECT_EQ(batched[i], expected[first + i])
+                  << leg << " query " << first + i << " window " << window
+                  << " threads " << threads;
             }
           }
         }
@@ -447,9 +415,6 @@ TEST(QueryBatchTest, SeededShrinkingDedupNeverDropsCandidates) {
                         4.0, seed),
         data.metric, pp);
     scheme.Build(data.data.store());
-    std::vector<uint8_t> deleted(data.n(), 0);
-    for (size_t i = 0; i < deleted.size(); i += 5) deleted[i] = 1;
-    scheme.set_deleted_filter(&deleted);
 
     // Mismatch predicate over a subset of query indices.
     const auto mismatches = [&](const std::vector<size_t>& subset) {

@@ -35,6 +35,7 @@
 #include "core/dynamic_index.h"
 #include "core/serialize.h"
 #include "dataset/synthetic.h"
+#include "eval/metrics.h"
 #include "eval/runner.h"
 #include "eval/workloads.h"
 #include "util/random.h"
@@ -125,6 +126,28 @@ struct Model {
   void Remove(size_t index) { live.erase(live.begin() + index); }
 };
 
+/// The top-k of a from-scratch `config` index over the model's survivors,
+/// remapped to global ids.
+std::vector<util::Neighbor> SurvivorOracle(const IndexConfig& config,
+                                           const Model& model,
+                                           const float* query, size_t k) {
+  if (model.live.empty()) return {};
+  dataset::Dataset oracle_data;
+  oracle_data.metric = util::Metric::kEuclidean;
+  oracle_data.data.Resize(model.live.size(), kDim);
+  for (size_t i = 0; i < model.live.size(); ++i) {
+    std::copy(model.live[i].second.begin(), model.live[i].second.end(),
+              oracle_data.data.Row(i));
+  }
+  const auto oracle = config.make();
+  oracle->Build(oracle_data);
+  std::vector<util::Neighbor> want = oracle->Query(query, k);
+  // Oracle rows are the survivors in ascending global-id order, so the
+  // row -> id remap is monotone and cannot reorder ties.
+  for (util::Neighbor& nb : want) nb.id = model.live[nb.id].first;
+  return want;
+}
+
 /// Replays `ops` against a fresh DynamicIndex and the model; returns a
 /// failure description, or nullopt when every check passed.
 std::optional<std::string> Replay(const IndexConfig& config,
@@ -205,23 +228,7 @@ std::optional<std::string> Replay(const IndexConfig& config,
         const std::vector<float> query = VectorFromPayload(op.payload);
         const size_t k = 1 + op.payload % 10;
         const auto got = index.Query(query.data(), k);
-
-        std::vector<util::Neighbor> want;
-        if (!model.live.empty()) {
-          dataset::Dataset oracle_data;
-          oracle_data.metric = util::Metric::kEuclidean;
-          oracle_data.data.Resize(model.live.size(), kDim);
-          for (size_t i = 0; i < model.live.size(); ++i) {
-            std::copy(model.live[i].second.begin(),
-                      model.live[i].second.end(), oracle_data.data.Row(i));
-          }
-          const auto oracle = config.make();
-          oracle->Build(oracle_data);
-          want = oracle->Query(query.data(), k);
-          // Oracle rows are the survivors in ascending global-id order, so
-          // the row -> id remap is monotone and cannot reorder ties.
-          for (util::Neighbor& nb : want) nb.id = model.live[nb.id].first;
-        }
+        const auto want = SurvivorOracle(config, model, query.data(), k);
         if (got.size() != want.size()) {
           return "step " + std::to_string(step) + ": query returned " +
                  std::to_string(got.size()) + " neighbors, oracle " +
@@ -511,8 +518,8 @@ TEST(DynamicOracleEquivalence, ApproximateModeInvariants) {
 // λ + k - 1 candidates and *then* dropped tombstoned rows, so with enough
 // base tombstones the verified set thinned below k while live rows existed.
 // A save/load round trip is the cleanest reproduction — LoadDynamicIndex
-// collapses every stamp into the base bitmap the scheme itself filters.
-// With the fix, the per-query budget grows by the tombstone count, making
+// re-stamps every row saved dead. With the fix, the snapshot over-fetches
+// by the stamped-row count, making
 // the search exhaustive here (budget ≥ n), so the answer must equal the
 // brute-force k-NN over the survivors exactly — ids and bit-identical
 // distances.
@@ -576,6 +583,230 @@ TEST(DynamicIndexTest, DeleteHeavyEpochStillReturnsKAfterReload) {
     }
   }
   std::remove(path.c_str());
+}
+
+/// A factory whose next call, once armed, signals `entered` and parks until
+/// `release` fires. RunRebuild captures the survivors *before* it calls the
+/// factory, so a mutation made after `entered` lands exactly in the window
+/// between a rebuild's capture and its install.
+struct GatedFactory {
+  explicit GatedFactory(DynamicIndex::Factory base)
+      : released(release.get_future().share()) {
+    factory = [this, base] {
+      if (armed.exchange(false)) {
+        entered.set_value();
+        released.wait();
+      }
+      return base();
+    };
+  }
+  std::atomic<bool> armed{false};
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released;
+  DynamicIndex::Factory factory;
+};
+
+/// Removes `id` from both the index and the model.
+void RemoveLive(DynamicIndex& index, Model& model, int32_t id) {
+  ASSERT_TRUE(index.Remove(id)) << "id " << id;
+  const auto it = std::lower_bound(
+      model.live.begin(), model.live.end(), id,
+      [](const auto& entry, int32_t value) { return entry.first < value; });
+  ASSERT_TRUE(it != model.live.end() && it->first == id);
+  model.live.erase(it);
+}
+
+// Removes that race a rebuild: a row removed between RunRebuild's capture
+// and its install is baked into the new epoch and must be stamped there at
+// install. Covers every delete regime — stamps before the rebuild, removes
+// racing it (epoch and delta rows, both of which the new epoch holds),
+// stamps after the install, and a save/load round trip — against the
+// survivor oracle in exhaustive mode, while a snapshot acquired before the
+// rebuild keeps answering bit-identically.
+TEST(DynamicIndexTest, RemovesRacingARebuildStayHidden) {
+  for (const IndexConfig& config :
+       {ConfigsUnderTest()[0], ConfigsUnderTest()[1]}) {
+    SCOPED_TRACE(config.name);
+    DynamicIndex::Options options;
+    options.dim = kDim;
+    options.rebuild_threshold = size_t{1} << 30;
+    options.background_rebuild = false;
+    GatedFactory gate(config.make);
+    DynamicIndex index(gate.factory, options);
+
+    dataset::SyntheticConfig synth;
+    synth.n = 80;
+    synth.num_queries = 8;
+    synth.dim = kDim;
+    synth.num_clusters = 4;
+    synth.seed = 31;
+    const auto data = dataset::GenerateClustered(synth);
+    index.Build(data);
+    Model model;
+    for (size_t i = 0; i < data.n(); ++i) {
+      model.Insert(static_cast<int32_t>(i),
+                   std::vector<float>(data.data.Row(i),
+                                      data.data.Row(i) + kDim));
+    }
+    model.next_id = static_cast<int32_t>(data.n());
+    auto insert = [&](uint64_t payload) {
+      const std::vector<float> vec = VectorFromPayload(payload);
+      model.Insert(index.Insert(vec.data()), vec);
+    };
+    for (uint64_t p = 0; p < 30; ++p) insert(500 + p);  // ids 80..109
+
+    const size_t k = 10;
+    const size_t nq = data.num_queries();
+    auto check_oracle = [&](const DynamicIndex& idx, const char* when) {
+      const auto got = idx.QueryBatch(data.queries.Row(0), nq, k, 1);
+      for (size_t q = 0; q < nq; ++q) {
+        EXPECT_EQ(got[q], SurvivorOracle(config, model, data.queries.Row(q), k))
+            << when << " query " << q;
+        for (const util::Neighbor& nb : got[q]) {
+          EXPECT_TRUE(idx.Contains(nb.id)) << when << " dead id " << nb.id;
+        }
+      }
+    };
+
+    // Stamps before the rebuild: epoch rows and delta rows.
+    for (int32_t id = 0; id < 80; id += 5) RemoveLive(index, model, id);
+    for (int32_t id = 80; id < 110; id += 6) RemoveLive(index, model, id);
+    check_oracle(index, "before the rebuild");
+    const Snapshot held = index.AcquireSnapshot();
+    const auto held_answers = held.QueryBatch(data.queries.Row(0), nq, k, 1);
+
+    gate.armed.store(true);
+    ASSERT_TRUE(index.TriggerRebuild());
+    gate.entered.get_future().wait();  // the capture is done
+    size_t raced = 0;
+    for (int32_t id = 1; id < 110; id += 4) {
+      if (!index.Contains(id)) continue;
+      RemoveLive(index, model, id);
+      ++raced;
+    }
+    // Rows inserted while the rebuild is parked stay in the delta, and so
+    // do their stamps.
+    for (uint64_t p = 0; p < 6; ++p) insert(900 + p);  // ids 110..115
+    RemoveLive(index, model, 113);
+    gate.release.set_value();
+    index.WaitForRebuild();
+    ASSERT_EQ(index.epoch_sequence(), 1u);
+    EXPECT_EQ(index.stats().epoch_stamped, raced);
+    check_oracle(index, "after the install");
+    EXPECT_EQ(held.QueryBatch(data.queries.Row(0), nq, k, 1), held_answers)
+        << "a snapshot pinned before the install changed its answers";
+
+    // Stamps after the install.
+    size_t stamped_after = 0;
+    for (int32_t id = 2; id < 110; id += 9) {
+      if (!index.Contains(id)) continue;
+      RemoveLive(index, model, id);
+      ++stamped_after;
+    }
+    EXPECT_EQ(index.stats().epoch_stamped, raced + stamped_after);
+    check_oracle(index, "after post-install stamps");
+
+    // Save/load collapses every stamp to a dead byte and reloads it at
+    // version 1; the answers must not move.
+    std::stringstream state;
+    index.SerializeState(state,
+                         [](std::ostream&, const baselines::AnnIndex&) {});
+    const auto loaded = DynamicIndex::DeserializeState(
+        state, config.make, options,
+        [&config](std::istream&, const dataset::Dataset& epoch) {
+          auto restored = config.make();
+          restored->Build(epoch);
+          return restored;
+        });
+    EXPECT_EQ(loaded->stats().epoch_stamped, index.stats().epoch_stamped);
+    check_oracle(*loaded, "after save/load");
+  }
+}
+
+// Delete-heavy recall floor in the approximate regime, at the serving ratio
+// λ/n = 2% (λ = 2000 over 100k rows in lccs_bench): half the epoch is
+// removed across all three regimes — stamped before a rebuild, racing it,
+// stamped after the install — plus 30% of the delta. Hidden rows only
+// widen the snapshot's over-fetch, so recall@10 against the exact survivors
+// must not fall below that of a from-scratch LccsLshIndex with the same
+// parameters over the survivors. Measured with these seeds: 0.975 dynamic
+// (the 1250 rows stamped since the install are over-fetched on every
+// query) against 0.812 from scratch.
+TEST(DynamicIndexTest, DeleteHeavyRecallHoldsInApproximateRegime) {
+  constexpr int32_t kEpoch = 5000;
+  constexpr int32_t kDelta = 500;
+  dataset::SyntheticConfig synth;
+  synth.n = kEpoch + kDelta;
+  synth.num_queries = 100;
+  synth.dim = 32;
+  synth.num_clusters = 20;
+  synth.seed = 41;
+  const auto all = dataset::GenerateClustered(synth);
+  dataset::Dataset base;
+  base.metric = all.metric;
+  base.data.Resize(kEpoch, synth.dim);
+  std::copy(all.data.Row(0), all.data.Row(0) + kEpoch * synth.dim,
+            base.data.Row(0));
+
+  baselines::LccsLshIndex::Params lccs;
+  lccs.m = 32;
+  lccs.lambda = kEpoch / 50;
+  lccs.w = 4.0 * eval::EstimateDistanceScale(base);
+  DynamicIndex::Options options;
+  options.dim = synth.dim;
+  options.rebuild_threshold = size_t{1} << 30;
+  options.background_rebuild = false;
+  GatedFactory gate(
+      [lccs] { return std::make_unique<baselines::LccsLshIndex>(lccs); });
+  DynamicIndex index(gate.factory, options);
+  index.Build(base);
+  for (int32_t id = kEpoch; id < kEpoch + kDelta; ++id) {
+    index.Insert(all.data.Row(static_cast<size_t>(id)));
+  }
+
+  // Epoch row r goes in regime r % 8 (0 and 1: before, 2: racing, 3: after
+  // the install); delta row r in regime r % 10.
+  const auto remove_regime = [&](int32_t epoch_lo, int32_t epoch_hi,
+                                 int32_t delta_regime) {
+    for (int32_t id = 0; id < kEpoch + kDelta; ++id) {
+      const bool hit = id < kEpoch
+                           ? id % 8 >= epoch_lo && id % 8 <= epoch_hi
+                           : id % 10 == delta_regime;
+      if (hit) {
+        ASSERT_TRUE(index.Remove(id)) << "id " << id;
+      }
+    }
+  };
+  remove_regime(0, 1, 0);
+  gate.armed.store(true);
+  ASSERT_TRUE(index.TriggerRebuild());
+  gate.entered.get_future().wait();
+  remove_regime(2, 2, 1);
+  gate.release.set_value();
+  index.WaitForRebuild();
+  remove_regime(3, 3, 2);
+  ASSERT_EQ(index.live_count(),
+            static_cast<size_t>(kEpoch / 2 + kDelta * 7 / 10));
+
+  const size_t k = 10;
+  const double dynamic_recall = eval::DynamicRecall(index, all.queries, k);
+
+  dataset::Dataset survivors;
+  survivors.metric = base.metric;
+  survivors.data = index.LiveVectors();
+  baselines::LccsLshIndex scratch(lccs);
+  scratch.Build(survivors);
+  baselines::LinearScan exact;
+  exact.Build(survivors);
+  double scratch_recall = 0.0;
+  for (size_t q = 0; q < all.num_queries(); ++q) {
+    scratch_recall += eval::Recall(scratch.Query(all.queries.Row(q), k),
+                                   exact.Query(all.queries.Row(q), k));
+  }
+  scratch_recall /= static_cast<double>(all.num_queries());
+  EXPECT_GE(dynamic_recall, scratch_recall - 0.02)
+      << "from-scratch recall " << scratch_recall;
 }
 
 }  // namespace

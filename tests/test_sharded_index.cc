@@ -507,15 +507,6 @@ TEST(ShardedIndexScheduler, MaintainShardsConsolidatesOverThreshold) {
   }
 }
 
-TEST(ShardedIndexContract, RefusesExternalDeletedFilter) {
-  ShardedIndex::Options options;
-  options.dim = kDim;
-  ShardedIndex index(LinearScanFactory(), options);
-  const std::vector<uint8_t> bitmap(4, 0);
-  EXPECT_THROW(index.set_deleted_filter(&bitmap), std::runtime_error);
-  EXPECT_NO_THROW(index.set_deleted_filter(nullptr));
-}
-
 TEST(ShardedIndexContract, RejectsZeroShards) {
   ShardedIndex::Options options;
   options.num_shards = 0;

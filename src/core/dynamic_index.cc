@@ -5,6 +5,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -124,6 +125,24 @@ std::shared_ptr<EpochState> DynamicIndex::BuildEpoch(
 }
 
 void DynamicIndex::Build(const dataset::Dataset& data) {
+  std::vector<int32_t> ids(data.n());
+  std::iota(ids.begin(), ids.end(), 0);
+  Build(data, std::move(ids));
+}
+
+void DynamicIndex::Build(const dataset::Dataset& data,
+                         std::vector<int32_t> ids) {
+  if (ids.size() != data.n()) {
+    throw std::invalid_argument("DynamicIndex::Build: one id per row");
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0 || (i > 0 && ids[i] <= ids[i - 1]) ||
+        ids[i] == std::numeric_limits<int32_t>::max()) {
+      throw std::invalid_argument(
+          "DynamicIndex::Build: ids must be non-negative, strictly "
+          "ascending and below INT32_MAX");
+    }
+  }
   // Claim the rebuild slot for the whole reset: a background consolidation
   // captured against the pre-Build state must never install over the new
   // contents (its delta_end would slice a cleared delta buffer, and its
@@ -146,8 +165,7 @@ void DynamicIndex::Build(const dataset::Dataset& data) {
       std::memcpy(copy.data(), rows.data(), rows.SizeBytes());
       rows = std::move(copy);
     }
-    std::vector<int32_t> ids(data.n());
-    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
+    const int32_t next_id = ids.empty() ? 0 : ids.back() + 1;
     auto epoch = BuildEpoch(factory_, data.metric, data.dim(), std::move(rows),
                             std::move(ids), options_.quantize);
 
@@ -162,7 +180,7 @@ void DynamicIndex::Build(const dataset::Dataset& data) {
     for (size_t row = 0; row < epoch_->ids.size(); ++row) {
       live_[epoch_->ids[row]] = Location{false, row};
     }
-    next_id_ = static_cast<int32_t>(data.n());
+    next_id_ = next_id;
     version_ = 0;
     epoch_removed_ = 0;
     epoch_sequence_ = 0;
@@ -347,6 +365,15 @@ void DynamicIndex::EnsureDeltaCapacityLocked() {
 }
 
 int32_t DynamicIndex::Insert(const float* vec) {
+  return InsertWithId(vec, std::nullopt);
+}
+
+void DynamicIndex::Insert(const float* vec, int32_t id) {
+  InsertWithId(vec, id);
+}
+
+int32_t DynamicIndex::InsertWithId(const float* vec,
+                                   std::optional<int32_t> requested) {
   bool schedule = false;
   int32_t id = 0;
   {
@@ -355,8 +382,15 @@ int32_t DynamicIndex::Insert(const float* vec) {
       throw std::runtime_error(
           "DynamicIndex: set Options::dim or Build before Insert");
     }
+    id = requested.value_or(next_id_);
+    if (id < next_id_ || id == std::numeric_limits<int32_t>::max()) {
+      throw std::invalid_argument(
+          "DynamicIndex::Insert: id " + std::to_string(id) +
+          " is below the next id " + std::to_string(next_id_) +
+          " or has no successor");
+    }
     EnsureDeltaCapacityLocked();
-    id = next_id_++;
+    next_id_ = id + 1;
     const size_t slot = delta_len_;
     // Slots at or past every pinned prefix length: concurrent snapshot
     // readers never touch this memory, so the plain writes are race-free.

@@ -7,6 +7,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -54,8 +55,9 @@ namespace core {
 /// QueryBatch are one-shot snapshots: acquire, answer, release — the same
 /// linearization point the old lock-the-world read path had, with the lock
 /// held only for the capture. Queries answer over (epoch ∪ delta) ∖
-/// tombstones, merging the two partial results by (distance, id) — ids are
-/// global, assigned in insert order, so the merged ranking is exactly the
+/// tombstones, merging the two partial results by (distance, id) — ids
+/// ascend in insert order (assigned by the index, or by the caller under
+/// the Build/Insert id contract), so the merged ranking is exactly the
 /// ranking an index over the surviving points would produce (the
 /// oracle-equivalence property tests/test_dynamic_index.cc locks down).
 ///
@@ -128,8 +130,17 @@ class DynamicIndex : public baselines::AnnIndex {
   /// are copy-on-write, so the caller mutating its dataset afterwards
   /// writes into a private clone — exactly the isolation the old deep copy
   /// provided. Points get ids 0..n-1; previous contents, delta, tombstones
-  /// and the mutation version are discarded.
+  /// and the mutation version are discarded. Build(data, {0, ..., n-1}).
   void Build(const dataset::Dataset& data) override;
+
+  /// Bulk load under caller-assigned ids: row i of `data` gets ids[i]. The
+  /// ids must be one per row, non-negative and strictly ascending (the
+  /// order every epoch, delta and merge relies on); the next id becomes
+  /// ids.back() + 1, or 0 when there are no rows. This is how a
+  /// serve::ShardedIndex shard holds global ids: any ascending subset of
+  /// an id space is a valid id list. A bad list throws
+  /// std::invalid_argument and changes no state.
+  void Build(const dataset::Dataset& data, std::vector<int32_t> ids);
 
   /// k nearest surviving neighbors by true distance, global ids.
   /// Equivalent to AcquireSnapshot().Query(query, k).
@@ -142,9 +153,16 @@ class DynamicIndex : public baselines::AnnIndex {
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const override;
 
-  /// Appends a dim()-dimensional vector; returns its global id (insert
-  /// order, monotone). May trigger a background consolidation.
+  /// Appends a dim()-dimensional vector under the next id and returns it
+  /// (insert order, monotone). May trigger a background consolidation.
   int32_t Insert(const float* vec) override;
+
+  /// Appends a dim()-dimensional vector under a caller-assigned `id`,
+  /// which must be at least the next id; the next id becomes id + 1, so
+  /// ids stay strictly ascending in insert order. An id below the next id
+  /// (or INT32_MAX, whose successor does not exist) throws
+  /// std::invalid_argument and changes no state.
+  void Insert(const float* vec, int32_t id);
 
   /// Tombstones the point with global id `id`; returns false when the id
   /// was never assigned or is already deleted. O(1): the static epoch is
@@ -275,6 +293,9 @@ class DynamicIndex : public baselines::AnnIndex {
                                                 storage::VectorStoreRef rows,
                                                 std::vector<int32_t> ids,
                                                 bool quantize);
+
+  /// The one insert body: `id` is the caller's, or the next id when empty.
+  int32_t InsertWithId(const float* vec, std::optional<int32_t> id);
 
   /// Snapshot capture body; caller must hold mutex_ (either mode).
   Snapshot AcquireSnapshotLocked() const;

@@ -613,23 +613,7 @@ void Replica::ApplyFrame(const unsigned char* body, size_t len) {
         std::to_string(expected));
   }
   Failpoint("repl:apply:before");
-  if (record.is_insert) {
-    const ShardedIndex::MutationResult applied =
-        index_->ApplyInsert(record.vec.data());
-    if (applied.id != record.id || applied.state_version != record.version) {
-      throw std::runtime_error(
-          "Replica: apply diverged from the shipped record (insert id " +
-          std::to_string(record.id) + " came back " +
-          std::to_string(applied.id) + ")");
-    }
-  } else {
-    const ShardedIndex::MutationResult applied = index_->ApplyRemove(record.id);
-    if (applied.state_version != record.version) {
-      throw std::runtime_error(
-          "Replica: apply diverged from the shipped record (remove id " +
-          std::to_string(record.id) + ")");
-    }
-  }
+  WriteAheadLog::ApplyRecord(index_.get(), record);
   std::lock_guard<std::mutex> lock(mu_);
   progress_.applied_version = record.version;
   progress_.primary_version =

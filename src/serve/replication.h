@@ -153,17 +153,18 @@ class LogShipper {
 };
 
 /// Follower half: connects to a LogShipper, bootstraps or resumes, applies
-/// every shipped record through ShardedIndex::ApplyInsert/ApplyRemove in
-/// dense version order, and serves read-only queries off AcquireSnapshot()
-/// — the read-replica pattern: analytical load on followers, mutations on
-/// the primary.
+/// every shipped record through WriteAheadLog::ApplyRecord in dense version
+/// order, and serves read-only queries off AcquireSnapshot() — the
+/// read-replica pattern: analytical load on followers, mutations on the
+/// primary.
 ///
 /// The tail thread reconnects forever (with backoff) until Stop() or
 /// Promote(); every reconnect re-sends the applied version, so a dropped
 /// connection — or a primary restart — resumes without re-applying or
-/// skipping anything. A record whose apply diverges from its frame (wrong
+/// skipping anything. A malformed handshake or frame, an insert of the
+/// wrong dimension, or a record whose apply diverges from its frame (wrong
 /// assigned id or version) poisons the replica: tailing stops and
-/// Progress::error names the divergence. The cross-replica checker in
+/// Progress::error names the problem. The cross-replica checker in
 /// tests/test_replication.cc proves the applied state bit-identical to an
 /// oracle replay of the primary's log prefix, across shard counts.
 class Replica {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -21,9 +22,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-/// First id-map generation's capacity (generations double from here).
-constexpr size_t kInitialMapCapacity = 64;
 
 }  // namespace
 
@@ -46,23 +44,16 @@ std::vector<std::vector<util::Neighbor>> ShardedSnapshot::QueryBatch(
   // inside a pool task, so each shard engine owns one core; with S = 1
   // ParallelFor calls the task directly, outside the pool, and the shard
   // engine keeps its inner fan-out. ParallelFor rethrows a shard's error
-  // only after every task has finished (the tasks write per_shard).
+  // only after every task has finished (the tasks write per_shard). Shards
+  // answer in global ids, each list sorted by (distance, global id).
   std::vector<std::vector<std::vector<util::Neighbor>>> per_shard(
       shards_.size());
   util::ParallelFor(
       shards_.size(),
       [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
-          per_shard[s] = shards_[s].snapshot.QueryBatch(queries, num_queries,
-                                                        k, num_threads);
-          // Local -> global is monotone (ascending within a shard), so each
-          // list stays sorted by (distance, global id) after the remap.
-          const std::vector<int32_t>& map = *shards_[s].local_to_global;
-          for (std::vector<util::Neighbor>& list : per_shard[s]) {
-            for (util::Neighbor& nb : list) {
-              nb.id = map[static_cast<size_t>(nb.id)];
-            }
-          }
+          per_shard[s] =
+              shards_[s].QueryBatch(queries, num_queries, k, num_threads);
         }
       },
       num_threads);
@@ -93,12 +84,19 @@ ShardedIndex::ShardedIndex(core::DynamicIndex::Factory factory,
   shard_options.background_rebuild = options_.shard_background_rebuild;
   shard_options.quantize = options_.quantize;
   shards_.reserve(options_.num_shards);
-  local_to_global_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(
         std::make_unique<core::DynamicIndex>(factory_, shard_options));
-    local_to_global_.push_back(std::make_shared<std::vector<int32_t>>());
   }
+}
+
+size_t ShardedIndex::ShardFor(int32_t id) const {
+  const size_t S = shards_.size();
+  const auto row = static_cast<uint64_t>(id);
+  // Shard s of a Build owns [s*n/S, (s+1)*n/S): the last s with
+  // floor(s*n/S) <= id, i.e. s*n < (id+1)*S.
+  if (row < built_rows_) return ((row + 1) * S - 1) / built_rows_;
+  return ShardOf(id, S);
 }
 
 std::shared_lock<std::shared_mutex> ShardedIndex::ReadLock() const {
@@ -119,13 +117,10 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
   // within one row) instead of hashing: a range is a zero-copy
   // storage::SliceStore view of the dataset's single shared store, so S
   // shards of a memory-mapped base set cost S views, not S private copies.
-  // Placement is an internal detail — global ids, per-shard ascending
-  // local->global maps and the S-way merge make query results independent
-  // of which shard holds which row. Inserts keep hash placement (ShardOf)
-  // for load balance; the two coexist because every lookup goes through
-  // locations_.
-  std::vector<std::shared_ptr<std::vector<int32_t>>> shard_rows;
-  shard_rows.reserve(S);
+  // Placement is an internal detail — every shard holds global ids and the
+  // S-way merge is over them, so query results are independent of which
+  // shard holds which row. Inserts keep hash placement (ShardOf) for load
+  // balance; ShardFor tells the two apart by comparing with built_rows_.
   const std::shared_ptr<const storage::VectorStore> store = data.data.store();
 
   core::DynamicIndex::Options shard_options;
@@ -143,28 +138,17 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
   for (size_t s = 0; s < S; ++s) {
     shards.push_back(
         std::make_unique<core::DynamicIndex>(factory_, shard_options));
-    shard_rows.push_back(std::make_shared<std::vector<int32_t>>());
     const size_t begin = s * data.n() / S;
     const size_t end = (s + 1) * data.n() / S;
     if (begin == end) continue;  // never-built shard serves empty
-    shard_rows[s]->resize(end - begin);
-    for (size_t r = 0; r < end - begin; ++r) {
-      (*shard_rows[s])[r] = static_cast<int32_t>(begin + r);
-    }
+    std::vector<int32_t> ids(end - begin);
+    std::iota(ids.begin(), ids.end(), static_cast<int32_t>(begin));
     dataset::Dataset slice;
     slice.name = data.name + "/shard" + std::to_string(s);
     slice.metric = data.metric;
     slice.data = storage::VectorStoreRef(
         std::make_shared<storage::SliceStore>(store, begin, end - begin));
-    shards[s]->Build(slice);
-  }
-
-  std::vector<Location> locations(data.n());
-  for (size_t s = 0; s < S; ++s) {
-    for (size_t r = 0; r < shard_rows[s]->size(); ++r) {
-      locations[static_cast<size_t>((*shard_rows[s])[r])] =
-          Location{static_cast<uint32_t>(s), static_cast<int32_t>(r)};
-    }
+    shards[s]->Build(slice, std::move(ids));
   }
 
   auto lock = WriteLock();
@@ -172,9 +156,8 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
   options_.dim = d;
   // The replaced shards drain their own in-flight rebuilds in ~DynamicIndex.
   shards_ = std::move(shards);
-  locations_ = std::move(locations);
-  local_to_global_ = std::move(shard_rows);
   next_id_ = static_cast<int32_t>(data.n());
+  built_rows_ = data.n();
   state_version_ = 0;
 }
 
@@ -208,11 +191,8 @@ std::string ShardedIndex::name() const {
 
 size_t ShardedIndex::IndexSizeBytes() const {
   auto lock = ReadLock();
-  size_t bytes = locations_.size() * sizeof(Location);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    bytes += shards_[s]->IndexSizeBytes() +
-             local_to_global_[s]->size() * sizeof(int32_t);
-  }
+  size_t bytes = 0;
+  for (const auto& shard : shards_) bytes += shard->IndexSizeBytes();
   return bytes;
 }
 
@@ -225,9 +205,7 @@ size_t ShardedIndex::live_count() const {
 
 bool ShardedIndex::Contains(int32_t id) const {
   auto lock = ReadLock();
-  if (id < 0 || id >= next_id_) return false;
-  const Location loc = locations_[static_cast<size_t>(id)];
-  return shards_[loc.shard]->Contains(loc.local);
+  return id >= 0 && shards_[ShardFor(id)]->Contains(id);
 }
 
 std::vector<core::DynamicIndex::Stats> ShardedIndex::ShardStats() const {
@@ -244,34 +222,34 @@ util::Matrix ShardedIndex::LiveVectors(std::vector<int32_t>* ids) const {
 }
 
 util::Matrix ShardedIndex::LiveVectorsLocked(std::vector<int32_t>* ids) const {
+  const size_t S = shards_.size();
   const size_t d = options_.dim;
-  // Gather per-shard survivors, then emit in ascending global-id order.
-  struct Source {
-    int32_t global = 0;
-    size_t shard = 0;
-    size_t row = 0;
-  };
-  std::vector<Source> sources;
-  std::vector<util::Matrix> rows(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::vector<int32_t> local_ids;
-    rows[s] = shards_[s]->LiveVectors(&local_ids);
-    for (size_t r = 0; r < local_ids.size(); ++r) {
-      sources.push_back(Source{
-          (*local_to_global_[s])[static_cast<size_t>(local_ids[r])], s, r});
-    }
+  // Each shard lists its survivors in ascending global-id order, so an
+  // S-way merge of the lists is the global order.
+  std::vector<util::Matrix> rows(S);
+  std::vector<std::vector<int32_t>> shard_ids(S);
+  size_t total = 0;
+  for (size_t s = 0; s < S; ++s) {
+    rows[s] = shards_[s]->LiveVectors(&shard_ids[s]);
+    total += shard_ids[s].size();
   }
-  std::sort(sources.begin(), sources.end(),
-            [](const Source& a, const Source& b) { return a.global < b.global; });
-  util::Matrix out(sources.size(), d);
+  util::Matrix out(total, d);
   if (ids != nullptr) {
     ids->clear();
-    ids->reserve(sources.size());
+    ids->reserve(total);
   }
-  for (size_t i = 0; i < sources.size(); ++i) {
-    std::memcpy(out.Row(i), rows[sources[i].shard].Row(sources[i].row),
-                d * sizeof(float));
-    if (ids != nullptr) ids->push_back(sources[i].global);
+  std::vector<size_t> next(S, 0);
+  for (size_t i = 0; i < total; ++i) {
+    size_t best = S;
+    for (size_t s = 0; s < S; ++s) {
+      if (next[s] < shard_ids[s].size() &&
+          (best == S || shard_ids[s][next[s]] < shard_ids[best][next[best]])) {
+        best = s;
+      }
+    }
+    std::memcpy(out.Row(i), rows[best].Row(next[best]), d * sizeof(float));
+    if (ids != nullptr) ids->push_back(shard_ids[best][next[best]]);
+    ++next[best];
   }
   return out;
 }
@@ -298,16 +276,18 @@ void ShardedIndex::RestoreCheckpointState(const CheckpointState& state) {
     throw std::runtime_error("checkpoint state: negative next_id");
   }
   for (size_t i = 0; i < state.ids.size(); ++i) {
-    // Ascending ids below next_id: ascending input keeps every per-shard
-    // local->global map monotone, the invariant the S-way merge relies on.
+    // Ascending ids below next_id: every shard is built over an ascending
+    // subset, and later inserts all get ids at or past next_id.
     if (state.ids[i] < 0 || state.ids[i] >= state.next_id ||
         (i > 0 && state.ids[i] <= state.ids[i - 1])) {
       throw std::runtime_error("checkpoint state: invalid id sequence");
     }
   }
 
-  std::vector<size_t> counts(S, 0);
-  for (int32_t id : state.ids) ++counts[ShardOf(id, S)];
+  // Every survivor is hash-placed, so each shard's id list is an
+  // ascending subset of state.ids.
+  std::vector<std::vector<int32_t>> shard_ids(S);
+  for (int32_t id : state.ids) shard_ids[ShardOf(id, S)].push_back(id);
 
   core::DynamicIndex::Options shard_options;
   shard_options.metric = state.metric;
@@ -320,77 +300,46 @@ void ShardedIndex::RestoreCheckpointState(const CheckpointState& state) {
   // Fresh shards are populated and built outside the lock — queries keep
   // serving the old generation meanwhile, exactly like Build().
   std::vector<std::unique_ptr<core::DynamicIndex>> shards;
-  std::vector<std::shared_ptr<std::vector<int32_t>>> shard_rows;
   std::vector<util::Matrix> shard_data;
   shards.reserve(S);
-  shard_rows.reserve(S);
   shard_data.reserve(S);
   for (size_t s = 0; s < S; ++s) {
     shards.push_back(
         std::make_unique<core::DynamicIndex>(factory_, shard_options));
-    shard_rows.push_back(std::make_shared<std::vector<int32_t>>());
-    shard_rows[s]->reserve(counts[s]);
-    shard_data.emplace_back(counts[s], d);
+    shard_data.emplace_back(shard_ids[s].size(), d);
   }
-  // Dead (or never-assigned-to-a-survivor) ids resolve to local id -1,
-  // which every shard lookup (Contains / Remove) reports as unknown.
-  std::vector<Location> locations(static_cast<size_t>(state.next_id),
-                                  Location{0, -1});
+  std::vector<size_t> filled(S, 0);
   for (size_t i = 0; i < state.ids.size(); ++i) {
-    const int32_t id = state.ids[i];
-    const size_t s = ShardOf(id, S);
-    const size_t local = shard_rows[s]->size();
-    std::memcpy(shard_data[s].Row(local), state.vectors.Row(i),
+    const size_t s = ShardOf(state.ids[i], S);
+    std::memcpy(shard_data[s].Row(filled[s]++), state.vectors.Row(i),
                 d * sizeof(float));
-    shard_rows[s]->push_back(id);
-    locations[static_cast<size_t>(id)] =
-        Location{static_cast<uint32_t>(s), static_cast<int32_t>(local)};
   }
   for (size_t s = 0; s < S; ++s) {
-    if (shard_rows[s]->empty()) continue;
+    if (shard_ids[s].empty()) continue;
     dataset::Dataset slice;
     slice.name = "checkpoint/shard" + std::to_string(s);
     slice.metric = state.metric;
     slice.data = storage::VectorStoreRef(
         std::make_shared<storage::InMemoryStore>(std::move(shard_data[s])));
-    shards[s]->Build(slice);
+    shards[s]->Build(slice, std::move(shard_ids[s]));
   }
 
   auto lock = WriteLock();
   options_.metric = state.metric;
   if (d > 0) options_.dim = d;
   shards_ = std::move(shards);
-  locations_ = std::move(locations);
-  local_to_global_ = std::move(shard_rows);
   next_id_ = state.next_id;
+  built_rows_ = 0;
   state_version_ = state.state_version;
 }
 
 ShardedIndex::MutationResult ShardedIndex::ApplyInsert(const float* vec) {
   auto lock = WriteLock();
   const int32_t id = next_id_;
-  const size_t s = ShardOf(id, shards_.size());
-  // Shard insert first: if it throws (e.g. dim never set), no map changes
-  // and no log position is consumed.
-  const int32_t local = shards_[s]->Insert(vec);
-  std::shared_ptr<std::vector<int32_t>>& map = local_to_global_[s];
-  assert(static_cast<size_t>(local) == map->size());
-  (void)local;
-  if (map->size() == map->capacity()) {
-    // Full generation: clone into a doubled successor instead of letting
-    // push_back reallocate in place — snapshots pinning the old generation
-    // keep reading it untouched. Within capacity, push_back only writes the
-    // new slot and the end pointer, neither of which a pinned reader
-    // touches.
-    auto grown = std::make_shared<std::vector<int32_t>>();
-    grown->reserve(std::max(kInitialMapCapacity, 2 * map->capacity()));
-    grown->assign(map->begin(), map->end());
-    map = std::move(grown);
-  }
-  map->push_back(id);
-  locations_.push_back(Location{static_cast<uint32_t>(s), local});
+  // Shard insert first: if it throws (e.g. dim never set), no counter
+  // changes and no log position is consumed.
+  shards_[ShardOf(id, shards_.size())]->Insert(vec, id);
   ++next_id_;
-  if (options_.dim == 0) options_.dim = shards_[s]->dim();
   ++state_version_;
   return MutationResult{true, id, state_version_};
 }
@@ -401,11 +350,7 @@ ShardedIndex::MutationResult ShardedIndex::ApplyRemove(int32_t id) {
   // the black-box checker replays a *dense* mutation log, and a refused
   // remove is a legitimate (no-op) entry in it.
   ++state_version_;
-  bool applied = false;
-  if (id >= 0 && id < next_id_) {
-    const Location loc = locations_[static_cast<size_t>(id)];
-    applied = shards_[loc.shard]->Remove(loc.local);
-  }
+  const bool applied = id >= 0 && shards_[ShardFor(id)]->Remove(id);
   return MutationResult{applied, id, state_version_};
 }
 
@@ -423,9 +368,8 @@ ShardedSnapshot ShardedIndex::AcquireSnapshot() const {
   // one atomic cut at state_version_. Shard *rebuild installs* can land
   // between captures (rebuild threads bypass this lock by design), but an
   // install changes no logical content, so the cut is unaffected.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    snap.shards_.push_back(ShardedSnapshot::ShardView{
-        shards_[s]->AcquireSnapshot(), local_to_global_[s]});
+  for (const auto& shard : shards_) {
+    snap.shards_.push_back(shard->AcquireSnapshot());
   }
   return snap;
 }

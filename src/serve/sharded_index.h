@@ -15,10 +15,10 @@ namespace lccs {
 namespace serve {
 
 /// An immutable read view of a whole ShardedIndex: one core::Snapshot per
-/// shard plus the pinned local→global id maps, all captured under a single
-/// reader-lock hold of ShardedIndex::AcquireSnapshot(). Mutations hold the
-/// ShardedIndex writer lock, so the S per-shard captures form one *atomic
-/// cut* of the mutation log — the state after exactly state_version()
+/// shard, all captured under a single reader-lock hold of
+/// ShardedIndex::AcquireSnapshot(). Mutations hold the ShardedIndex writer
+/// lock, so the S per-shard captures form one *atomic cut* of the mutation
+/// log — the state after exactly state_version()
 /// mutations, which is what makes serve::Server's responses black-box
 /// checkable against an oracle replay. Queries run with no lock held and
 /// stay bit-identical for as long as the view is alive, across concurrent
@@ -34,12 +34,13 @@ class ShardedSnapshot {
   /// the acquisition point.
   std::vector<util::Neighbor> Query(const float* query, size_t k) const;
 
-  /// Batched queries over the same cut. The S shard views answer the whole
-  /// window concurrently, one util::ParallelFor task per shard (each
+  /// Batched queries over the same cut. The S shard snapshots answer the
+  /// whole window concurrently, one util::ParallelFor task per shard (each
   /// shard's engine runs inline within its task), then every row's S
-  /// remapped top-k lists are merged. Rows do not depend on the window's
-  /// other rows or on num_threads (1 = fully sequential); a shard that
-  /// throws fails the whole call once every shard task has finished.
+  /// top-k lists, already in global ids, are merged. Rows do not depend on
+  /// the window's other rows or on num_threads (1 = fully sequential); a
+  /// shard that throws fails the whole call once every shard task has
+  /// finished.
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const;
@@ -51,16 +52,7 @@ class ShardedSnapshot {
  private:
   friend class ShardedIndex;
 
-  struct ShardView {
-    core::Snapshot snapshot;
-    /// Pinned id map generation. Every local id the pinned snapshot can
-    /// return was assigned — and its entry written — before the cut; the
-    /// live index only ever appends to (a successor of) this generation,
-    /// so reading those entries lock-free is race-free.
-    std::shared_ptr<const std::vector<int32_t>> local_to_global;
-  };
-
-  std::vector<ShardView> shards_;
+  std::vector<core::Snapshot> shards_;
   uint64_t state_version_ = 0;
 };
 
@@ -73,24 +65,24 @@ class ShardedSnapshot {
 /// within its task over its own 1/S of the rows. A single shard keeps the
 /// engine's own fan-out across the pool instead.
 ///
-/// Id spaces: the ShardedIndex assigns **global** ids in insert order
-/// (0, 1, 2, ... — exactly like a single DynamicIndex, so the two are
-/// drop-in interchangeable). Bulk load (Build) places rows by contiguous
-/// range: shard s owns rows [s*n/S, (s+1)*n/S) as a zero-copy
-/// storage::SliceStore view, so all S shards share the dataset's one
-/// (possibly memory-mapped) store instead of holding private copies.
-/// Inserted points are placed by a splitmix64 hash of the global id (range
-/// placement would pile a live insert stream onto the last shard). Either
-/// way a point lives under its shard's own **local** id, and placement is
-/// invisible in results: the merge is over global ids.
-/// The global → (shard, local) map answers Remove; the per-shard
-/// local → global arrays remap query results. Both remaps are monotone
-/// (later local id ⇒ later global id within a shard), so per-shard result
-/// lists stay sorted by (distance, global id) after remapping and the S-way
-/// util::MergeSortedTopK produces exactly the ranking a single index over
-/// all survivors would — with exhaustive-verification shard configurations
-/// this is bit-identical, the property tests/test_serve.cc's black-box
-/// checker relies on.
+/// One id space: the ShardedIndex assigns ids in insert order (0, 1, 2,
+/// ... — exactly like a single DynamicIndex, so the two are drop-in
+/// interchangeable), and each shard stores its points under those same
+/// ids through DynamicIndex's caller-assigned-id Build/Insert. Bulk load
+/// (Build) places rows by contiguous range: shard s owns ids
+/// [s*n/S, (s+1)*n/S) as a zero-copy storage::SliceStore view, so all S
+/// shards share the dataset's one (possibly memory-mapped) store instead
+/// of holding private copies. Inserted points, and every survivor of a
+/// checkpoint restore, are placed by a splitmix64 hash of the id (range
+/// placement would pile a live insert stream onto the last shard).
+/// Placement is therefore a pure function of the id and the row count of
+/// the last Build — no per-id map — and it is what Remove and Contains
+/// use to find a point's shard. Each shard holds an ascending subset of
+/// the ids, so its result lists come back sorted by (distance, id) and the
+/// S-way util::MergeSortedTopK produces exactly the ranking a single index
+/// over all survivors would — with exhaustive-verification shard
+/// configurations this is bit-identical, the property tests/test_serve.cc's
+/// black-box checker relies on.
 ///
 /// Versioning: every mutation — ApplyInsert, or ApplyRemove even when it
 /// refuses an unknown/dead id — advances a dense `state_version` counter
@@ -110,11 +102,11 @@ class ShardedSnapshot {
 /// over-fetch margin, so they are consolidation pressure too.
 ///
 /// Thread safety: mirrors DynamicIndex. Query/QueryBatch/AcquireSnapshot
-/// take a reader lock on the id maps (shard captures run under it — they
-/// are const and internally locked); ApplyInsert/ApplyRemove take the
-/// writer lock. Lock order is always ShardedIndex → shard, and shard
-/// rebuild threads never touch the ShardedIndex, so the hierarchy is
-/// acyclic.
+/// take a reader lock on the shard vector and counters (shard captures
+/// run under it — they are const and internally locked);
+/// ApplyInsert/ApplyRemove take the writer lock. Lock order is always
+/// ShardedIndex → shard, and shard rebuild threads never touch the
+/// ShardedIndex, so the hierarchy is acyclic.
 class ShardedIndex : public baselines::AnnIndex {
  public:
   struct Options {
@@ -162,8 +154,8 @@ class ShardedIndex : public baselines::AnnIndex {
 
   // --- AnnIndex interface -------------------------------------------------
 
-  /// Bulk load: rows get global ids 0..n-1, are range-partitioned across
-  /// the shards, and each non-empty shard is built over a zero-copy slice
+  /// Bulk load: rows get ids 0..n-1, are range-partitioned across the
+  /// shards, and each non-empty shard is built over a zero-copy slice
   /// of the dataset's shared store. Previous contents are discarded
   /// (in-flight shard rebuilds are drained first) and the state version
   /// resets to 0.
@@ -200,10 +192,9 @@ class ShardedIndex : public baselines::AnnIndex {
   /// applied == false.
   MutationResult ApplyRemove(int32_t id);
 
-  /// O(1)-per-shard immutable read view: all S shard snapshots and id-map
-  /// generations captured under one reader-lock hold — an atomic cut at
-  /// state_version(). Queries on the view run lock-free and never block
-  /// the writer.
+  /// O(1)-per-shard immutable read view: all S shard snapshots captured
+  /// under one reader-lock hold — an atomic cut at state_version().
+  /// Queries on the view run lock-free and never block the writer.
   ShardedSnapshot AcquireSnapshot() const;
 
   /// Mutations applied so far (the version a snapshot acquired now would
@@ -254,11 +245,11 @@ class ShardedIndex : public baselines::AnnIndex {
   /// Replaces the whole contents with `state`: every surviving row is
   /// hash-placed (the insert rule — legal even for rows the pre-crash index
   /// had range-placed via Build, since placement is invisible in results),
-  /// dead ids resolve to a sentinel location every shard reports as
-  /// unknown, and the id/version counters resume exactly where the cut was
-  /// taken. Fresh shards are built outside the lock, then installed under
-  /// one writer-lock hold. Throws std::runtime_error on an inconsistent
-  /// state (shape mismatch, ids out of range or not ascending).
+  /// dead ids are simply in no shard, and the id/version counters resume
+  /// exactly where the cut was taken. Fresh shards are built outside the
+  /// lock, then installed under one writer-lock hold. Throws
+  /// std::runtime_error on an inconsistent state (shape mismatch, ids out
+  /// of range or not ascending).
   void RestoreCheckpointState(const CheckpointState& state);
 
   // --- Consolidation scheduling -------------------------------------------
@@ -279,17 +270,14 @@ class ShardedIndex : public baselines::AnnIndex {
   /// background rebuild died with.
   void WaitForRebuilds() const;
 
-  /// The shard a global id hashes to, given S shards (splitmix64 finalizer;
+  /// The shard an id hashes to, given S shards (splitmix64 finalizer;
   /// exposed for tests).
   static size_t ShardOf(int32_t id, size_t num_shards);
 
  private:
-  /// Where a global id lives. Never erased — ids are not reused, and
-  /// Remove answers "already deleted" through the shard itself.
-  struct Location {
-    uint32_t shard = 0;
-    int32_t local = 0;
-  };
+  /// The shard holding non-negative `id`: its Build range when
+  /// id < built_rows_, else ShardOf. Caller holds the lock.
+  size_t ShardFor(int32_t id) const;
 
   std::shared_lock<std::shared_mutex> ReadLock() const;
   std::unique_lock<std::shared_mutex> WriteLock() const;
@@ -300,20 +288,16 @@ class ShardedIndex : public baselines::AnnIndex {
   core::DynamicIndex::Factory factory_;
   Options options_;
 
-  /// Guards the id maps, next_id_ and state_version_ (the shards guard
-  /// themselves). Same writer-starvation gate as DynamicIndex: readers tap
-  /// gate_ first, so a steady query stream cannot park a writer forever.
+  /// Guards shards_ and the counters below (the shards guard themselves).
+  /// Same writer-starvation gate as DynamicIndex: readers tap gate_ first,
+  /// so a steady query stream cannot park a writer forever.
   mutable std::shared_mutex mutex_;
   mutable std::mutex gate_;
   std::vector<std::unique_ptr<core::DynamicIndex>> shards_;
-  std::vector<Location> locations_;             ///< global id -> residence
-  /// Per shard, local id -> global id, ascending. Shared generations:
-  /// snapshots pin the current one, the writer appends in place while
-  /// capacity lasts (appended entries are beyond every pinned snapshot's
-  /// reach) and clones into a doubled successor when full — the same
-  /// version-chain trick core::DeltaBuffer plays.
-  std::vector<std::shared_ptr<std::vector<int32_t>>> local_to_global_;
   int32_t next_id_ = 0;
+  /// Rows of the last Build, range-placed; 0 after a restore or before any
+  /// Build, when every id is hash-placed.
+  size_t built_rows_ = 0;
   uint64_t state_version_ = 0;  ///< dense mutation-log length
 };
 

@@ -161,6 +161,27 @@ bool WriteAheadLog::DecodeRecordBody(const unsigned char* body, size_t len,
   return true;
 }
 
+void WriteAheadLog::ApplyRecord(ShardedIndex* index, const Record& record) {
+  if (record.is_insert && record.vec.size() != index->dim()) {
+    throw std::runtime_error(
+        "log record " + std::to_string(record.version) + " inserts a " +
+        std::to_string(record.vec.size()) + "-dim vector into a " +
+        std::to_string(index->dim()) + "-dim index");
+  }
+  const ShardedIndex::MutationResult applied =
+      record.is_insert ? index->ApplyInsert(record.vec.data())
+                       : index->ApplyRemove(record.id);
+  if ((record.is_insert && applied.id != record.id) ||
+      applied.state_version != record.version) {
+    throw std::runtime_error(
+        "apply diverged from log record " + std::to_string(record.version) +
+        " (" + (record.is_insert ? "insert" : "remove") + " id " +
+        std::to_string(record.id) + "): index assigned id " +
+        std::to_string(applied.id) + " at version " +
+        std::to_string(applied.state_version));
+  }
+}
+
 WriteAheadLog::WriteAheadLog(std::string dir, Options options)
     : dir_(std::move(dir)), options_(std::move(options)) {
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -447,22 +468,7 @@ WriteAheadLog::RecoveryResult WriteAheadLog::Recover(ShardedIndex* index) {
     const ScanResult scan =
         ScanSegment(path, [&](const Record& record, uint64_t) {
           if (record.version < next) return;  // inside the checkpoint
-          if (record.is_insert) {
-            const ShardedIndex::MutationResult applied =
-                index->ApplyInsert(record.vec.data());
-            if (applied.id != record.id ||
-                applied.state_version != record.version) {
-              throw std::runtime_error(
-                  "WAL replay diverged from recovered state: " + path);
-            }
-          } else {
-            const ShardedIndex::MutationResult applied =
-                index->ApplyRemove(record.id);
-            if (applied.state_version != record.version) {
-              throw std::runtime_error(
-                  "WAL replay diverged from recovered state: " + path);
-            }
-          }
+          ApplyRecord(index, record);
           ++next;
           ++result.replayed;
         });

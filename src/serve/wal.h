@@ -250,6 +250,14 @@ class WriteAheadLog {
   static bool DecodeRecordBody(const unsigned char* body, size_t len,
                                Record* out);
 
+  /// Applies one logged mutation to `index`: the replay step of Recover
+  /// and of serve::Replica. A checksummed record can still carry an insert
+  /// of the wrong dimension (Append and DecodeRecordBody accept any), so
+  /// that throws std::runtime_error before anything is applied. An apply
+  /// whose result disagrees with the record (another assigned id, another
+  /// version) throws std::runtime_error naming the divergence.
+  static void ApplyRecord(ShardedIndex* index, const Record& record);
+
   // --- Streaming reads (replication) ----------------------------------------
 
   /// A cursor over the live segment stream of a WAL directory, starting at

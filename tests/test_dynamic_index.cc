@@ -113,6 +113,10 @@ struct SequenceParams {
   size_t num_ops = 32;
   size_t rebuild_threshold = 8;
   bool background_rebuild = false;
+  /// Gap between consecutive ids. 1 lets the index assign them (Build(data),
+  /// Insert(vec)); above 1 the caller assigns them: Build gets ids
+  /// 0, s, 2s, ... and each insert takes the previous id + s.
+  int32_t id_stride = 1;
 };
 
 /// The reference model: surviving (id, vector) pairs in ascending id order.
@@ -169,13 +173,18 @@ std::optional<std::string> Replay(const IndexConfig& config,
     synth.num_clusters = 4;
     synth.seed = params.seed;
     const auto data = dataset::GenerateClustered(synth);
-    index.Build(data);
+    std::vector<int32_t> ids(data.n());
     for (size_t i = 0; i < data.n(); ++i) {
-      model.Insert(static_cast<int32_t>(i),
-                   std::vector<float>(data.data.Row(i),
-                                      data.data.Row(i) + kDim));
+      ids[i] = static_cast<int32_t>(i) * params.id_stride;
+      model.Insert(ids[i], std::vector<float>(data.data.Row(i),
+                                              data.data.Row(i) + kDim));
     }
-    model.next_id = static_cast<int32_t>(data.n());
+    if (params.id_stride == 1) {
+      index.Build(data);
+    } else {
+      index.Build(data, ids);
+    }
+    model.next_id = static_cast<int32_t>(data.n()) * params.id_stride;
   }
 
   for (size_t step = 0; step < ops.size(); ++step) {
@@ -183,13 +192,18 @@ std::optional<std::string> Replay(const IndexConfig& config,
     switch (op.kind) {
       case Op::kInsert: {
         const std::vector<float> vec = VectorFromPayload(op.payload);
-        const int32_t id = index.Insert(vec.data());
-        if (id != model.next_id) {
-          return "step " + std::to_string(step) + ": Insert returned id " +
-                 std::to_string(id) + ", model expected " +
-                 std::to_string(model.next_id);
+        if (params.id_stride == 1) {
+          const int32_t id = index.Insert(vec.data());
+          if (id != model.next_id) {
+            return "step " + std::to_string(step) + ": Insert returned id " +
+                   std::to_string(id) + ", model expected " +
+                   std::to_string(model.next_id);
+          }
+        } else {
+          index.Insert(vec.data(), model.next_id);
         }
-        model.Insert(model.next_id++, vec);
+        model.Insert(model.next_id, vec);
+        model.next_id += params.id_stride;
         break;
       }
       case Op::kRemove: {
@@ -328,6 +342,7 @@ void RunSequences(const IndexConfig& config, size_t num_sequences,
                                : threshold_roll == 2 ? (size_t{1} << 30)
                                                      : 8;
     params.background_rebuild = seq % 2 == 1;
+    params.id_stride = (seq / 4) % 2 == 0 ? 1 : 3;
     params.num_ops = 24 + rng.NextBounded(16);
     std::vector<Op> ops = GenerateOps(rng, params.num_ops);
 
@@ -338,7 +353,8 @@ void RunSequences(const IndexConfig& config, size_t num_sequences,
       FAIL() << config.name << " seq " << seq << " (seed " << params.seed
              << ", n0 " << params.initial_points << ", threshold "
              << params.rebuild_threshold << ", background "
-             << params.background_rebuild << "): "
+             << params.background_rebuild << ", id stride "
+             << params.id_stride << "): "
              << minimal_failure.value_or(failure.value())
              << "\nminimal sequence (" << minimal.size()
              << " ops): " << Describe(minimal);
@@ -460,6 +476,107 @@ TEST(DynamicIndexStorage, BuildDeepCopiesBorrowedStores) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 0);
   EXPECT_EQ(result[0].dist, 0.0);
+}
+
+dataset::Dataset SmallData(size_t n, uint64_t seed) {
+  dataset::SyntheticConfig synth;
+  synth.n = n;
+  synth.num_queries = 1;
+  synth.dim = kDim;
+  synth.num_clusters = 2;
+  synth.seed = seed;
+  return dataset::GenerateClustered(synth);
+}
+
+// Caller-assigned ids: a bad id list or insert id throws invalid_argument
+// and leaves the index exactly as it was.
+TEST(DynamicIndexIds, RejectsBadCallerIdsWithoutChangingState) {
+  DynamicIndex::Options options;
+  options.dim = kDim;
+  options.background_rebuild = false;
+  DynamicIndex index(ConfigsUnderTest()[0].make, options);
+  const auto data = SmallData(3, 5);
+  index.Build(data, {10, 20, 30});
+
+  const auto expect_unchanged = [&](const char* what) {
+    EXPECT_EQ(index.live_count(), 3u) << what;
+    EXPECT_EQ(index.version(), 0u) << what;
+    EXPECT_EQ(index.delta_size(), 0u) << what;
+    for (const int32_t id : {10, 20, 30}) {
+      EXPECT_TRUE(index.Contains(id)) << what << " id " << id;
+    }
+  };
+  EXPECT_THROW(index.Build(data, {10, 30, 20}), std::invalid_argument);
+  expect_unchanged("ids not ascending");
+  EXPECT_THROW(index.Build(data, {10, 20, 20}), std::invalid_argument);
+  expect_unchanged("duplicate ids");
+  EXPECT_THROW(index.Build(data, {-1, 20, 30}), std::invalid_argument);
+  expect_unchanged("negative id");
+  EXPECT_THROW(index.Build(data, {10, 20}), std::invalid_argument);
+  expect_unchanged("fewer ids than rows");
+
+  const std::vector<float> vec = VectorFromPayload(1);
+  EXPECT_THROW(index.Insert(vec.data(), 30), std::invalid_argument);
+  EXPECT_THROW(index.Insert(vec.data(), 5), std::invalid_argument);
+  EXPECT_THROW(index.Insert(vec.data(), -1), std::invalid_argument);
+  expect_unchanged("insert id below the next id");
+
+  // The next id is the last id + 1: 31 is accepted, and gaps are allowed.
+  index.Insert(vec.data(), 31);
+  index.Insert(vec.data(), 100);
+  EXPECT_THROW(index.Insert(vec.data(), 100), std::invalid_argument);
+  EXPECT_EQ(index.Insert(vec.data()), 101);
+  EXPECT_EQ(index.live_count(), 6u);
+  EXPECT_EQ(index.version(), 3u);
+}
+
+// SerializeState / DeserializeState keep sparse ids, in both regions.
+TEST(DynamicIndexIds, SparseIdsSurviveSerializeRoundTrip) {
+  DynamicIndex::Options options;
+  options.dim = kDim;
+  options.background_rebuild = false;
+  DynamicIndex index(ConfigsUnderTest()[0].make, options);
+  const auto data = SmallData(20, 6);
+  std::vector<int32_t> ids(data.n());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = 7 + 3 * static_cast<int32_t>(i);
+  }
+  index.Build(data, ids);
+  for (uint64_t i = 0; i < 6; ++i) {
+    index.Insert(VectorFromPayload(i).data(),
+                 100 + 5 * static_cast<int32_t>(i));
+  }
+  ASSERT_TRUE(index.Remove(10));   // epoch row
+  ASSERT_TRUE(index.Remove(105));  // delta row
+
+  std::stringstream stream;
+  index.SerializeState(stream,
+                       [](std::ostream&, const baselines::AnnIndex&) {});
+  const auto loaded = DynamicIndex::DeserializeState(
+      stream, ConfigsUnderTest()[0].make, options,
+      [](std::istream&, const dataset::Dataset& epoch) {
+        auto scan = std::make_unique<baselines::LinearScan>();
+        scan->Build(epoch);
+        return scan;
+      });
+
+  std::vector<int32_t> want_ids;
+  const util::Matrix want = index.LiveVectors(&want_ids);
+  std::vector<int32_t> got_ids;
+  const util::Matrix got = loaded->LiveVectors(&got_ids);
+  EXPECT_EQ(got_ids, want_ids);
+  ASSERT_EQ(got.rows(), want.rows());
+  for (size_t r = 0; r < got.rows(); ++r) {
+    for (size_t j = 0; j < kDim; ++j) EXPECT_EQ(got.At(r, j), want.At(r, j));
+  }
+  EXPECT_FALSE(loaded->Contains(10));
+  EXPECT_FALSE(loaded->Contains(105));
+  EXPECT_TRUE(loaded->Contains(125));
+  const std::vector<float> query = VectorFromPayload(42);
+  EXPECT_EQ(loaded->Query(query.data(), 8), index.Query(query.data(), 8));
+  // The id counter survives too: the next id continues past 125.
+  EXPECT_THROW(loaded->Insert(query.data(), 125), std::invalid_argument);
+  EXPECT_EQ(loaded->Insert(query.data()), 126);
 }
 
 // Non-exhaustive λ: results are approximate, so oracle identity does not

@@ -29,13 +29,18 @@
 // the primary workload instead of gtest, so it links gtest without
 // gtest_main.
 
+#include <arpa/inet.h>
 #include <dirent.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +50,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,6 +62,7 @@
 #include "serve/server.h"
 #include "serve/sharded_index.h"
 #include "serve/wal.h"
+#include "storage/flat_file.h"
 #include "util/metric.h"
 #include "util/random.h"
 
@@ -668,6 +675,214 @@ TEST(ReplCheckerMutation, LiveReplicaRefusesAnOutOfOrderStream) {
       << "error: " << progress.error;
   replica.Stop();
   shipper.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Malformed streams: a fake primary feeding the follower bad bytes
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void Put(std::vector<unsigned char>* buf, const T& value) {
+  const auto* p = reinterpret_cast<const unsigned char*>(&value);
+  buf->insert(buf->end(), p, p + sizeof(T));
+}
+
+/// The 28-byte handshake reply (replication.h): magic, format,
+/// start_version, checkpoint length.
+std::vector<unsigned char> Reply(uint64_t start_version, uint64_t ckpt_len,
+                                 const char* magic = "LCCSREP1",
+                                 uint32_t format = 1) {
+  std::vector<unsigned char> reply(magic, magic + 8);
+  Put(&reply, format);
+  Put(&reply, start_version);
+  Put(&reply, ckpt_len);
+  return reply;
+}
+
+/// A record body: version, kind, id, then (inserts) dim + floats.
+std::vector<unsigned char> RecordBody(uint64_t version, uint8_t kind,
+                                      int32_t id,
+                                      const std::vector<float>* vec = nullptr) {
+  std::vector<unsigned char> body;
+  Put(&body, version);
+  Put(&body, kind);
+  Put(&body, id);
+  if (vec != nullptr) {
+    Put(&body, static_cast<uint32_t>(vec->size()));
+    for (const float x : *vec) Put(&body, x);
+  }
+  return body;
+}
+
+/// Prelude (length + FNV-1a of the body) and body, optionally with the
+/// checksum flipped.
+std::vector<unsigned char> Frame(const std::vector<unsigned char>& body,
+                                 bool bad_checksum = false) {
+  storage::FnvChecksum fnv;
+  fnv.Update(body.data(), body.size());
+  const uint32_t len = static_cast<uint32_t>(body.size());
+  const uint64_t digest = fnv.Digest() ^ (bad_checksum ? 1 : 0);
+  std::vector<unsigned char> frame(sizeof(len) + sizeof(digest) + len);
+  std::memcpy(frame.data(), &len, sizeof(len));
+  std::memcpy(frame.data() + sizeof(len), &digest, sizeof(digest));
+  std::copy(body.begin(), body.end(),
+            frame.begin() + sizeof(len) + sizeof(digest));
+  return frame;
+}
+
+std::vector<unsigned char> Concat(std::vector<unsigned char> a,
+                                  const std::vector<unsigned char>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// A primary that answers every follower hello with the same `script`
+/// bytes and then closes the connection.
+class FakePrimary {
+ public:
+  explicit FakePrimary(std::vector<unsigned char> script)
+      : script_(std::move(script)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (listen_fd_ < 0) throw std::runtime_error("socket failed");
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 4) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                      &len) != 0) {
+      ::close(listen_fd_);
+      throw std::runtime_error("fake primary cannot listen");
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~FakePrimary() {
+    stop_ = true;
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  FakePrimary(const FakePrimary&) = delete;
+  FakePrimary& operator=(const FakePrimary&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void Serve() {
+    while (!stop_) {
+      struct pollfd pfd = {listen_fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;
+      struct timeval tv = {1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      unsigned char hello[20];
+      size_t got = 0;
+      while (got < sizeof(hello)) {
+        const ssize_t n = ::recv(fd, hello + got, sizeof(hello) - got, 0);
+        if (n <= 0) break;
+        got += static_cast<size_t>(n);
+      }
+      if (got == sizeof(hello)) {
+        size_t sent = 0;
+        while (sent < script_.size()) {
+          const ssize_t n = ::send(fd, script_.data() + sent,
+                                   script_.size() - sent, MSG_NOSIGNAL);
+          if (n <= 0) break;
+          sent += static_cast<size_t>(n);
+        }
+      }
+      ::close(fd);
+    }
+  }
+
+  std::vector<unsigned char> script_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(ReplicaMalformedStream, PoisonsOrReconnectsWithoutApplying) {
+  // A bootstrap checkpoint at version 5 (ids 0..2), so the wrong-dim
+  // insert below reaches a follower that knows its dimension.
+  ShardedIndex::CheckpointState state;
+  state.state_version = 5;
+  state.next_id = 3;
+  state.dim = kDim;
+  state.ids = {0, 1, 2};
+  state.vectors = util::Matrix(3, kDim);
+  for (size_t r = 0; r < 3; ++r) {
+    const std::vector<float> vec = VectorFromPayload(r);
+    std::copy(vec.begin(), vec.end(), state.vectors.Row(r));
+  }
+  const std::vector<unsigned char> image =
+      WriteAheadLog::EncodeCheckpoint(state);
+  const std::vector<unsigned char> bootstrap =
+      Concat(Reply(6, image.size()), image);
+  // A fresh follower resumes at version 1 with its empty state.
+  const std::vector<unsigned char> resume = Reply(1, 0);
+  std::vector<float> short_vec = VectorFromPayload(9);
+  short_vec.pop_back();
+  std::vector<unsigned char> prelude_only;
+  Put(&prelude_only, uint32_t{40});
+  Put(&prelude_only, uint64_t{0});
+
+  struct Case {
+    const char* name;
+    std::vector<unsigned char> script;
+    bool poisons;              ///< false: the follower reconnects instead
+    uint64_t applied_version;  ///< where the follower must stay
+  };
+  const std::vector<Case> cases = {
+      {"bad magic", Reply(1, 0, "LCCSREPX"), true, 0},
+      {"bad format", Reply(1, 0, "LCCSREP1", 2), true, 0},
+      {"start_version 0", Reply(0, 0), true, 0},
+      {"ckpt_len above the cap", Reply(1, (uint64_t{1} << 40) + 1), true, 0},
+      {"frame length below the minimum",
+       Concat(resume, Frame(std::vector<unsigned char>(5, 0))), true, 0},
+      {"frame length above the maximum",
+       Concat(resume, std::vector<unsigned char>{0x01, 0x00, 0x00, 0x01, 0, 0,
+                                                 0, 0, 0, 0, 0, 0}),
+       true, 0},
+      {"checksum mismatch",
+       Concat(resume, Frame(RecordBody(1, 1, 0), /*bad_checksum=*/true)),
+       true, 0},
+      {"heartbeat of the wrong length",
+       Concat(resume, Frame(RecordBody(0, 2, -1))), true, 0},
+      {"kind 3", Concat(resume, Frame(RecordBody(1, 3, 0))), true, 0},
+      {"insert with the wrong dim",
+       Concat(bootstrap, Frame(RecordBody(6, 0, 3, &short_vec))), true, 5},
+      {"body cut short, then close",
+       Concat(Concat(resume, prelude_only), std::vector<unsigned char>(10, 0)),
+       false, 0},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FakePrimary primary(c.script);
+    Replica replica("127.0.0.1", primary.port(), ReplicaOptions(2));
+    replica.Start();
+    Replica::Progress progress;
+    for (int i = 0; i < 2000; ++i) {
+      progress = replica.progress();
+      if (!progress.error.empty() || progress.reconnects >= 2) break;
+      ::usleep(5000);
+    }
+    replica.Stop();
+    progress = replica.progress();
+    if (c.poisons) {
+      EXPECT_FALSE(progress.error.empty());
+    } else {
+      EXPECT_TRUE(progress.error.empty()) << progress.error;
+      EXPECT_GE(progress.reconnects, 2u);
+    }
+    EXPECT_EQ(progress.applied_version, c.applied_version);
+    EXPECT_EQ(replica.index()->state_version(), c.applied_version);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Sharding unit tests for serve::ShardedIndex: global ↔ local id mapping,
+// Sharding unit tests for serve::ShardedIndex: the id placement rule,
 // k larger than any shard, empty shards, the S = 1 degenerate case (must be
 // bit-identical to a single core::DynamicIndex), window rows independent of
 // window composition and fan-out, a failing shard failing its whole window,
@@ -83,59 +83,85 @@ TEST(ShardOf, DeterministicAndInRange) {
   }
 }
 
+// Placement is a pure function of the id: ids below the Build's row count
+// go to their range shard (boundaries at s*n/S), all others to ShardOf —
+// inserts, and every survivor after a checkpoint restore. Every id must be
+// found where it lives, at every range boundary and shard count.
 TEST(ShardedIndexIds, GlobalLocalRoundTrip) {
-  const auto data = MakeData(100, 7);
-  ShardedIndex::Options options;
-  options.num_shards = 4;
-  ShardedIndex index(LinearScanFactory(), options);
-  index.Build(data);
-
-  // Build assigns global ids 0..n-1; every one resolves and its vector
-  // round-trips: querying a stored vector must return its own global id at
-  // distance 0 first (exact mode).
-  for (int32_t id = 0; id < 100; ++id) {
-    ASSERT_TRUE(index.Contains(id));
-    const auto result = index.Query(data.data.Row(static_cast<size_t>(id)), 1);
-    ASSERT_EQ(result.size(), 1u);
-    EXPECT_EQ(result[0].id, id);
-    EXPECT_EQ(result[0].dist, 0.0);
-  }
-
-  // Inserts continue the global id sequence regardless of which shard the
-  // point hashes to.
+  constexpr int32_t kInserts = 20;
   util::Rng rng(11);
   std::vector<std::vector<float>> inserted;
-  for (int32_t i = 0; i < 20; ++i) {
-    inserted.push_back(RandomVector(rng));
-    EXPECT_EQ(index.Insert(inserted.back().data()), 100 + i);
-  }
-  for (int32_t i = 0; i < 20; ++i) {
-    const auto result = index.Query(inserted[static_cast<size_t>(i)].data(), 1);
-    ASSERT_EQ(result.size(), 1u);
-    EXPECT_EQ(result[0].id, 100 + i);
-  }
+  for (int32_t i = 0; i < kInserts; ++i) inserted.push_back(RandomVector(rng));
 
-  // Removes address points through the same map; double-removes and
-  // never-assigned ids are refused.
-  EXPECT_TRUE(index.Remove(3));
-  EXPECT_FALSE(index.Remove(3));
-  EXPECT_FALSE(index.Contains(3));
-  EXPECT_FALSE(index.Remove(-1));
-  EXPECT_FALSE(index.Remove(120));
-  EXPECT_EQ(index.live_count(), 119u);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{10},
+                         size_t{101}}) {
+    auto data = MakeData(std::max<size_t>(n, 1), 7);
+    if (n == 0) data.data.Resize(0, kDim);
+    const int32_t built = static_cast<int32_t>(n);
+    for (const size_t shards : {size_t{1}, size_t{3}, size_t{4}, size_t{8}}) {
+      ShardedIndex::Options options;
+      options.num_shards = shards;
+      // Phase 0: after Build; 1: after inserts, which continue the id
+      // sequence whichever shard they hash to; 2: after
+      // RestoreCheckpointState(CaptureCheckpointState()) of phase 1.
+      for (int phase = 0; phase < 3; ++phase) {
+        SCOPED_TRACE("n " + std::to_string(n) + " S " +
+                     std::to_string(shards) + " phase " +
+                     std::to_string(phase));
+        auto index =
+            std::make_unique<ShardedIndex>(LinearScanFactory(), options);
+        index->Build(data);
+        if (phase >= 1) {
+          for (int32_t i = 0; i < kInserts; ++i) {
+            ASSERT_EQ(index->Insert(inserted[static_cast<size_t>(i)].data()),
+                      built + i);
+          }
+        }
+        if (phase == 2) {
+          auto restored =
+              std::make_unique<ShardedIndex>(LinearScanFactory(), options);
+          restored->RestoreCheckpointState(index->CaptureCheckpointState());
+          index = std::move(restored);
+        }
+        const int32_t num_ids = built + (phase >= 1 ? kInserts : 0);
+        const auto vector_of = [&](int32_t id) {
+          return id < built ? data.data.Row(static_cast<size_t>(id))
+                            : inserted[static_cast<size_t>(id - built)].data();
+        };
 
-  // LiveVectors is the global-id-ascending union of the shards.
-  std::vector<int32_t> ids;
-  const util::Matrix live = index.LiveVectors(&ids);
-  ASSERT_EQ(ids.size(), 119u);
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-  EXPECT_EQ(std::count(ids.begin(), ids.end(), 3), 0);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const float* want = ids[i] < 100
-                            ? data.data.Row(static_cast<size_t>(ids[i]))
-                            : inserted[static_cast<size_t>(ids[i] - 100)].data();
-    for (size_t j = 0; j < kDim; ++j) {
-      EXPECT_EQ(live.At(i, j), want[j]) << "row " << i << " col " << j;
+        // Every id resolves and its vector round-trips: querying a stored
+        // vector returns its own id at distance 0 first (exact mode).
+        for (int32_t id = 0; id < num_ids; ++id) {
+          ASSERT_TRUE(index->Contains(id)) << "id " << id;
+          const auto result = index->Query(vector_of(id), 1);
+          ASSERT_EQ(result.size(), 1u);
+          EXPECT_EQ(result[0].id, id);
+          EXPECT_EQ(result[0].dist, 0.0);
+        }
+
+        // LiveVectors is the id-ascending union of the shards.
+        std::vector<int32_t> ids;
+        const util::Matrix live = index->LiveVectors(&ids);
+        ASSERT_EQ(ids.size(), static_cast<size_t>(num_ids));
+        for (size_t i = 0; i < ids.size(); ++i) {
+          ASSERT_EQ(ids[i], static_cast<int32_t>(i));
+          for (size_t j = 0; j < kDim; ++j) {
+            EXPECT_EQ(live.At(i, j), vector_of(ids[i])[j])
+                << "row " << i << " col " << j;
+          }
+        }
+
+        // Each id is removed exactly once; never-assigned ids are refused.
+        EXPECT_FALSE(index->Remove(-1));
+        EXPECT_FALSE(index->Remove(num_ids));
+        EXPECT_FALSE(index->Contains(num_ids));
+        for (int32_t id = 0; id < num_ids; ++id) {
+          EXPECT_TRUE(index->Remove(id)) << "id " << id;
+          EXPECT_FALSE(index->Remove(id)) << "id " << id;
+          EXPECT_FALSE(index->Contains(id)) << "id " << id;
+        }
+        EXPECT_EQ(index->live_count(), 0u);
+      }
     }
   }
 }
@@ -204,7 +230,7 @@ TEST(ShardedIndexQueries, EmptyShardsAndEmptyIndex) {
 // S = 1 degenerates bit-identically to a single DynamicIndex: same global
 // ids, same results — including in a *non-exhaustive* (approximate) LCCS
 // configuration, where identity only holds if the sharded path adds exactly
-// nothing (same factory, same build inputs, monotone id remap, 1-way merge).
+// nothing (same factory, same build inputs, same ids, 1-way merge).
 TEST(ShardedIndexDegenerate, SingleShardBitIdenticalToDynamicIndex) {
   baselines::LccsLshIndex::Params params;
   params.m = 24;

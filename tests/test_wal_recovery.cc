@@ -799,6 +799,32 @@ TEST(WalRecovery, AppendAndRecoverContracts) {
   EXPECT_THROW(wal.Recover(index.get()), std::runtime_error);  // ran twice
 }
 
+// A record can pass its checksum and still carry an insert of the wrong
+// dimension (Append and the decoder accept any): replay must refuse it
+// instead of reading past the end of the vector.
+TEST(WalRecovery, ReplayRefusesAnInsertOfTheWrongDimension) {
+  const uint64_t seed = 69;
+  TempDir dir;
+  {
+    auto index = MakeIndex(2, seed);
+    WriteAheadLog wal(dir.path);
+    wal.Recover(index.get());
+    ApplyAndLog(index.get(), &wal, seed, 1, 3);
+    WriteAheadLog::Record record;
+    record.version = 4;
+    record.is_insert = true;
+    record.id = index->ApplyInsert(VectorFromPayload(seed).data()).id;
+    record.vec = VectorFromPayload(seed);
+    record.vec.pop_back();  // kDim - 1 floats
+    wal.Append(record);
+    wal.Sync();
+  }
+  auto recovered = MakeIndex(3, seed);
+  WriteAheadLog wal(dir.path);
+  EXPECT_THROW(wal.Recover(recovered.get()), std::runtime_error);
+  EXPECT_EQ(recovered->state_version(), 3u);  // records 1..3 replayed
+}
+
 TEST(WalRecovery, CheckpointRestoreIsPlacementIndependent) {
   const uint64_t seed = 71;
   auto source = MakeIndex(3, seed);
@@ -825,7 +851,7 @@ TEST(WalRecovery, CheckpointRestoreIsPlacementIndependent) {
         restored.ApplyInsert(vec.data());
     EXPECT_EQ(inserted.id, state.next_id);
     EXPECT_EQ(inserted.state_version, state.state_version + 1);
-    // ...and dead ids stay dead (the sentinel location reports unknown).
+    // ...and dead ids stay dead (no shard holds them).
     for (int32_t id = 0; id < state.next_id; ++id) {
       const bool live =
           std::binary_search(state.ids.begin(), state.ids.end(), id);

@@ -57,6 +57,40 @@ void ReadPod(std::istream& in, T* value) {
   io::ReadPod(in, value, kStreamName);
 }
 
+/// The codebook a new delta generation adopts from `epoch` when quantizing,
+/// so delta rows score under the codebook of the epoch beside them.
+std::shared_ptr<const storage::QuantizedStore> EpochCodebook(
+    bool quantize, const EpochState* epoch) {
+  if (!quantize || epoch == nullptr || epoch->data.data.store() == nullptr) {
+    return nullptr;
+  }
+  return epoch->data.data.store()->QuantizedShared();
+}
+
+/// The one way a delta generation is filled (doubling clone, rows left over
+/// at an install, load): `capacity` slots holding copies of `count` rows and
+/// ids, encoded under `codebook` if set — EncodeRow is deterministic, so
+/// under the same codebook these are the source's code bytes. Every stamp
+/// starts at 0; callers set the ones their rows carry.
+std::shared_ptr<DeltaBuffer> FillDelta(
+    size_t capacity, size_t dim,
+    std::shared_ptr<const storage::QuantizedStore> codebook,
+    const float* rows, const int32_t* ids, size_t count) {
+  auto delta =
+      std::make_shared<DeltaBuffer>(capacity, dim, std::move(codebook));
+  if (count == 0) return delta;
+  std::memcpy(delta->rows.get(), rows, count * dim * sizeof(float));
+  std::memcpy(delta->ids.get(), ids, count * sizeof(int32_t));
+  if (delta->codebook != nullptr) {
+    for (size_t s = 0; s < count; ++s) {
+      delta->codebook->EncodeRow(delta->rows.get() + s * dim,
+                                 delta->codes.get() + s * dim,
+                                 &delta->terms[s]);
+    }
+  }
+  return delta;
+}
+
 // Header-derived allocations below are capped by io::RemainingBytes, so a
 // corrupt header that passes the range checks (next_id up to INT32_MAX, dim
 // up to 2^24 — a legal combination ~2^55 elements large) still cannot drive
@@ -175,11 +209,7 @@ void DynamicIndex::Build(const dataset::Dataset& data,
     epoch_ = std::move(epoch);
     delta_.reset();
     delta_len_ = 0;
-    live_.clear();
-    live_.reserve(epoch_->ids.size());
-    for (size_t row = 0; row < epoch_->ids.size(); ++row) {
-      live_[epoch_->ids[row]] = Location{false, row};
-    }
+    survivors_ = epoch_->ids.size();
     next_id_ = next_id;
     version_ = 0;
     epoch_removed_ = 0;
@@ -211,7 +241,7 @@ std::string DynamicIndex::name() const {
 
 size_t DynamicIndex::IndexSizeBytes() const {
   auto lock = ReadLock();
-  size_t bytes = live_.size() * (sizeof(int32_t) + sizeof(Location));
+  size_t bytes = 0;
   if (delta_ != nullptr) {
     bytes += delta_->capacity * (options_.dim * sizeof(float) +
                                  sizeof(int32_t) +
@@ -226,49 +256,27 @@ size_t DynamicIndex::IndexSizeBytes() const {
   return bytes;
 }
 
-size_t DynamicIndex::live_count() const {
-  auto lock = ReadLock();
-  return live_.size();
-}
-
-size_t DynamicIndex::epoch_size() const {
-  auto lock = ReadLock();
-  return epoch_ != nullptr ? epoch_->ids.size() : 0;
-}
-
-size_t DynamicIndex::delta_size() const {
-  auto lock = ReadLock();
-  return delta_len_;
-}
-
-size_t DynamicIndex::tombstone_count() const {
-  auto lock = ReadLock();
-  const size_t total =
-      delta_len_ + (epoch_ != nullptr ? epoch_->ids.size() : 0);
-  return total - live_.size();
-}
-
+size_t DynamicIndex::live_count() const { return stats().live; }
+size_t DynamicIndex::epoch_size() const { return stats().epoch_rows; }
+size_t DynamicIndex::delta_size() const { return stats().delta_rows; }
+size_t DynamicIndex::tombstone_count() const { return stats().tombstones; }
 uint64_t DynamicIndex::epoch_sequence() const {
-  auto lock = ReadLock();
-  return epoch_sequence_;
+  return stats().epoch_sequence;
 }
-
-uint64_t DynamicIndex::version() const {
-  auto lock = ReadLock();
-  return version_;
-}
+uint64_t DynamicIndex::version() const { return stats().version; }
 
 DynamicIndex::Stats DynamicIndex::stats() const {
   Stats out;
   {
     auto lock = ReadLock();
-    out.live = live_.size();
+    out.live = survivors_;
     out.epoch_rows = epoch_ != nullptr ? epoch_->ids.size() : 0;
     out.delta_rows = delta_len_;
     out.tombstones = out.epoch_rows + out.delta_rows - out.live;
     out.epoch_stamped = epoch_removed_;
     out.epoch_sequence = epoch_sequence_;
     out.version = version_;
+    out.consolidation_due = ConsolidationDueLocked();
   }
   // The rebuild flag lives under its own mutex by design (never held while
   // acquiring mutex_); sampled after the counters, so a scheduler that sees
@@ -285,9 +293,32 @@ bool DynamicIndex::rebuild_in_flight() const {
   return rebuild_in_flight_;
 }
 
+bool DynamicIndex::ConsolidationDueLocked() const {
+  const size_t rows =
+      delta_len_ + (epoch_ != nullptr ? epoch_->ids.size() : 0);
+  return std::max(delta_len_, rows - survivors_) >=
+         options_.rebuild_threshold;
+}
+
+std::atomic<uint64_t>* DynamicIndex::FindStampLocked(int32_t id,
+                                                     bool* in_epoch) const {
+  // Every epoch id is below every delta id, so the first delta id picks the
+  // region; each region's ids ascend.
+  const bool delta = delta_len_ > 0 && id >= delta_->ids[0];
+  if (!delta && epoch_ == nullptr) return nullptr;
+  const int32_t* begin = delta ? delta_->ids.get() : epoch_->ids.data();
+  const int32_t* end = begin + (delta ? delta_len_ : epoch_->ids.size());
+  const int32_t* it = std::lower_bound(begin, end, id);
+  if (it == end || *it != id) return nullptr;
+  if (in_epoch != nullptr) *in_epoch = !delta;
+  const size_t pos = static_cast<size_t>(it - begin);
+  return delta ? &delta_->deleted_at[pos] : &epoch_->deleted_at[pos];
+}
+
 bool DynamicIndex::Contains(int32_t id) const {
   auto lock = ReadLock();
-  return live_.count(id) != 0;
+  const std::atomic<uint64_t>* stamp = FindStampLocked(id);
+  return stamp != nullptr && stamp->load(std::memory_order_relaxed) == 0;
 }
 
 util::Matrix DynamicIndex::LiveVectors(std::vector<int32_t>* ids) const {
@@ -297,7 +328,7 @@ util::Matrix DynamicIndex::LiveVectors(std::vector<int32_t>* ids) const {
 
 util::Matrix DynamicIndex::LiveVectorsLocked(std::vector<int32_t>* ids) const {
   const size_t d = options_.dim;
-  util::Matrix out(live_.size(), d);
+  util::Matrix out(survivors_, d);
   if (ids != nullptr) ids->clear();
   size_t row = 0;
   auto append = [&](int32_t id, const float* vec) {
@@ -330,36 +361,21 @@ void DynamicIndex::EnsureDeltaCapacityLocked() {
   const size_t capacity =
       delta_ == nullptr ? kInitialDeltaCapacity
                         : std::max(kInitialDeltaCapacity, delta_->capacity * 2);
-  // The generation chain keeps one codebook: a grown buffer inherits its
-  // predecessor's (the codes are copied verbatim below), and the first
-  // buffer adopts the epoch's quantized sibling if one exists — so delta
-  // rows are always scorable under the same codebook the epoch uses.
-  std::shared_ptr<const storage::QuantizedStore> codebook;
-  if (delta_ != nullptr) {
-    codebook = delta_->codebook;
-  } else if (options_.quantize && epoch_ != nullptr &&
-             epoch_->data.data.store() != nullptr) {
-    codebook = epoch_->data.data.store()->QuantizedShared();
+  if (delta_ == nullptr) {
+    delta_ = std::make_shared<DeltaBuffer>(
+        capacity, d, EpochCodebook(options_.quantize, epoch_.get()));
+    return;
   }
-  auto grown = std::make_shared<DeltaBuffer>(capacity, d, std::move(codebook));
-  if (delta_len_ > 0) {
-    // Clone the used prefix; snapshots pinning the old generation keep
-    // reading it untouched. Stamps transfer verbatim — they are versions,
-    // not flags, so visibility at any pinned version is preserved.
-    std::memcpy(grown->rows.get(), delta_->rows.get(),
-                delta_len_ * d * sizeof(float));
-    std::memcpy(grown->ids.get(), delta_->ids.get(),
-                delta_len_ * sizeof(int32_t));
-    for (size_t s = 0; s < delta_len_; ++s) {
-      grown->deleted_at[s].store(
-          delta_->deleted_at[s].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    if (grown->codebook != nullptr) {
-      std::memcpy(grown->codes.get(), delta_->codes.get(), delta_len_ * d);
-      std::memcpy(grown->terms.get(), delta_->terms.get(),
-                  delta_len_ * sizeof(float));
-    }
+  // Clone the used prefix into a grown buffer under the same codebook;
+  // snapshots pinning the old generation keep reading it untouched. Slots
+  // keep their indices, and stamps transfer verbatim — they are versions,
+  // not flags, so visibility at any pinned version is preserved.
+  auto grown = FillDelta(capacity, d, delta_->codebook, delta_->rows.get(),
+                         delta_->ids.get(), delta_len_);
+  for (size_t s = 0; s < delta_len_; ++s) {
+    grown->deleted_at[s].store(
+        delta_->deleted_at[s].load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
   delta_ = std::move(grown);
 }
@@ -404,9 +420,8 @@ int32_t DynamicIndex::InsertWithId(const float* vec,
     delta_->ids[slot] = id;
     ++delta_len_;
     ++version_;
-    live_[id] = Location{true, slot};
-    schedule = options_.background_rebuild &&
-               delta_len_ >= options_.rebuild_threshold;
+    ++survivors_;
+    schedule = options_.background_rebuild && ConsolidationDueLocked();
   }
   if (schedule && ClaimRebuild()) LaunchRebuild();
   return id;
@@ -416,25 +431,19 @@ bool DynamicIndex::Remove(int32_t id) {
   bool schedule = false;
   {
     auto lock = WriteLock();
-    const auto it = live_.find(id);
-    if (it == live_.end()) return false;
-    const Location loc = it->second;
+    bool in_epoch = false;
+    std::atomic<uint64_t>* stamp = FindStampLocked(id, &in_epoch);
+    if (stamp == nullptr || stamp->load(std::memory_order_relaxed) != 0) {
+      return false;
+    }
     ++version_;
     // Stamp, don't flip a bit: snapshots pinned at earlier versions keep
     // seeing the row, snapshots at or after version_ filter it. The store
     // is atomic because pinned snapshots read stamps with no lock held.
-    if (loc.in_delta) {
-      delta_->deleted_at[loc.pos].store(version_, std::memory_order_relaxed);
-    } else {
-      epoch_->deleted_at[loc.pos].store(version_, std::memory_order_relaxed);
-      ++epoch_removed_;
-    }
-    live_.erase(it);
-    // Epoch stamps widen every snapshot's over-fetch margin until the next
-    // consolidation drops the rows; bound that cost the same way delta
-    // growth is bounded.
-    schedule = options_.background_rebuild &&
-               epoch_removed_ >= options_.rebuild_threshold;
+    stamp->store(version_, std::memory_order_relaxed);
+    if (in_epoch) ++epoch_removed_;
+    --survivors_;
+    schedule = options_.background_rebuild && ConsolidationDueLocked();
   }
   if (schedule && ClaimRebuild()) LaunchRebuild();
   return true;
@@ -636,57 +645,50 @@ void DynamicIndex::RunRebuild() {
       // Rows removed since capture are baked into the new static structure;
       // stamp them with the current version. No snapshot older than this
       // install can ever see the new epoch, so the original remove versions
-      // are not needed. The id is gone from live_ already.
+      // are not needed. Walk the captured survivors in the sweep's order,
+      // reading each source row's stamp now: the old epoch is still epoch_
+      // (installs and Build hold the rebuild claim), and a doubling during
+      // the build copied slots to the same indices of the current delta
+      // generation, which holds the stamps written since.
+      assert(epoch_.get() == ep && (delta_end == 0 || delta_ != nullptr));
+      size_t row = 0;
       size_t reconciled = 0;
-      for (size_t row = 0; row < epoch->ids.size(); ++row) {
-        const auto it = live_.find(epoch->ids[row]);
-        if (it == live_.end()) {
+      const auto reconcile = [&](const std::atomic<uint64_t>& source) {
+        if (source.load(std::memory_order_relaxed) != 0) {
           epoch->deleted_at[row].store(version_, std::memory_order_relaxed);
           ++reconciled;
-        } else {
-          it->second = Location{false, row};
         }
+        ++row;
+      };
+      for (size_t r = 0; r < epoch_rows; ++r) {
+        if (!epoch_dead[r]) reconcile(epoch_->deleted_at[r]);
       }
-      // Inserts since capture become the new delta generation. Copy from
-      // the *current* buffer (a doubling may have superseded the captured
-      // one), stamps verbatim — every stamp is at most version_, hence
-      // visible-as-dead to all future snapshots, like the epoch stamps
-      // above.
+      for (size_t s = 0; s < delta_end; ++s) {
+        if (!delta_dead[s]) reconcile(delta_->deleted_at[s]);
+      }
+      assert(row == epoch->ids.size());
+      // Inserts since capture become the new delta generation, copied from
+      // the current buffer with their stamps verbatim — every stamp is at
+      // most version_, hence visible-as-dead to all future snapshots, like
+      // the epoch stamps above. It adopts the *new* epoch's codebook
+      // (min/max ranges moved with the consolidated points), so the rows
+      // are encoded afresh under it.
       const size_t leftover = delta_len_ - delta_end;
-      if (leftover == 0) {
-        delta_.reset();
-        delta_len_ = 0;
-      } else {
-        // The fresh generation adopts the *new* epoch's codebook (min/max
-        // ranges moved with the consolidated points), so leftover rows are
-        // re-encoded rather than copied — the old codes were under the old
-        // codebook.
-        std::shared_ptr<const storage::QuantizedStore> codebook;
-        if (options_.quantize && epoch->data.data.store() != nullptr) {
-          codebook = epoch->data.data.store()->QuantizedShared();
-        }
-        auto fresh = std::make_shared<DeltaBuffer>(
-            std::max(kInitialDeltaCapacity, 2 * leftover), d,
-            std::move(codebook));
+      std::shared_ptr<DeltaBuffer> fresh;
+      if (leftover > 0) {
+        fresh = FillDelta(std::max(kInitialDeltaCapacity, 2 * leftover), d,
+                          EpochCodebook(options_.quantize, epoch.get()),
+                          delta_->rows.get() + delta_end * d,
+                          delta_->ids.get() + delta_end, leftover);
         for (size_t s = 0; s < leftover; ++s) {
-          const size_t src = delta_end + s;
-          std::memcpy(fresh->rows.get() + s * d, delta_->rows.get() + src * d,
-                      d * sizeof(float));
-          if (fresh->codebook != nullptr) {
-            fresh->codebook->EncodeRow(fresh->rows.get() + s * d,
-                                       fresh->codes.get() + s * d,
-                                       &fresh->terms[s]);
-          }
-          fresh->ids[s] = delta_->ids[src];
           fresh->deleted_at[s].store(
-              delta_->deleted_at[src].load(std::memory_order_relaxed),
+              delta_->deleted_at[delta_end + s].load(
+                  std::memory_order_relaxed),
               std::memory_order_relaxed);
-          const auto it = live_.find(fresh->ids[s]);
-          if (it != live_.end()) it->second = Location{true, s};
         }
-        delta_ = std::move(fresh);
-        delta_len_ = leftover;
       }
+      delta_ = std::move(fresh);
+      delta_len_ = leftover;
       epoch_ = std::move(epoch);
       epoch_removed_ = reconciled;
       ++epoch_sequence_;
@@ -702,8 +704,7 @@ void DynamicIndex::RunRebuild() {
 bool DynamicIndex::TriggerRebuild() {
   {
     auto lock = ReadLock();
-    if (live_.empty() && delta_len_ == 0 &&
-        (epoch_ == nullptr || epoch_->ids.empty())) {
+    if (delta_len_ == 0 && (epoch_ == nullptr || epoch_->ids.empty())) {
       return false;
     }
   }
@@ -975,6 +976,7 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
       ++index->epoch_removed_;
     }
   }
+  index->survivors_ = epoch_rows - index->epoch_removed_;
   index->epoch_ = std::move(epoch);
 
   const uint64_t max_points = static_cast<uint64_t>(next_id);
@@ -1003,9 +1005,9 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
 
   // The id invariant everything else relies on — epoch ids strictly
   // ascending, then delta ids strictly ascending above them, all inside
-  // [0, next_id) — must hold before live_ is built from these arrays:
-  // duplicates or wild values would make live_.size() disagree with the
-  // tombstone-derived row counts and corrupt LiveVectors/consolidation.
+  // [0, next_id) — must hold before any lookup binary-searches these
+  // arrays: duplicates or wild values would find the wrong row, or none,
+  // and corrupt Remove/Contains, LiveVectors and consolidation.
   int32_t prev = -1;
   for (const int32_t id : index->epoch_->ids) {
     if (id <= prev || static_cast<int64_t>(id) >= next_id) {
@@ -1029,43 +1031,17 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
   index->version_ = 1;
   if (index->delta_len_ > 0) {
     // A restored quantized epoch lends its codebook to the delta, exactly
-    // as EnsureDeltaCapacityLocked would; loaded rows re-encode below.
-    std::shared_ptr<const storage::QuantizedStore> codebook;
-    if (index->options_.quantize &&
-        index->epoch_->data.data.store() != nullptr) {
-      codebook = index->epoch_->data.data.store()->QuantizedShared();
-    }
-    auto delta = std::make_shared<DeltaBuffer>(
+    // as EnsureDeltaCapacityLocked would.
+    index->delta_ = FillDelta(
         std::max(kInitialDeltaCapacity, 2 * index->delta_len_), dim,
-        std::move(codebook));
-    std::memcpy(delta->rows.get(), delta_rows.data(),
-                delta_rows.size() * sizeof(float));
-    std::memcpy(delta->ids.get(), delta_ids.data(),
-                delta_ids.size() * sizeof(int32_t));
-    if (delta->codebook != nullptr) {
-      for (size_t s = 0; s < delta_ids.size(); ++s) {
-        delta->codebook->EncodeRow(delta->rows.get() + s * dim,
-                                   delta->codes.get() + s * dim,
-                                   &delta->terms[s]);
-      }
-    }
+        EpochCodebook(index->options_.quantize, index->epoch_.get()),
+        delta_rows.data(), delta_ids.data(), index->delta_len_);
     for (size_t s = 0; s < delta_dead.size(); ++s) {
       if (delta_dead[s]) {
-        delta->deleted_at[s].store(1, std::memory_order_relaxed);
+        index->delta_->deleted_at[s].store(1, std::memory_order_relaxed);
+      } else {
+        ++index->survivors_;
       }
-    }
-    index->delta_ = std::move(delta);
-  }
-
-  // Rebuild the id -> location map from the persisted tombstones.
-  for (size_t row = 0; row < index->epoch_->ids.size(); ++row) {
-    if (!epoch_dead[row]) {
-      index->live_[index->epoch_->ids[row]] = Location{false, row};
-    }
-  }
-  for (size_t slot = 0; slot < delta_ids.size(); ++slot) {
-    if (!delta_dead[slot]) {
-      index->live_[delta_ids[slot]] = Location{true, slot};
     }
   }
   return index;

@@ -1,6 +1,7 @@
 #ifndef LCCS_CORE_DYNAMIC_INDEX_H_
 #define LCCS_CORE_DYNAMIC_INDEX_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -11,7 +12,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/ann_index.h"
@@ -61,14 +61,19 @@ namespace core {
 /// ranking an index over the surviving points would produce (the
 /// oracle-equivalence property tests/test_dynamic_index.cc locks down).
 ///
-/// When the delta outgrows Options::rebuild_threshold (or the stamped epoch
-/// rows do — they widen every snapshot's over-fetch margin), an
-/// **epoch rebuild** consolidates survivors into a fresh static index on a
-/// dedicated background thread: the heavy build runs from an immutable
-/// capture without blocking anything, queries keep being served from the
-/// old epoch, and the finished epoch is installed with a shared_ptr swap
-/// under the writer lock — the only pause writers or readers ever see is
-/// the O(remaining delta) reconciliation, measured by bench/micro_dynamic.
+/// Epoch and delta ids each ascend, every epoch id below every delta id, so
+/// a lookup (Contains, Remove) is one binary search — over the delta prefix
+/// when the id is at or past its first id, else over the epoch ids — plus a
+/// read of the row's stamp (0 = live). No id-to-row map exists.
+///
+/// Once the delta rows or the tombstones reach Options::rebuild_threshold
+/// (Stats::consolidation_due — tombstones widen every snapshot's over-fetch
+/// margin), an **epoch rebuild** consolidates survivors into a fresh static
+/// index on a dedicated background thread: the heavy build runs from an
+/// immutable capture without blocking anything, queries keep being served
+/// from the old epoch, and the finished epoch is installed with a
+/// shared_ptr swap under the writer lock — the only pause writers or
+/// readers ever see is the O(rows) reconciliation (bench/micro_dynamic).
 /// Snapshots acquired before the install keep the retired epoch and delta
 /// buffer alive and bit-identical for as long as they are held. (A
 /// dedicated thread and not a pool task: the rebuild blocks on the index
@@ -94,8 +99,8 @@ class DynamicIndex : public baselines::AnnIndex {
     /// Dimensionality; required when inserting into a never-Built index
     /// (Build overrides it from the dataset).
     size_t dim = 0;
-    /// Delta size (or stamped epoch-row count) that triggers consolidation
-    /// into a fresh epoch.
+    /// Delta size (or tombstone count) at which consolidation into a fresh
+    /// epoch is due (Stats::consolidation_due).
     size_t rebuild_threshold = 1024;
     /// Consolidate on a dedicated background thread (true) or only when the
     /// caller invokes Consolidate() explicitly (false — deterministic, used
@@ -165,9 +170,9 @@ class DynamicIndex : public baselines::AnnIndex {
   void Insert(const float* vec, int32_t id);
 
   /// Tombstones the point with global id `id`; returns false when the id
-  /// was never assigned or is already deleted. O(1): the static epoch is
-  /// not touched until the next consolidation. May trigger a background
-  /// consolidation once enough epoch rows are stamped.
+  /// was never assigned or is already deleted. O(log n): one binary search
+  /// finds the row, whose stamp is set; the static epoch is not touched
+  /// until the next consolidation. May trigger a background consolidation.
   bool Remove(int32_t id) override;
 
   size_t dim() const override;
@@ -189,6 +194,7 @@ class DynamicIndex : public baselines::AnnIndex {
   uint64_t version() const;
 
   // --- Mutation / epoch introspection ------------------------------------
+  // Each reads one field of stats().
 
   size_t live_count() const;       ///< surviving points
   size_t epoch_size() const;       ///< rows in the static snapshot
@@ -214,6 +220,9 @@ class DynamicIndex : public baselines::AnnIndex {
     size_t epoch_stamped = 0;
     uint64_t epoch_sequence = 0;
     uint64_t version = 0;       ///< mutations applied so far
+    /// max(delta_rows, tombstones) >= Options::rebuild_threshold: the one
+    /// rule of background_rebuild and serve::ShardedIndex::MaintainShards.
+    bool consolidation_due = false;
     bool rebuild_in_flight = false;
   };
   Stats stats() const;
@@ -278,12 +287,6 @@ class DynamicIndex : public baselines::AnnIndex {
       const EpochReader& reader);
 
  private:
-  /// Where a live global id currently resides.
-  struct Location {
-    bool in_delta = false;
-    size_t pos = 0;  ///< epoch row or delta slot
-  };
-
   /// Builds an EpochState over the store behind `rows` (global-id
   /// ascending) via the factory, every row unstamped. Static so
   /// the background task can run it without touching any member state.
@@ -296,6 +299,13 @@ class DynamicIndex : public baselines::AnnIndex {
 
   /// The one insert body: `id` is the caller's, or the next id when empty.
   int32_t InsertWithId(const float* vec, std::optional<int32_t> id);
+
+  /// The stamp of the row holding `id`, or null when none does; `in_epoch`
+  /// (optional) says which region. Caller must hold mutex_ (either mode).
+  std::atomic<uint64_t>* FindStampLocked(int32_t id,
+                                         bool* in_epoch = nullptr) const;
+  /// Stats::consolidation_due; caller must hold mutex_ (either mode).
+  bool ConsolidationDueLocked() const;
 
   /// Snapshot capture body; caller must hold mutex_ (either mode).
   Snapshot AcquireSnapshotLocked() const;
@@ -338,7 +348,7 @@ class DynamicIndex : public baselines::AnnIndex {
   std::shared_ptr<EpochState> epoch_;
   std::shared_ptr<DeltaBuffer> delta_;  ///< current generation, may be null
   size_t delta_len_ = 0;                ///< used slots of delta_
-  std::unordered_map<int32_t, Location> live_;
+  size_t survivors_ = 0;                ///< unstamped rows (live_count)
   int32_t next_id_ = 0;
   uint64_t version_ = 0;        ///< mutations applied (stamp source)
   size_t epoch_removed_ = 0;    ///< stamped epoch rows (Stats::epoch_stamped)

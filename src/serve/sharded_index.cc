@@ -77,17 +77,25 @@ ShardedIndex::ShardedIndex(core::DynamicIndex::Factory factory,
   if (options_.num_shards == 0) {
     throw std::invalid_argument("ShardedIndex: num_shards must be positive");
   }
-  core::DynamicIndex::Options shard_options;
-  shard_options.metric = options_.metric;
-  shard_options.dim = options_.dim;
-  shard_options.rebuild_threshold = options_.rebuild_threshold;
-  shard_options.background_rebuild = options_.shard_background_rebuild;
-  shard_options.quantize = options_.quantize;
+  const auto shard_options = ShardOptions(options_.metric, options_.dim);
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(
         std::make_unique<core::DynamicIndex>(factory_, shard_options));
   }
+}
+
+core::DynamicIndex::Options ShardedIndex::ShardOptions(util::Metric metric,
+                                                       size_t dim) const {
+  core::DynamicIndex::Options shard_options;
+  shard_options.metric = metric;
+  shard_options.dim = dim;
+  shard_options.rebuild_threshold = options_.rebuild_threshold;
+  // MaintainShards schedules every shard's consolidations.
+  shard_options.background_rebuild = false;
+  shard_options.quantize = options_.quantize;
+  shard_options.spill_dir = options_.spill_dir;
+  return shard_options;
 }
 
 size_t ShardedIndex::ShardFor(int32_t id) const {
@@ -123,13 +131,7 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
   // balance; ShardFor tells the two apart by comparing with built_rows_.
   const std::shared_ptr<const storage::VectorStore> store = data.data.store();
 
-  core::DynamicIndex::Options shard_options;
-  shard_options.metric = data.metric;
-  shard_options.dim = d;
-  shard_options.rebuild_threshold = options_.rebuild_threshold;
-  shard_options.background_rebuild = options_.shard_background_rebuild;
-  shard_options.quantize = options_.quantize;
-  shard_options.spill_dir = options_.spill_dir;
+  const auto shard_options = ShardOptions(data.metric, d);
 
   // Build fresh shards outside the lock — queries keep serving the old
   // generation meanwhile, exactly like a DynamicIndex epoch install.
@@ -289,13 +291,8 @@ void ShardedIndex::RestoreCheckpointState(const CheckpointState& state) {
   std::vector<std::vector<int32_t>> shard_ids(S);
   for (int32_t id : state.ids) shard_ids[ShardOf(id, S)].push_back(id);
 
-  core::DynamicIndex::Options shard_options;
-  shard_options.metric = state.metric;
-  shard_options.dim = d > 0 ? d : options_.dim;
-  shard_options.rebuild_threshold = options_.rebuild_threshold;
-  shard_options.background_rebuild = options_.shard_background_rebuild;
-  shard_options.quantize = options_.quantize;
-  shard_options.spill_dir = options_.spill_dir;
+  const auto shard_options =
+      ShardOptions(state.metric, d > 0 ? d : options_.dim);
 
   // Fresh shards are populated and built outside the lock — queries keep
   // serving the old generation meanwhile, exactly like Build().
@@ -397,8 +394,7 @@ size_t ShardedIndex::MaintainShards() {
     const core::DynamicIndex::Stats stats = shards_[s]->stats();
     if (stats.rebuild_in_flight) {
       ++in_flight;
-    } else if (stats.delta_rows >= options_.rebuild_threshold ||
-               stats.tombstones >= options_.rebuild_threshold) {
+    } else if (stats.consolidation_due) {
       due.push_back(Due{s, std::max(stats.delta_rows, stats.tombstones)});
     }
   }

@@ -91,15 +91,15 @@ class ShardedSnapshot {
 /// serve::Server an MVCC read view it can execute a whole batching window
 /// against while the writer keeps applying mutations.
 ///
-/// Consolidation is *scheduled externally* by default: shards are built
-/// with background_rebuild = false and MaintainShards() — called by
+/// Consolidation is *scheduled externally*: shards are built with
+/// background_rebuild = false and MaintainShards() — called by
 /// serve::Server between batching windows — triggers per-shard background
 /// rebuilds off the DynamicIndex::stats() snapshots, at most
 /// Options::max_concurrent_rebuilds shards at a time (rebuilds are
 /// memory- and CPU-hungry; S of them at once would starve the query path).
-/// A shard is due when either its delta or its tombstones outgrow the
-/// threshold — accumulated tombstones widen every snapshot's epoch
-/// over-fetch margin, so they are consolidation pressure too.
+/// A shard is due by DynamicIndex::Stats::consolidation_due: its delta or
+/// its tombstones have reached the threshold — accumulated tombstones widen
+/// every snapshot's epoch over-fetch margin, so they are pressure too.
 ///
 /// Thread safety: mirrors DynamicIndex. Query/QueryBatch/AcquireSnapshot
 /// take a reader lock on the shard vector and counters (shard captures
@@ -115,18 +115,13 @@ class ShardedIndex : public baselines::AnnIndex {
     /// Dimensionality; required when inserting before any Build (Build
     /// overrides it from the dataset).
     size_t dim = 0;
-    /// Per-shard delta size (or tombstone count) at which MaintainShards
-    /// triggers consolidation.
+    /// Forwarded to every shard's DynamicIndex::Options::rebuild_threshold;
+    /// MaintainShards consolidates a shard once its delta size (or
+    /// tombstone count) reaches it. Shards never self-schedule a rebuild.
     size_t rebuild_threshold = 1024;
     /// At most this many shards consolidating concurrently (MaintainShards
     /// policy knob).
     size_t max_concurrent_rebuilds = 1;
-    /// Let every shard self-schedule rebuilds (DynamicIndex's own
-    /// background path) instead of waiting for MaintainShards. Off by
-    /// default: the serving loop calls MaintainShards between windows,
-    /// which bounds concurrent rebuilds globally — a per-shard trigger
-    /// cannot.
-    bool shard_background_rebuild = false;
     /// Forwarded to every shard's DynamicIndex::Options::quantize: each
     /// shard epoch gets an int8 storage::QuantizedStore sibling and serves
     /// candidate scoring through the two-phase quantized pipeline.
@@ -255,8 +250,8 @@ class ShardedIndex : public baselines::AnnIndex {
   // --- Consolidation scheduling -------------------------------------------
 
   /// The per-shard consolidation scheduler: triggers a background rebuild
-  /// on the shards whose delta *or tombstone count* has outgrown
-  /// Options::rebuild_threshold — largest backlog first — until
+  /// on the shards whose stats say consolidation_due (delta *or tombstone
+  /// count* at Options::rebuild_threshold) — largest backlog first — until
   /// Options::max_concurrent_rebuilds are in flight. Returns the number of
   /// rebuilds triggered by this call. Cheap when nothing is due (S stats
   /// snapshots); serve::Server calls it after every batching window and
@@ -275,6 +270,11 @@ class ShardedIndex : public baselines::AnnIndex {
   static size_t ShardOf(int32_t id, size_t num_shards);
 
  private:
+  /// The options of every shard: `metric` and `dim`, the rest forwarded
+  /// from options_ (background_rebuild off — MaintainShards schedules).
+  core::DynamicIndex::Options ShardOptions(util::Metric metric,
+                                           size_t dim) const;
+
   /// The shard holding non-negative `id`: its Build range when
   /// id < built_rows_, else ShardOf. Caller holds the lock.
   size_t ShardFor(int32_t id) const;

@@ -207,16 +207,23 @@ std::optional<std::string> Replay(const IndexConfig& config,
         break;
       }
       case Op::kRemove: {
-        if (model.live.empty()) {
-          // Nothing live: removing a never-assigned or dead id must fail.
-          if (index.Remove(model.next_id) || index.Remove(-1)) {
-            return "step " + std::to_string(step) +
-                   ": Remove on empty index returned true";
-          }
-          break;
+        // Ids never assigned — the next id, -1, and with a stride the gap
+        // id next to the victim, between two rows the index holds — are
+        // found nowhere: a lookup off by one would hit a neighbouring row.
+        std::vector<int32_t> unassigned = {model.next_id, -1};
+        const size_t victim =
+            model.live.empty() ? 0 : op.payload % model.live.size();
+        const int32_t id = model.live.empty() ? -1 : model.live[victim].first;
+        if (!model.live.empty() && params.id_stride == 3) {
+          unassigned.push_back(id + 1);
         }
-        const size_t victim = op.payload % model.live.size();
-        const int32_t id = model.live[victim].first;
+        for (const int32_t probe : unassigned) {
+          if (index.Contains(probe) || index.Remove(probe)) {
+            return "step " + std::to_string(step) + ": never-assigned id " +
+                   std::to_string(probe) + " was found";
+          }
+        }
+        if (model.live.empty()) break;
         if (!index.Remove(id)) {
           return "step " + std::to_string(step) + ": Remove(" +
                  std::to_string(id) + ") returned false for a live id";
@@ -740,104 +747,122 @@ void RemoveLive(DynamicIndex& index, Model& model, int32_t id) {
 // racing it (epoch and delta rows, both of which the new epoch holds),
 // stamps after the install, and a save/load round trip — against the
 // survivor oracle in exhaustive mode, while a snapshot acquired before the
-// rebuild keeps answering bit-identically.
+// rebuild keeps answering bit-identically. The parked inserts either fit the
+// delta generation the rebuild captured (6) or overflow its 64 slots (70),
+// forcing a doubling clone; a captured delta row removed after that clone
+// is stamped only in a generation the capture never saw, and the install
+// must still find the stamp there.
 TEST(DynamicIndexTest, RemovesRacingARebuildStayHidden) {
   for (const IndexConfig& config :
        {ConfigsUnderTest()[0], ConfigsUnderTest()[1]}) {
-    SCOPED_TRACE(config.name);
-    DynamicIndex::Options options;
-    options.dim = kDim;
-    options.rebuild_threshold = size_t{1} << 30;
-    options.background_rebuild = false;
-    GatedFactory gate(config.make);
-    DynamicIndex index(gate.factory, options);
+    for (const uint64_t parked_inserts : {uint64_t{6}, uint64_t{70}}) {
+      SCOPED_TRACE(config.name + ", " + std::to_string(parked_inserts) +
+                   " parked inserts");
+      DynamicIndex::Options options;
+      options.dim = kDim;
+      options.rebuild_threshold = size_t{1} << 30;
+      options.background_rebuild = false;
+      GatedFactory gate(config.make);
+      DynamicIndex index(gate.factory, options);
 
-    dataset::SyntheticConfig synth;
-    synth.n = 80;
-    synth.num_queries = 8;
-    synth.dim = kDim;
-    synth.num_clusters = 4;
-    synth.seed = 31;
-    const auto data = dataset::GenerateClustered(synth);
-    index.Build(data);
-    Model model;
-    for (size_t i = 0; i < data.n(); ++i) {
-      model.Insert(static_cast<int32_t>(i),
-                   std::vector<float>(data.data.Row(i),
-                                      data.data.Row(i) + kDim));
-    }
-    model.next_id = static_cast<int32_t>(data.n());
-    auto insert = [&](uint64_t payload) {
-      const std::vector<float> vec = VectorFromPayload(payload);
-      model.Insert(index.Insert(vec.data()), vec);
-    };
-    for (uint64_t p = 0; p < 30; ++p) insert(500 + p);  // ids 80..109
-
-    const size_t k = 10;
-    const size_t nq = data.num_queries();
-    auto check_oracle = [&](const DynamicIndex& idx, const char* when) {
-      const auto got = idx.QueryBatch(data.queries.Row(0), nq, k, 1);
-      for (size_t q = 0; q < nq; ++q) {
-        EXPECT_EQ(got[q], SurvivorOracle(config, model, data.queries.Row(q), k))
-            << when << " query " << q;
-        for (const util::Neighbor& nb : got[q]) {
-          EXPECT_TRUE(idx.Contains(nb.id)) << when << " dead id " << nb.id;
-        }
+      dataset::SyntheticConfig synth;
+      synth.n = 80;
+      synth.num_queries = 8;
+      synth.dim = kDim;
+      synth.num_clusters = 4;
+      synth.seed = 31;
+      const auto data = dataset::GenerateClustered(synth);
+      index.Build(data);
+      Model model;
+      for (size_t i = 0; i < data.n(); ++i) {
+        model.Insert(static_cast<int32_t>(i),
+                     std::vector<float>(data.data.Row(i),
+                                        data.data.Row(i) + kDim));
       }
-    };
+      model.next_id = static_cast<int32_t>(data.n());
+      auto insert = [&](uint64_t payload) {
+        const std::vector<float> vec = VectorFromPayload(payload);
+        model.Insert(index.Insert(vec.data()), vec);
+      };
+      for (uint64_t p = 0; p < 30; ++p) insert(500 + p);  // ids 80..109
 
-    // Stamps before the rebuild: epoch rows and delta rows.
-    for (int32_t id = 0; id < 80; id += 5) RemoveLive(index, model, id);
-    for (int32_t id = 80; id < 110; id += 6) RemoveLive(index, model, id);
-    check_oracle(index, "before the rebuild");
-    const Snapshot held = index.AcquireSnapshot();
-    const auto held_answers = held.QueryBatch(data.queries.Row(0), nq, k, 1);
+      const size_t k = 10;
+      const size_t nq = data.num_queries();
+      auto check_oracle = [&](const DynamicIndex& idx, const char* when) {
+        const auto got = idx.QueryBatch(data.queries.Row(0), nq, k, 1);
+        for (size_t q = 0; q < nq; ++q) {
+          EXPECT_EQ(got[q],
+                    SurvivorOracle(config, model, data.queries.Row(q), k))
+              << when << " query " << q;
+          for (const util::Neighbor& nb : got[q]) {
+            EXPECT_TRUE(idx.Contains(nb.id)) << when << " dead id " << nb.id;
+          }
+        }
+      };
 
-    gate.armed.store(true);
-    ASSERT_TRUE(index.TriggerRebuild());
-    gate.entered.get_future().wait();  // the capture is done
-    size_t raced = 0;
-    for (int32_t id = 1; id < 110; id += 4) {
-      if (!index.Contains(id)) continue;
-      RemoveLive(index, model, id);
+      // Stamps before the rebuild: epoch rows and delta rows.
+      for (int32_t id = 0; id < 80; id += 5) RemoveLive(index, model, id);
+      for (int32_t id = 80; id < 110; id += 6) RemoveLive(index, model, id);
+      check_oracle(index, "before the rebuild");
+      const Snapshot held = index.AcquireSnapshot();
+      const auto held_answers = held.QueryBatch(data.queries.Row(0), nq, k, 1);
+
+      gate.armed.store(true);
+      ASSERT_TRUE(index.TriggerRebuild());
+      gate.entered.get_future().wait();  // the capture is done
+      size_t raced = 0;
+      for (int32_t id = 1; id < 110; id += 4) {
+        if (!index.Contains(id)) continue;
+        RemoveLive(index, model, id);
+        ++raced;
+      }
+      // Rows inserted while the rebuild is parked stay in the delta, and so
+      // do their stamps.
+      for (uint64_t p = 0; p < parked_inserts; ++p) insert(900 + p);  // 110..
+      RemoveLive(index, model, 113);
+      // A captured delta row removed after the parked inserts (after the
+      // doubling clone, when there is one).
+      ASSERT_TRUE(index.Contains(82));
+      RemoveLive(index, model, 82);
       ++raced;
-    }
-    // Rows inserted while the rebuild is parked stay in the delta, and so
-    // do their stamps.
-    for (uint64_t p = 0; p < 6; ++p) insert(900 + p);  // ids 110..115
-    RemoveLive(index, model, 113);
-    gate.release.set_value();
-    index.WaitForRebuild();
-    ASSERT_EQ(index.epoch_sequence(), 1u);
-    EXPECT_EQ(index.stats().epoch_stamped, raced);
-    check_oracle(index, "after the install");
-    EXPECT_EQ(held.QueryBatch(data.queries.Row(0), nq, k, 1), held_answers)
-        << "a snapshot pinned before the install changed its answers";
+      gate.release.set_value();
+      index.WaitForRebuild();
+      ASSERT_EQ(index.epoch_sequence(), 1u);
+      EXPECT_EQ(index.stats().epoch_stamped, raced);
+      EXPECT_EQ(index.delta_size(), parked_inserts);
+      EXPECT_EQ(index.live_count(), model.live.size());
+      EXPECT_FALSE(index.Contains(82));
+      EXPECT_FALSE(index.Contains(113));
+      EXPECT_TRUE(index.Contains(114));
+      check_oracle(index, "after the install");
+      EXPECT_EQ(held.QueryBatch(data.queries.Row(0), nq, k, 1), held_answers)
+          << "a snapshot pinned before the install changed its answers";
 
-    // Stamps after the install.
-    size_t stamped_after = 0;
-    for (int32_t id = 2; id < 110; id += 9) {
-      if (!index.Contains(id)) continue;
-      RemoveLive(index, model, id);
-      ++stamped_after;
-    }
-    EXPECT_EQ(index.stats().epoch_stamped, raced + stamped_after);
-    check_oracle(index, "after post-install stamps");
+      // Stamps after the install.
+      size_t stamped_after = 0;
+      for (int32_t id = 2; id < 110; id += 9) {
+        if (!index.Contains(id)) continue;
+        RemoveLive(index, model, id);
+        ++stamped_after;
+      }
+      EXPECT_EQ(index.stats().epoch_stamped, raced + stamped_after);
+      check_oracle(index, "after post-install stamps");
 
-    // Save/load collapses every stamp to a dead byte and reloads it at
-    // version 1; the answers must not move.
-    std::stringstream state;
-    index.SerializeState(state,
-                         [](std::ostream&, const baselines::AnnIndex&) {});
-    const auto loaded = DynamicIndex::DeserializeState(
-        state, config.make, options,
-        [&config](std::istream&, const dataset::Dataset& epoch) {
-          auto restored = config.make();
-          restored->Build(epoch);
-          return restored;
-        });
-    EXPECT_EQ(loaded->stats().epoch_stamped, index.stats().epoch_stamped);
-    check_oracle(*loaded, "after save/load");
+      // Save/load collapses every stamp to a dead byte and reloads it at
+      // version 1; the answers must not move.
+      std::stringstream state;
+      index.SerializeState(state,
+                           [](std::ostream&, const baselines::AnnIndex&) {});
+      const auto loaded = DynamicIndex::DeserializeState(
+          state, config.make, options,
+          [&config](std::istream&, const dataset::Dataset& epoch) {
+            auto restored = config.make();
+            restored->Build(epoch);
+            return restored;
+          });
+      EXPECT_EQ(loaded->stats().epoch_stamped, index.stats().epoch_stamped);
+      check_oracle(*loaded, "after save/load");
+    }
   }
 }
 

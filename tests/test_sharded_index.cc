@@ -12,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -531,6 +533,39 @@ TEST(ShardedIndexScheduler, MaintainShardsConsolidatesOverThreshold) {
   for (int32_t id = 0; id < 64; ++id) {
     EXPECT_EQ(ids[static_cast<size_t>(id)], id);
   }
+}
+
+// A ShardedIndex fed only by inserts, never Built, must still hand its
+// spill_dir to the shards: their consolidations stream survivors to flat
+// files there instead of materializing heap epochs.
+TEST(ShardedIndexStorage, NeverBuiltIndexSpillsConsolidations) {
+  std::string dir = ::testing::TempDir() + "/sharded_spill_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  ShardedIndex::Options options;
+  options.num_shards = 2;
+  options.dim = kDim;
+  options.rebuild_threshold = 8;
+  options.spill_dir = dir;
+  {
+    ShardedIndex index(LinearScanFactory(), options);
+    util::Rng rng(45);
+    for (int i = 0; i < 40; ++i) {
+      const auto vec = RandomVector(rng);
+      index.Insert(vec.data());
+    }
+    index.ConsolidateAll();
+    size_t spill_files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("lccs-epoch-", 0) == 0 &&
+          entry.path().extension() == ".flat") {
+        ++spill_files;
+      }
+    }
+    EXPECT_GE(spill_files, 1u);
+    EXPECT_EQ(index.live_count(), 40u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedIndexContract, RejectsZeroShards) {

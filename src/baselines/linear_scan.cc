@@ -11,30 +11,6 @@
 namespace lccs {
 namespace baselines {
 
-namespace {
-
-/// Quantized first pass of a full scan: scores all n rows on the int8 codes
-/// (contiguous, heap-resident) and keeps the best k' rows, ascending.
-std::vector<int32_t> QuantizedSweep(const storage::QuantizedStore& qs,
-                                    const storage::QuantizedStore::PreparedQuery& pq,
-                                    size_t row_offset, size_t n, size_t keep) {
-  storage::RerankSelector selector(keep);
-  // Block the contiguous sweep so the score buffer stays cache-resident.
-  constexpr size_t kBlock = 4096;
-  std::vector<float> scores(std::min(n, kBlock));
-  for (size_t row = 0; row < n; row += kBlock) {
-    const size_t len = std::min(kBlock, n - row);
-    qs.ScoreCandidates(pq, /*ids=*/nullptr, len, row_offset + row,
-                       scores.data());
-    for (size_t i = 0; i < len; ++i) {
-      selector.Offer(scores[i], static_cast<int32_t>(row + i));
-    }
-  }
-  return selector.TakeAscendingIds();
-}
-
-}  // namespace
-
 void LinearScan::Build(const dataset::Dataset& data) {
   store_ = data.data.store();
   metric_ = data.metric;
@@ -62,18 +38,14 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
     // Two-phase scan, one query per ParallelFor item: rank every row on the
     // in-RAM codes, fetch only the k' survivors' exact rows. Turns an O(n)
     // disk sweep into an O(n) in-RAM sweep plus k' row reads for an
-    // mmap-backed store.
+    // mmap-backed store. n > k', so PruneAndRerank always answers.
     util::ParallelFor(
         num_queries,
         [&](size_t begin, size_t end) {
           for (size_t q = begin; q < end; ++q) {
-            const std::vector<int32_t> pruned = QuantizedSweep(
-                *qs, qs->Prepare(queries + q * d), qoff, n,
-                storage::RerankKeep(k));
-            util::TopK topk(k);
-            storage::ExactRerank(rows, metric, queries + q * d,
-                                 pruned.data(), pruned.size(), topk);
-            results[q] = topk.Sorted();
+            results[q] = *storage::PruneAndRerank(rows, *qs, qoff, metric,
+                                                  queries + q * d,
+                                                  /*ids=*/nullptr, n, k);
           }
         },
         num_threads);

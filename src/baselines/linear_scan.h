@@ -22,7 +22,7 @@ class LinearScan : public AnnIndex {
   /// whole chunk of queries (base row outer, query inner), so every loaded
   /// row is reused across the chunk instead of being re-streamed per query.
   /// With a quantized tier attached, each query instead sweeps the int8
-  /// codes and reranks its k' survivors through storage::ExactRerank.
+  /// codes and reranks its k' survivors (storage::PruneAndRerank).
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const override;

@@ -57,37 +57,16 @@ void ReadPod(std::istream& in, T* value) {
   io::ReadPod(in, value, kStreamName);
 }
 
-/// The codebook a new delta generation adopts from `epoch` when quantizing,
-/// so delta rows score under the codebook of the epoch beside them.
-std::shared_ptr<const storage::QuantizedStore> EpochCodebook(
-    bool quantize, const EpochState* epoch) {
-  if (!quantize || epoch == nullptr || epoch->data.data.store() == nullptr) {
-    return nullptr;
-  }
-  return epoch->data.data.store()->QuantizedShared();
-}
-
 /// The one way a delta generation is filled (doubling clone, rows left over
 /// at an install, load): `capacity` slots holding copies of `count` rows and
-/// ids, encoded under `codebook` if set — EncodeRow is deterministic, so
-/// under the same codebook these are the source's code bytes. Every stamp
-/// starts at 0; callers set the ones their rows carry.
-std::shared_ptr<DeltaBuffer> FillDelta(
-    size_t capacity, size_t dim,
-    std::shared_ptr<const storage::QuantizedStore> codebook,
-    const float* rows, const int32_t* ids, size_t count) {
-  auto delta =
-      std::make_shared<DeltaBuffer>(capacity, dim, std::move(codebook));
+/// ids. Every stamp starts at 0; callers set the ones their rows carry.
+std::shared_ptr<DeltaBuffer> FillDelta(size_t capacity, size_t dim,
+                                       const float* rows, const int32_t* ids,
+                                       size_t count) {
+  auto delta = std::make_shared<DeltaBuffer>(capacity, dim);
   if (count == 0) return delta;
   std::memcpy(delta->rows.get(), rows, count * dim * sizeof(float));
   std::memcpy(delta->ids.get(), ids, count * sizeof(int32_t));
-  if (delta->codebook != nullptr) {
-    for (size_t s = 0; s < count; ++s) {
-      delta->codebook->EncodeRow(delta->rows.get() + s * dim,
-                                 delta->codes.get() + s * dim,
-                                 &delta->terms[s]);
-    }
-  }
   return delta;
 }
 
@@ -362,16 +341,15 @@ void DynamicIndex::EnsureDeltaCapacityLocked() {
       delta_ == nullptr ? kInitialDeltaCapacity
                         : std::max(kInitialDeltaCapacity, delta_->capacity * 2);
   if (delta_ == nullptr) {
-    delta_ = std::make_shared<DeltaBuffer>(
-        capacity, d, EpochCodebook(options_.quantize, epoch_.get()));
+    delta_ = std::make_shared<DeltaBuffer>(capacity, d);
     return;
   }
-  // Clone the used prefix into a grown buffer under the same codebook;
-  // snapshots pinning the old generation keep reading it untouched. Slots
-  // keep their indices, and stamps transfer verbatim — they are versions,
-  // not flags, so visibility at any pinned version is preserved.
-  auto grown = FillDelta(capacity, d, delta_->codebook, delta_->rows.get(),
-                         delta_->ids.get(), delta_len_);
+  // Clone the used prefix into a grown buffer; snapshots pinning the old
+  // generation keep reading it untouched. Slots keep their indices, and
+  // stamps transfer verbatim — they are versions, not flags, so visibility
+  // at any pinned version is preserved.
+  auto grown = FillDelta(capacity, d, delta_->rows.get(), delta_->ids.get(),
+                         delta_len_);
   for (size_t s = 0; s < delta_len_; ++s) {
     grown->deleted_at[s].store(
         delta_->deleted_at[s].load(std::memory_order_relaxed),
@@ -412,11 +390,6 @@ int32_t DynamicIndex::InsertWithId(const float* vec,
     // readers never touch this memory, so the plain writes are race-free.
     std::memcpy(delta_->rows.get() + slot * options_.dim, vec,
                 options_.dim * sizeof(float));
-    if (delta_->codebook != nullptr) {
-      delta_->codebook->EncodeRow(vec,
-                                  delta_->codes.get() + slot * options_.dim,
-                                  &delta_->terms[slot]);
-    }
     delta_->ids[slot] = id;
     ++delta_len_;
     ++version_;
@@ -670,14 +643,11 @@ void DynamicIndex::RunRebuild() {
       // Inserts since capture become the new delta generation, copied from
       // the current buffer with their stamps verbatim — every stamp is at
       // most version_, hence visible-as-dead to all future snapshots, like
-      // the epoch stamps above. It adopts the *new* epoch's codebook
-      // (min/max ranges moved with the consolidated points), so the rows
-      // are encoded afresh under it.
+      // the epoch stamps above.
       const size_t leftover = delta_len_ - delta_end;
       std::shared_ptr<DeltaBuffer> fresh;
       if (leftover > 0) {
         fresh = FillDelta(std::max(kInitialDeltaCapacity, 2 * leftover), d,
-                          EpochCodebook(options_.quantize, epoch.get()),
                           delta_->rows.get() + delta_end * d,
                           delta_->ids.get() + delta_end, leftover);
         for (size_t s = 0; s < leftover; ++s) {
@@ -1030,11 +1000,8 @@ std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
   index->delta_len_ = delta_ids.size();
   index->version_ = 1;
   if (index->delta_len_ > 0) {
-    // A restored quantized epoch lends its codebook to the delta, exactly
-    // as EnsureDeltaCapacityLocked would.
     index->delta_ = FillDelta(
         std::max(kInitialDeltaCapacity, 2 * index->delta_len_), dim,
-        EpochCodebook(index->options_.quantize, index->epoch_.get()),
         delta_rows.data(), delta_ids.data(), index->delta_len_);
     for (size_t s = 0; s < delta_dead.size(); ++s) {
       if (delta_dead[s]) {

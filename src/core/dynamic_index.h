@@ -106,11 +106,11 @@ class DynamicIndex : public baselines::AnnIndex {
     /// caller invokes Consolidate() explicitly (false — deterministic, used
     /// by the property tests and benches that sweep delta sizes).
     bool background_rebuild = true;
-    /// Builds a storage::QuantizedStore over every epoch snapshot (and
-    /// encodes delta inserts under its codebook), enabling the int8
-    /// two-phase verification in the wrapped index and the delta scan.
-    /// Off by default: quantized serving is an explicit opt-in — exact
-    /// oracle-equivalence tests and small indexes gain nothing from it.
+    /// Builds a storage::QuantizedStore over every epoch snapshot, enabling
+    /// the int8 two-phase verification in the wrapped index. The delta is
+    /// always verified exactly. Off by default: quantized serving is an
+    /// explicit opt-in — exact oracle-equivalence tests and small indexes
+    /// gain nothing from it.
     bool quantize = false;
     /// When non-empty, consolidation *spills*: survivors are streamed into a
     /// flat file under this directory (O(row) memory — the base set is never

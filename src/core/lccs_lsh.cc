@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "storage/quantized_store.h"
@@ -10,36 +11,6 @@
 
 namespace lccs {
 namespace core {
-
-namespace {
-
-/// First pass of two-phase verification: scores every candidate on the
-/// store's quantized sibling `qs` (heap-resident int8 codes — no disk
-/// faults) and keeps the best k' = RerankKeep(k) ids, returned ascending so
-/// the exact rerank scores them in a deterministic order. Returns false —
-/// the query takes the exact-only gather — when the candidate list is not
-/// larger than k' (then pruning could only drop candidates the exact pass
-/// would have scored anyway).
-bool QuantizedPrune(const storage::QuantizedStore& qs, size_t row_offset,
-                    const float* query,
-                    const std::vector<LccsCandidate>& cands, size_t k,
-                    std::vector<int32_t>* pruned) {
-  const size_t keep = storage::RerankKeep(k);
-  if (cands.size() <= keep) return false;
-  std::vector<int32_t> ids(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i) ids[i] = cands[i].id;
-  const storage::QuantizedStore::PreparedQuery pq = qs.Prepare(query);
-  std::vector<float> scores(ids.size());
-  qs.ScoreCandidates(pq, ids.data(), ids.size(), row_offset, scores.data());
-  storage::RerankSelector selector(keep);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    selector.Offer(scores[i], ids[i]);
-  }
-  *pruned = selector.TakeAscendingIds();
-  return true;
-}
-
-}  // namespace
 
 LccsLsh::LccsLsh(std::unique_ptr<lsh::HashFamily> family, util::Metric metric)
     : family_(std::move(family)), metric_(metric) {
@@ -171,8 +142,8 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
 
   // Phase 3: int8 prune + exact rerank. With a quantized tier attached, a
   // query whose candidates outnumber k' = RerankKeep(k) is scored on
-  // the in-RAM codes and its k' survivors go straight to
-  // storage::ExactRerank — in place for heap stores, a copy gather for
+  // the in-RAM codes and its k' survivors go straight to the exact rerank
+  // (storage::PruneAndRerank) — in place for heap stores, a copy gather for
   // budget-mapped ones, so the rerank neither faults the mapping nor ticks
   // its residency clock. The answered query's list is cleared, which takes
   // it out of the shared exact gather below.
@@ -183,16 +154,16 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
     util::ParallelFor(
         num_queries,
         [&](size_t begin, size_t end) {
-          std::vector<int32_t> pruned;
+          std::vector<int32_t> ids;
           for (size_t q = begin; q < end; ++q) {
-            const float* query = queries + q * d_;
-            if (!QuantizedPrune(*qs, qoff, query, cands[q], k, &pruned)) {
-              continue;
-            }
-            util::TopK topk(k);
-            storage::ExactRerank(*store_, metric_, query, pruned.data(),
-                                 pruned.size(), topk);
-            results[q] = topk.Sorted();
+            ids.clear();
+            for (const LccsCandidate& c : cands[q]) ids.push_back(c.id);
+            std::optional<std::vector<util::Neighbor>> top =
+                storage::PruneAndRerank(*store_, *qs, qoff, metric_,
+                                        queries + q * d_, ids.data(),
+                                        ids.size(), k);
+            if (!top) continue;
+            results[q] = std::move(*top);
             cands[q].clear();
           }
         },

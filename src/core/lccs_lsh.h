@@ -53,13 +53,13 @@ class LccsLsh {
   /// Answers `num_queries` queries stored row-major and contiguously (dim()
   /// floats each) — the one query path of the scheme. The window is
   /// processed in shared passes: one ParallelFor hashing sweep, interleaved
-  /// CSA heap drains over per-thread reusable scratch, an int8 prune +
-  /// storage::ExactRerank for queries the store's quantized tier can cut to
-  /// k' = RerankKeep(k), and, for the rest, one deduplicated PrefetchRows +
-  /// cache-blocked verification gather over the union of candidate rows,
-  /// scattering distances back into each query's TopK in its original
-  /// candidate order (which fixes tie-breaking, so a row's answer does not
-  /// depend on the window it shares).
+  /// CSA heap drains over per-thread reusable scratch, an int8 prune and
+  /// exact rerank (storage::PruneAndRerank) for queries the store's
+  /// quantized tier can cut to k' = RerankKeep(k), and, for the rest, one
+  /// deduplicated PrefetchRows + cache-blocked verification gather over the
+  /// union of candidate rows, scattering distances back into each query's
+  /// TopK in its original candidate order (which fixes tie-breaking, so a
+  /// row's answer does not depend on the window it shares).
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
                                                       size_t num_queries,
                                                       size_t k, size_t lambda,

@@ -9,21 +9,13 @@
 namespace lccs {
 namespace core {
 
-DeltaBuffer::DeltaBuffer(
-    size_t capacity_, size_t dim_,
-    std::shared_ptr<const storage::QuantizedStore> codebook_)
+DeltaBuffer::DeltaBuffer(size_t capacity_, size_t dim_)
     : capacity(capacity_),
       dim(dim_),
       rows(new float[capacity_ * dim_]),
       ids(new int32_t[capacity_]),
       // Value-initialization zeroes the stamps: every slot starts live.
-      deleted_at(new std::atomic<uint64_t>[capacity_]()),
-      codebook(std::move(codebook_)) {
-  if (codebook != nullptr) {
-    codes.reset(new uint8_t[capacity_ * dim_]);
-    terms.reset(new float[capacity_]);
-  }
-}
+      deleted_at(new std::atomic<uint64_t>[capacity_]()) {}
 
 std::vector<util::Neighbor> Snapshot::FilterEpoch(
     std::vector<util::Neighbor> stat, size_t k) const {
@@ -50,32 +42,12 @@ std::vector<util::Neighbor> Snapshot::FilterEpoch(
 std::vector<util::Neighbor> Snapshot::QueryDelta(
     const float* query, size_t k, const std::vector<int32_t>& live) const {
   if (live.empty() || k == 0) return {};
-  // Candidates are offered in slot (= insert) order, ascending like `live`.
-  const int32_t* slots = live.data();
-  size_t num_slots = live.size();
-  std::vector<int32_t> pruned;
-  const size_t keep = storage::RerankKeep(k);
-  if (delta_->codebook != nullptr && live.size() > keep) {
-    // Quantized first pass over the delta codes, mirroring the epoch-side
-    // two-phase verification: the pruned slots come back ascending, the
-    // order the exact pass below offers them in.
-    const storage::QuantizedStore& qs = *delta_->codebook;
-    const storage::QuantizedStore::PreparedQuery pq = qs.Prepare(query);
-    storage::RerankSelector selector(keep);
-    for (const int32_t slot : live) {
-      const float score =
-          qs.ScoreCodes(pq, delta_->codes.get() + static_cast<size_t>(slot) * dim_,
-                        delta_->terms[static_cast<size_t>(slot)]);
-      selector.Offer(score, slot);
-    }
-    pruned = selector.TakeAscendingIds();
-    slots = pruned.data();
-    num_slots = pruned.size();
-  }
-  // Delta rows are heap-resident, so the exact pass reads them in place.
+  // Every live slot is verified exactly, in slot (= insert) order. No int8
+  // prune: delta rows are heap-resident, so it would save no disk reads,
+  // and they may lie outside the epoch codebook's range, which it clamps.
   util::TopK topk(k);
-  util::VerifyCandidates(metric_, delta_->rows.get(), dim_, query, slots,
-                         num_slots, topk);
+  util::VerifyCandidates(metric_, delta_->rows.get(), dim_, query, live.data(),
+                         live.size(), topk);
   std::vector<util::Neighbor> result = topk.Sorted();
   // Slot -> global id, a monotone remap (slots hold ascending global ids).
   for (util::Neighbor& nb : result) nb.id = delta_->ids[nb.id];

@@ -8,7 +8,6 @@
 
 #include "baselines/ann_index.h"
 #include "dataset/dataset.h"
-#include "storage/quantized_store.h"
 #include "util/metric.h"
 #include "util/topk.h"
 
@@ -23,17 +22,11 @@ namespace core {
 /// shared_ptr keep reading the retired generation untouched. Rows and ids
 /// are plain memory (immutable once written, ordered by the index rwlock);
 /// tombstones are atomic version stamps because a concurrent Remove must be
-/// visible to later snapshots while staying invisible to earlier ones.
+/// visible to later snapshots while staying invisible to earlier ones. The
+/// buffer holds float rows only: with or without the epoch's int8 tier,
+/// snapshots verify every live slot exactly.
 struct DeltaBuffer {
-  /// `codebook` (optional) enables the quantized scoring tier for delta
-  /// rows: the writer encodes each inserted row under the epoch's codebook
-  /// (QuantizedStore::EncodeRow) so snapshot delta scans can prune on int8
-  /// codes exactly like epoch scans. The shared_ptr pins the epoch's
-  /// QuantizedStore (codebook + scoring constants) even if the epoch itself
-  /// is retired while this buffer is still pinned by a snapshot.
-  DeltaBuffer(size_t capacity, size_t dim,
-              std::shared_ptr<const storage::QuantizedStore> codebook =
-                  nullptr);
+  DeltaBuffer(size_t capacity, size_t dim);
 
   size_t capacity = 0;
   size_t dim = 0;
@@ -42,13 +35,6 @@ struct DeltaBuffer {
   /// Slot -> version of the mutation that removed it; 0 = live. A snapshot
   /// at version V treats a slot as deleted iff 0 < stamp <= V.
   std::unique_ptr<std::atomic<uint64_t>[]> deleted_at;
-  /// Quantized mirror of `rows` (null when quantization is off): slot-major
-  /// codes plus per-slot reconstruction terms, written together with the
-  /// float row under the writer lock — a pinned prefix is as immutable as
-  /// the floats.
-  std::shared_ptr<const storage::QuantizedStore> codebook;
-  std::unique_ptr<uint8_t[]> codes;  ///< capacity x dim
-  std::unique_ptr<float[]> terms;    ///< capacity
 };
 
 /// One consolidation generation of a DynamicIndex: the static snapshot the
@@ -115,7 +101,7 @@ class Snapshot {
   /// ids remapped to global ids, truncated to k.
   std::vector<util::Neighbor> FilterEpoch(std::vector<util::Neighbor> stat,
                                           size_t k) const;
-  /// Brute-force top-k over the live pinned delta prefix, global ids.
+  /// Exact brute-force top-k over the live pinned delta prefix, global ids.
   /// QueryBatch gathers the slots surviving at version() into `live` once
   /// and reuses them for every query in the window (the stamps cannot
   /// change retroactively for a pinned version).

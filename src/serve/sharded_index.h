@@ -124,7 +124,8 @@ class ShardedIndex : public baselines::AnnIndex {
     size_t max_concurrent_rebuilds = 1;
     /// Forwarded to every shard's DynamicIndex::Options::quantize: each
     /// shard epoch gets an int8 storage::QuantizedStore sibling and serves
-    /// candidate scoring through the two-phase quantized pipeline.
+    /// candidate scoring through the two-phase quantized pipeline; shard
+    /// deltas are verified exactly.
     bool quantize = false;
     /// Forwarded to every shard's DynamicIndex::Options::spill_dir: when
     /// non-empty, shard consolidations stream survivors to flat files there

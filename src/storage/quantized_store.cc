@@ -242,12 +242,6 @@ void QuantizedStore::ScoreCandidates(const PreparedQuery& q,
   }
 }
 
-float QuantizedStore::ScoreCodes(const PreparedQuery& q, const uint8_t* codes,
-                                 float term) const {
-  const int64_t isum = util::simd::DotCodesI8(codes, q.weights.data(), cols_);
-  return Combine(q, isum, term);
-}
-
 void QuantizedStore::SerializeCodebook(std::ostream& out) const {
   out.write(kCodebookMagic, sizeof(kCodebookMagic));
   const uint32_t metric = static_cast<uint32_t>(metric_);
@@ -371,6 +365,36 @@ void ExactRerank(const VectorStore& store, util::Metric metric,
   for (const util::Neighbor& nb : local.Sorted()) {
     topk.Push(ids[nb.id], nb.dist);
   }
+}
+
+std::optional<std::vector<util::Neighbor>> PruneAndRerank(
+    const VectorStore& store, const QuantizedStore& qs, size_t row_offset,
+    util::Metric metric, const float* query, const int32_t* ids, size_t n,
+    size_t k) {
+  const size_t keep = RerankKeep(k);
+  if (n <= keep) return std::nullopt;
+  const QuantizedStore::PreparedQuery pq = qs.Prepare(query);
+  RerankSelector selector(keep);
+  // Block the scoring so the score buffer stays cache-resident.
+  constexpr size_t kBlock = 4096;
+  std::vector<float> scores(std::min(n, kBlock));
+  for (size_t first = 0; first < n; first += kBlock) {
+    const size_t len = std::min(kBlock, n - first);
+    if (ids != nullptr) {
+      qs.ScoreCandidates(pq, ids + first, len, row_offset, scores.data());
+    } else {
+      qs.ScoreCandidates(pq, nullptr, len, row_offset + first, scores.data());
+    }
+    for (size_t i = 0; i < len; ++i) {
+      selector.Offer(scores[i], ids != nullptr
+                                    ? ids[first + i]
+                                    : static_cast<int32_t>(first + i));
+    }
+  }
+  const std::vector<int32_t> pruned = selector.TakeAscendingIds();
+  util::TopK topk(k);
+  ExactRerank(store, metric, query, pruned.data(), pruned.size(), topk);
+  return topk.Sorted();
 }
 
 std::vector<int32_t> RerankSelector::TakeAscendingIds() {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -36,9 +37,12 @@ namespace storage {
 /// Codes live on the heap (1 byte/dim + 4 bytes/row) regardless of where
 /// the float rows live, so an mmap-backed index can score its whole
 /// candidate list without touching disk and fault in only the top
-/// k' = RerankKeep(k) exact rows for the final rerank
-/// (bench/disk_store's `quantized` mode). Scores are approximate; the tier
+/// k' = RerankKeep(k) exact rows for the final rerank (PruneAndRerank;
+/// bench/disk_store's `quantized` mode). Scores are approximate; the tier
 /// never decides final ranks, only which candidates reach the exact pass.
+/// A store's rows are all encoded once, at construction, under its own
+/// codebook: rows outside it (a DynamicIndex delta buffer) are verified
+/// exactly instead, since the codebook's [min, max] ranges would clamp them.
 ///
 /// Immutable after construction and safe for concurrent readers.
 class QuantizedStore {
@@ -88,13 +92,6 @@ class QuantizedStore {
 
   PreparedQuery Prepare(const float* query) const;
 
-  /// Encodes one float row into `codes` (cols() bytes) and its per-row
-  /// reconstruction term — the primitive DynamicIndex's delta buffer uses
-  /// to keep freshly inserted rows scorable under the epoch codebook.
-  /// Deterministic (double arithmetic + lround), so re-encoding a row after
-  /// deserialization reproduces the bytes exactly.
-  void EncodeRow(const float* row, uint8_t* codes, float* term) const;
-
   /// Scores `n` candidates against a prepared query into out[i] —
   /// approximate distances, ordered like the exact metric. `ids` are
   /// caller-local row numbers; `row_offset` translates them into this
@@ -102,11 +99,6 @@ class QuantizedStore {
   /// nullptr means the contiguous rows row_offset .. row_offset + n - 1.
   void ScoreCandidates(const PreparedQuery& q, const int32_t* ids, size_t n,
                        size_t row_offset, float* out) const;
-
-  /// Scores one external code row (e.g. a delta-buffer row encoded with
-  /// EncodeRow) that does not live in this store.
-  float ScoreCodes(const PreparedQuery& q, const uint8_t* codes,
-                   float term) const;
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -138,6 +130,12 @@ class QuantizedStore {
   static Codebook DeserializeCodebook(std::istream& in, size_t expected_cols);
 
  private:
+  /// Encodes one float row into `codes` (cols() bytes) and its per-row
+  /// reconstruction term. Deterministic (double arithmetic + lround), so
+  /// re-encoding the store after deserialization reproduces the bytes
+  /// exactly.
+  void EncodeRow(const float* row, uint8_t* codes, float* term) const;
+
   size_t rows_ = 0;
   size_t cols_ = 0;
   util::Metric metric_;
@@ -170,6 +168,19 @@ const QuantizedStore* EnsureQuantized(
 void ExactRerank(const VectorStore& store, util::Metric metric,
                  const float* query, const int32_t* ids, size_t n,
                  util::TopK& topk);
+
+/// Two-phase verification of one query against `store` through its
+/// quantized sibling `qs` (rows at `row_offset`, as ActiveQuantized reports):
+/// scores the `n` candidate rows `ids` (nullptr = rows 0 .. n - 1) on the
+/// int8 codes in 4096-row blocks, keeps the best k' = RerankKeep(k), and
+/// returns their exact top-k through ExactRerank. Returns nullopt when
+/// n <= k' — pruning could then only drop candidates the exact pass would
+/// score anyway, so the caller takes its exact path. A score does not
+/// depend on the blocking, so the answer is a function of the candidate set.
+std::optional<std::vector<util::Neighbor>> PruneAndRerank(
+    const VectorStore& store, const QuantizedStore& qs, size_t row_offset,
+    util::Metric metric, const float* query, const int32_t* ids, size_t n,
+    size_t k);
 
 /// The quantized sibling a query path should score against right now:
 /// `store`'s attached sibling, provided it was built for `metric` — the tier

@@ -3,13 +3,14 @@
 // serialization (including corrupt-input rejection), the recall-floor
 // oracle across {LCCS-LSH, MP-LCCS-LSH, LinearScan} x {heap, mmap, budgeted
 // mmap}, the serving rerank's copy gather, the dynamic-index lifecycle
-// (delta encoding, consolidation, persistence), and the CSA
+// (exact delta verification, consolidation, persistence), and the CSA
 // ReleaseNextLinks contract the memory-tight serving mode relies on.
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -179,10 +180,6 @@ TEST_F(QuantizedStoreTest, ScoresMatchExactDistanceOnReconstructedRows) {
     std::vector<float> contiguous(n);
     q->ScoreCandidates(pq, nullptr, n, 0, contiguous.data());
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(scores[i], contiguous[i]);
-    // ScoreCodes over the store's own code rows is the same computation.
-    for (size_t i : {size_t{0}, n / 2, n - 1}) {
-      EXPECT_EQ(q->ScoreCodes(pq, q->Codes(i), q->term(i)), scores[i]);
-    }
   }
 }
 
@@ -581,8 +578,8 @@ TEST_F(QuantizedRecallTest, DynamicIndexQuantizedLifecycleAndPersistence) {
   // Epoch store carries a quantized sibling when quantize is on.
   index.Build(data);
 
-  // Grow a delta big enough that the delta scan's quantized prune engages
-  // (live delta rows > RerankKeep(k) = 10), with some removals mixed in.
+  // Grow a delta of more live rows than RerankKeep(k) = 10 (the delta is
+  // verified exactly regardless), with some removals mixed in.
   util::Rng rng(92);
   std::vector<float> vec(d);
   std::vector<int32_t> inserted;
@@ -631,44 +628,67 @@ TEST_F(QuantizedRecallTest, DynamicIndexQuantizedLifecycleAndPersistence) {
 
 TEST_F(QuantizedRecallTest, DynamicIndexQuantizedMatchesExactOracle) {
   // With quantized pruning active, a DynamicIndex's answers must stay
-  // within one recall point of the identical index run full-precision.
-  const size_t d = 12, k = 10, n = 800;
+  // within one recall point of the identical index run full-precision. The
+  // second insert distribution lies past the epoch's per-dimension max
+  // (10 + N(0, 1) per coordinate), so every query's 10 nearest rows are
+  // delta rows the epoch codebook would clamp to one code: the delta is
+  // verified exactly, so there the two arms must agree id for id and bit
+  // for bit.
+  const size_t d = 12, k = 10, n = 800, inserts = 60;
   baselines::LccsLshIndex::Params params;
   params.m = 16;
   params.lambda = 64;
 
-  util::Matrix queries = RandomMatrix(16, d, 3);
-
-  std::vector<std::vector<std::vector<util::Neighbor>>> results;
-  for (const bool quantize : {false, true}) {
-    DynamicIndex::Options options;
-    options.metric = util::Metric::kEuclidean;
-    options.dim = d;
-    options.rebuild_threshold = 1 << 20;
-    options.background_rebuild = false;
-    options.quantize = quantize;
-    DynamicIndex index(
-        [params] { return std::make_unique<baselines::LccsLshIndex>(params); },
-        options);
-    dataset::Dataset data;
-    data.metric = options.metric;
-    data.data = RandomMatrix(n, d, 4);
-    index.Build(data);
+  for (const bool shifted : {false, true}) {
+    SCOPED_TRACE(shifted ? "inserts past the epoch max" : "gaussian inserts");
+    util::Matrix inserted(inserts, d);
     util::Rng rng(5);
-    std::vector<float> vec(d);
-    for (size_t i = 0; i < 60; ++i) {
-      rng.FillGaussian(vec.data(), d);
-      index.Insert(vec.data());
+    for (size_t i = 0; i < inserts; ++i) {
+      rng.FillGaussian(inserted.Row(i), d);
+      if (shifted) {
+        for (size_t j = 0; j < d; ++j) inserted.Row(i)[j] += 10.0f;
+      }
     }
-    std::vector<std::vector<util::Neighbor>> runs(16);
-    for (size_t qi = 0; qi < 16; ++qi) {
-      runs[qi] = index.Query(queries.Row(qi), k);
+    util::Matrix queries =
+        shifted ? util::Matrix(k, d) : RandomMatrix(16, d, 3);
+    if (shifted) {
+      std::memcpy(queries.data(), inserted.Row(inserts - k),
+                  k * d * sizeof(float));
     }
-    results.push_back(std::move(runs));
+
+    std::vector<std::vector<std::vector<util::Neighbor>>> results;
+    for (const bool quantize : {false, true}) {
+      DynamicIndex::Options options;
+      options.metric = util::Metric::kEuclidean;
+      options.dim = d;
+      options.rebuild_threshold = 1 << 20;
+      options.background_rebuild = false;
+      options.quantize = quantize;
+      DynamicIndex index(
+          [params] {
+            return std::make_unique<baselines::LccsLshIndex>(params);
+          },
+          options);
+      dataset::Dataset data;
+      data.metric = options.metric;
+      data.data = RandomMatrix(n, d, 4);
+      index.Build(data);
+      for (size_t i = 0; i < inserts; ++i) index.Insert(inserted.Row(i));
+      std::vector<std::vector<util::Neighbor>> runs(queries.rows());
+      for (size_t qi = 0; qi < queries.rows(); ++qi) {
+        runs[qi] = index.Query(queries.Row(qi), k);
+      }
+      results.push_back(std::move(runs));
+    }
+    if (!shifted) {
+      EXPECT_GE(RecallAgainst(results[0], results[1], k), 0.99)
+          << "quantized dynamic index diverged from exact";
+      continue;
+    }
+    for (size_t qi = 0; qi < queries.rows(); ++qi) {
+      EXPECT_EQ(results[1][qi], results[0][qi]) << "query " << qi;
+    }
   }
-  const double recall =
-      RecallAgainst(results[0], results[1], k);
-  EXPECT_GE(recall, 0.99) << "quantized dynamic index diverged from exact";
 }
 
 // --- ReleaseNextLinks -------------------------------------------------------

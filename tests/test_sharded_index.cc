@@ -579,35 +579,42 @@ TEST(ShardedIndexContract, RejectsZeroShards) {
 // one shared MmapStore — and answer bit-identically to the same shards
 // over the heap store (exhaustive-verification configuration, so exact).
 TEST(ShardedIndexStorage, ShardsShareOneMmapStoreBitIdentically) {
-  const auto data = MakeData(240, 47, 10);
-  const std::string flat_path =
-      ::testing::TempDir() + "/sharded_base.flat";
-  storage::WriteFlatFile(flat_path, *data.data.store());
+  // Also with the int8 tier on: λ = 4096 surfaces each shard's 60 rows,
+  // more than RerankKeep(10) = 20, so every shard of the scatter prunes on
+  // its codes and reranks exactly — heap and mmap alike.
+  for (const bool quantize : {false, true}) {
+    SCOPED_TRACE(quantize ? "quantize" : "full precision");
+    const auto data = MakeData(240, 47, 10);
+    const std::string flat_path =
+        ::testing::TempDir() + "/sharded_base.flat";
+    storage::WriteFlatFile(flat_path, *data.data.store());
 
-  dataset::Dataset mapped;
-  mapped.metric = data.metric;
-  const auto store = storage::MmapStore::Open(flat_path);
-  mapped.data = store;
-  mapped.queries = data.queries;
+    dataset::Dataset mapped;
+    mapped.metric = data.metric;
+    const auto store = storage::MmapStore::Open(flat_path);
+    mapped.data = store;
+    mapped.queries = data.queries;
 
-  ShardedIndex::Options options;
-  options.num_shards = 4;
-  ShardedIndex heap_sharded(ExhaustiveLccsFactory(), options);
-  ShardedIndex mmap_sharded(ExhaustiveLccsFactory(), options);
-  heap_sharded.Build(data);
-  mmap_sharded.Build(mapped);
+    ShardedIndex::Options options;
+    options.num_shards = 4;
+    options.quantize = quantize;
+    ShardedIndex heap_sharded(ExhaustiveLccsFactory(), options);
+    ShardedIndex mmap_sharded(ExhaustiveLccsFactory(), options);
+    heap_sharded.Build(data);
+    mmap_sharded.Build(mapped);
 
-  // Zero-copy: building 4 shards added no copies of the mapped base set —
-  // every shard epoch references the one store (use_count grew past the
-  // test's own two handles).
-  EXPECT_GE(store.use_count(), 2 + 4);
+    // Zero-copy: building 4 shards added no copies of the mapped base set —
+    // every shard epoch references the one store (use_count grew past the
+    // test's own two handles).
+    EXPECT_GE(store.use_count(), 2 + 4);
 
-  for (size_t q = 0; q < data.num_queries(); ++q) {
-    EXPECT_EQ(heap_sharded.Query(data.queries.Row(q), 10),
-              mmap_sharded.Query(data.queries.Row(q), 10))
-        << "query " << q;
+    for (size_t q = 0; q < data.num_queries(); ++q) {
+      EXPECT_EQ(heap_sharded.Query(data.queries.Row(q), 10),
+                mmap_sharded.Query(data.queries.Row(q), 10))
+          << "query " << q;
+    }
+    std::remove(flat_path.c_str());
   }
-  std::remove(flat_path.c_str());
 }
 
 }  // namespace

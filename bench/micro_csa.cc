@@ -41,6 +41,7 @@ BENCHMARK(BM_CsaBuild)
     ->Args({10000, 32})
     ->Args({10000, 64})
     ->Args({10000, 128})
+    ->Args({25000, 64})  // one serving shard (lccs_bench: 100k rows / 4)
     ->Args({50000, 64})
     ->Unit(benchmark::kMillisecond);
 
@@ -65,6 +66,8 @@ BENCHMARK(BM_CsaSearch)
     ->Args({50000, 64, 10})
     ->Args({50000, 64, 100})
     ->Args({50000, 64, 1000})
+    // The serving point: one shard of lccs_bench, k = λ + 10 - 1 at λ = 2000.
+    ->Args({25000, 64, 2009})
     ->Unit(benchmark::kMicrosecond);
 
 // Brute-force k-LCCS for contrast: O(n m^2) vs the CSA's sublinear search.

@@ -73,11 +73,101 @@ void CircularShiftArray::Build(const HashValue* strings, size_t n, size_t m) {
     int32_t* link = next_.data() + i * n;
     for (size_t pos = 0; pos < n; ++pos) link[pos] = rank[cur[pos]];
   }
+  DeriveAdjacentLcp();
 }
 
-int CircularShiftArray::Compare(int32_t id, const HashValue* query,
-                                size_t shift, int32_t* lcp) const {
-  return CompareShifted(String(id), query, m_, shift, lcp);
+void CircularShiftArray::DeriveAdjacentLcp() {
+  const size_t n = n_;
+  const size_t m = m_;
+  lcp_.assign(m * n, 0);
+  // L_0 by direct compares of the neighbours in I_0.
+  const int32_t* order0 = sorted_.data();
+  for (size_t p = 0; p + 1 < n; ++p) {
+    int32_t lcp = 0;
+    if (CompareShifted(String(order0[p]), String(order0[p + 1]), m, 0,
+                       &lcp) > 0) {
+      throw std::runtime_error("CSA stream: shift 0 out of order");
+    }
+    lcp_[p] = static_cast<uint16_t>(lcp);
+  }
+  // Every other shift from its successor, in decreasing shift order (the
+  // order Build derives I_i in). Neighbours of I_i whose symbols at shift i
+  // differ share nothing; equal symbols put the pair's strings in I_{i+1}
+  // order at N_i[p] < N_i[p+1], where their LCP is the min of L_{i+1} over
+  // [N_i[p], N_i[p+1]) — the strings between them are sorted too — so
+  // L_i[p] = min(m, 1 + that min).
+  //
+  // The range mins are answered in one sweep over I_{i+1}: N_i is a
+  // permutation, so at most one pair's range ends at each position q. A
+  // range of up to kShortRange positions is scanned directly; a longer one
+  // reads `last`, the latest position before q holding each L value: the
+  // range min is the smallest value whose latest position is at or after
+  // the range start. That scan takes one step per value below the answer,
+  // and the min over a long range is small.
+  //
+  // Symbols are read through a column-major copy of kBlock shifts at a time
+  // (one cache line of each row per refill), so the per-shift gather hits a
+  // 4n-byte column instead of a random row of data_.
+  constexpr size_t kBlock = 64 / sizeof(HashValue);
+  constexpr int32_t kShortRange = 8;
+  std::vector<HashValue> columns(std::min(kBlock, m) * n);
+  size_t block_lo = m;  // columns holds shifts [block_lo, block_lo + kBlock)
+  std::vector<int32_t> start(n);      // range start of the pair ending at q
+  std::vector<uint16_t> pair_lcp(n);  // LCP of the pair ending at q
+  std::vector<int32_t> last(m + 1);
+  for (size_t i = m; i-- > 1;) {
+    if (i < block_lo) {
+      block_lo = i + 1 > kBlock ? i + 1 - kBlock : 0;
+      const size_t width = i + 1 - block_lo;
+      for (size_t id = 0; id < n; ++id) {
+        const HashValue* row = data_.data() + id * m + block_lo;
+        for (size_t j = 0; j < width; ++j) columns[j * n + id] = row[j];
+      }
+    }
+    const HashValue* column = columns.data() + (i - block_lo) * n;
+    const int32_t* order = sorted_.data() + i * n;
+    const int32_t* link = next_.data() + i * n;
+    const uint16_t* succ = lcp_.data() + ((i + 1) % m) * n;
+    std::fill(start.begin(), start.end(), -2);  // -2: no string maps here
+    HashValue prev = 0;
+    for (size_t p = 0; p < n; ++p) {
+      const HashValue symbol = column[order[p]];
+      int32_t from = -1;  // -1: the pair ending here has unequal symbols
+      if (p > 0) {
+        if (prev > symbol) {
+          throw std::runtime_error("CSA stream: sorted index out of order");
+        }
+        if (prev == symbol) from = link[p - 1];
+      }
+      start[link[p]] = from;
+      prev = symbol;
+    }
+    std::fill(last.begin(), last.end(), -1);
+    for (int32_t q = 0; q < static_cast<int32_t>(n); ++q) {
+      const int32_t from = start[q];
+      if (from == -2) throw std::runtime_error("CSA stream: corrupt next link");
+      uint16_t len = 0;
+      if (from >= 0) {
+        if (from >= q) {
+          throw std::runtime_error("CSA stream: next links out of order");
+        }
+        size_t range_min = succ[from];
+        if (q - from <= kShortRange) {
+          for (int32_t x = from + 1; x < q; ++x) {
+            range_min = std::min<size_t>(range_min, succ[x]);
+          }
+        } else {
+          range_min = 0;
+          while (last[range_min] < from) ++range_min;
+        }
+        len = static_cast<uint16_t>(std::min(m, range_min + 1));
+      }
+      pair_lcp[q] = len;
+      last[succ[q]] = q;
+    }
+    uint16_t* adj = lcp_.data() + i * n;
+    for (size_t p = 0; p + 1 < n; ++p) adj[p] = pair_lcp[link[p + 1]];
+  }
 }
 
 CircularShiftArray::ShiftBounds CircularShiftArray::SearchShift(
@@ -143,6 +233,7 @@ void CircularShiftArray::SearchScratch::Begin(size_t n, size_t m,
   if (seen.size() < n) seen.assign(n, 0);
   if (positions > 0 && visited.size() < m * n) visited.assign(m * n, 0);
   heap.clear();
+  dedup_positions = positions > 0;
   if (++stamp == 0) {
     // Stamp wraparound (every 255 queries on one scratch with uint8
     // stamps): stale stamps could alias, so pay one full reset and restart
@@ -189,66 +280,54 @@ void CircularShiftArray::SearchBounds(const HashValue* query,
   }
 }
 
-void CircularShiftArray::CollectFromHeap(const HashValue* const* probes,
-                                         size_t num_probes, size_t count,
-                                         SearchScratch* scratch,
-                                         std::vector<LccsCandidate>* out) const {
+void CircularShiftArray::CollectFromHeap(
+    size_t count, SearchScratch* scratch,
+    std::vector<LccsCandidate>* out) const {
   // Lines 12-15: pop the frontier in non-increasing LCP order; per shift and
   // direction the LCP is monotone non-increasing away from the query
   // position (Fact 3.2), so the first pop of an id yields |LCCS(T_id, Q)|.
-  // HeapEntry's comparator is a total order, so the pop sequence depends
-  // only on the set of entries, never on push order or heap layout.
-  auto& heap = scratch->heap;
-  // Frontier-position dedup matters only when several probes overlap in the
-  // sorted orders (Example 4.1): with one probe the lo-chain only ever moves
-  // down from pos_lo and the hi-chain up from pos_hi = pos_lo + 1, so no
-  // position can be reached twice and the check would never fire.
-  const bool dedup_positions = num_probes > 1;
-  while (out->size() < count && !heap.empty()) {
-    CollectStep(probes, dedup_positions, count, scratch, out);
-  }
-}
-
-bool CircularShiftArray::CollectStep(const HashValue* const* probes,
-                                     bool dedup_positions, size_t count,
-                                     SearchScratch* scratch,
-                                     std::vector<LccsCandidate>* out) const {
+  // HeapKey order is total, so the pop sequence depends only on the set of
+  // entries, never on push order or heap layout.
   const auto n = static_cast<int32_t>(n_);
   auto& heap = scratch->heap;
+  uint8_t* seen = scratch->seen.data();
   const uint8_t stamp = scratch->stamp;
-  const HeapKey key = heap.front();
-  std::pop_heap(heap.begin(), heap.end());
-  heap.pop_back();
-  struct {
-    int32_t len, shift, pos, probe;
-    int32_t dir;
-  } e{HeapKeyLen(key), HeapKeyShift(key), HeapKeyPos(key), HeapKeyProbe(key),
-      HeapKeyDir(key)};
-  bool consumed = false;
-  if (dedup_positions) {
-    uint8_t& mark = scratch->visited[static_cast<size_t>(e.shift) * n_ +
-                                      static_cast<size_t>(e.pos)];
-    consumed = mark == stamp;
-    mark = stamp;
-  }
-  if (!consumed) {
-    const int32_t id = SortedId(e.shift, e.pos);
-    uint8_t& seen = scratch->seen[static_cast<size_t>(id)];
-    if (seen != stamp) {
-      seen = stamp;
-      out->push_back({id, e.len});
+  while (out->size() < count && !heap.empty()) {
+    const HeapKey key = heap.front();
+    std::pop_heap(heap.begin(), heap.end());
+    heap.pop_back();
+    const int32_t len = HeapKeyLen(key);
+    const int32_t shift = HeapKeyShift(key);
+    const int32_t pos = HeapKeyPos(key);
+    const int32_t dir = HeapKeyDir(key);
+    const size_t base = static_cast<size_t>(shift) * n_;
+    // Frontier-position dedup (multi-probe): a position another probe's
+    // chain already consumed is neither emitted nor advanced again.
+    uint8_t* visited =
+        scratch->dedup_positions ? scratch->visited.data() + base : nullptr;
+    if (visited != nullptr) {
+      if (visited[pos] == stamp) continue;
+      visited[pos] = stamp;
     }
-    // Advance the chain. Two shortcuts, both order-preserving:
+    const int32_t* ids = sorted_.data() + base;
+    if (seen[ids[pos]] != stamp) {
+      seen[ids[pos]] = stamp;
+      out->push_back({ids[pos], len});
+    }
+    // Advance the chain. Its LCP against the probe is the running min of
+    // L_shift over every pair it steps across — a step down to npos crosses
+    // L[npos], a step up crosses L[npos - 1] — so skipped positions still
+    // lower it, and no hash string is read. Two shortcuts, both
+    // order-preserving:
     //
     // Fast-forward: skip positions that can no longer contribute — ids
     // already emitted (and, multi-probe, frontier positions another probe
     // already consumed). Each skipped step costs one stamped-array lookup
-    // instead of a full heap cycle + LCP over the row's hash string — with
-    // m chains surfacing overlapping id sets, duplicate pops otherwise
-    // dominate the search (super-linearly in the candidate budget as the
-    // unique ids thin out). Marks only accumulate within a query, so a mark
-    // observed here would also be observed at the (later) pop of the same
-    // entry.
+    // instead of a full heap cycle — with m chains surfacing overlapping id
+    // sets, duplicate pops otherwise dominate the search (super-linearly in
+    // the candidate budget as the unique ids thin out). Marks only
+    // accumulate within a query, so a mark observed here would also be
+    // observed at the (later) pop of the same entry.
     //
     // Run extension: while the successor's LCP *equals* the popped length,
     // emit it in place instead of cycling it through the heap. The pop
@@ -258,79 +337,24 @@ bool CircularShiftArray::CollectStep(const HashValue* const* probes,
     // (the lo chain's positions only decrease, the hi chain stays above
     // it) — no pending or future entry can interpose inside an equal-LCP
     // run of one chain, and the emitted sequence is exactly the heap's.
-    int32_t npos = e.pos + e.dir;
-    for (;;) {
-      while (npos >= 0 && npos < n) {
-        if (dedup_positions &&
-            scratch->visited[static_cast<size_t>(e.shift) * n_ +
-                             static_cast<size_t>(npos)] == stamp) {
-          npos += e.dir;
-          continue;
-        }
-        if (scratch->seen[static_cast<size_t>(SortedId(e.shift, npos))] !=
-            stamp) {
-          break;
-        }
-        npos += e.dir;
-      }
-      if (npos < 0 || npos >= n) break;  // chain exhausted
-      const int32_t nid = SortedId(e.shift, npos);
-      const int32_t nlen = Lcp(nid, probes[e.probe], e.shift);
-      if (nlen != e.len || out->size() >= count) {
-        heap.push_back(PackHeapKey(nlen, e.shift, npos, e.probe, e.dir));
+    const uint16_t* adj = lcp_.data() + base;
+    const int32_t cross = dir > 0 ? -1 : 0;  // L index of the step to npos
+    int32_t run = len;
+    for (int32_t npos = pos + dir; npos >= 0 && npos < n; npos += dir) {
+      run = std::min<int32_t>(run, adj[npos + cross]);
+      if (visited != nullptr && visited[npos] == stamp) continue;
+      const int32_t nid = ids[npos];
+      if (seen[nid] == stamp) continue;
+      if (run != len || out->size() >= count) {
+        heap.push_back(
+            PackHeapKey(run, shift, npos, HeapKeyProbe(key), dir));
         std::push_heap(heap.begin(), heap.end());
         break;
       }
-      if (dedup_positions) {
-        scratch->visited[static_cast<size_t>(e.shift) * n_ +
-                         static_cast<size_t>(npos)] = stamp;
-      }
-      scratch->seen[static_cast<size_t>(nid)] = stamp;
-      out->push_back({nid, nlen});
-      npos += e.dir;
+      if (visited != nullptr) visited[npos] = stamp;
+      seen[nid] = stamp;
+      out->push_back({nid, run});
     }
-  }
-  if (out->size() >= count || heap.empty()) return false;
-  // The next iteration pops the current top (nothing intervenes on this
-  // scratch) and its one cache-missing read is the LCP over the successor's
-  // hash string — a random row of data_. Prefetch the line the circular
-  // compare starts at; the chain's sorted_ entries are contiguous and almost
-  // always already cached, so reading the successor id here is cheap.
-  const HeapKey top = heap.front();
-  const int32_t tshift = HeapKeyShift(top);
-  const int32_t tp = HeapKeyPos(top) + HeapKeyDir(top);
-  if (tp >= 0 && tp < n) {
-    __builtin_prefetch(String(SortedId(tshift, tp)) + tshift);
-  }
-  return true;
-}
-
-void CircularShiftArray::CollectFromHeapInterleaved(CollectJob* jobs,
-                                                    size_t num_jobs,
-                                                    size_t count) const {
-  // Round-robin scheduler: each turn advances one live query by exactly one
-  // pop iteration, then rotates. A query's prefetch therefore has the other
-  // queries' turns to complete before its next LCP needs the row — and the
-  // memory system holds up to num_jobs independent misses at once instead
-  // of the single dependent miss a solo pop chain can express.
-  std::vector<uint32_t> live;
-  live.reserve(num_jobs);
-  for (size_t j = 0; j < num_jobs; ++j) {
-    if (jobs[j].out->size() < count && !jobs[j].scratch->heap.empty()) {
-      live.push_back(static_cast<uint32_t>(j));
-    }
-  }
-  size_t num_live = live.size();
-  while (num_live > 0) {
-    size_t w = 0;
-    for (size_t i = 0; i < num_live; ++i) {
-      const CollectJob& job = jobs[live[i]];
-      if (CollectStep(job.probes, job.num_probes > 1, count, job.scratch,
-                      job.out)) {
-        live[w++] = live[i];
-      }
-    }
-    num_live = w;
   }
 }
 
@@ -348,8 +372,7 @@ std::vector<LccsCandidate> CircularShiftArray::Search(
   SearchBounds(query, &scratch);
   std::vector<LccsCandidate> result;
   result.reserve(std::min<size_t>(k, n_));
-  const HashValue* probes[1] = {query};
-  CollectFromHeap(probes, 1, k, &scratch, &result);
+  CollectFromHeap(k, &scratch, &result);
   *state = std::move(scratch.state);
   return result;
 }
@@ -465,6 +488,7 @@ CircularShiftArray CircularShiftArray::Deserialize(std::istream& in) {
       throw std::runtime_error("CSA stream: corrupt sorted index");
     }
   }
+  csa.DeriveAdjacentLcp();
   return csa;
 }
 

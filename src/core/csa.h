@@ -27,7 +27,18 @@ struct LccsCandidate {
 ///   * I_i — the ids of all strings sorted by shift(T, i) lexicographically
 ///           (the "sorted indices" of Algorithm 1), and
 ///   * N_i — the "next links": N_i[pos] is the position in I_{(i+1) % m} of
-///           the string stored at position pos of I_i.
+///           the string stored at position pos of I_i, and
+///   * L_i — the adjacent-LCP array of Manber & Myers: L_i[pos] is the
+///           circular LCP at shift i of the strings at positions pos and
+///           pos + 1 of I_i (L_i[n-1] is 0 and never read).
+///
+/// L_i is what lets the Algorithm 2 pop loop walk a chain without reading
+/// hash strings: all strings of one shift are sorted and have length m, so
+/// for Q <= T_b <= T_c, LCP(Q, T_c) = min(LCP(Q, T_b), LCP(T_b, T_c)) (the
+/// lower chain is the mirror case), and a chain's LCP against any probe
+/// string is the running min of L_i over the positions it passes. The
+/// arrays are uint16 (m caps at 4095), 2·m·n bytes, counted by SizeBytes;
+/// they are derived, never stored in the stream (see DeriveAdjacentLcp).
 ///
 /// Build cost is O(m n log n): shift 0 is sorted with a circular comparator,
 /// and every other shift order is derived from its successor in O(n log n)
@@ -61,6 +72,12 @@ class CircularShiftArray {
   /// `pos` of I_shift.
   int32_t NextPosition(size_t shift, size_t pos) const {
     return next_[shift * n_ + pos];
+  }
+
+  /// L_shift[pos]: circular LCP at shift `shift` of the strings at positions
+  /// `pos` and `pos + 1` of I_shift (pos < n - 1).
+  int32_t AdjacentLcp(size_t shift, size_t pos) const {
+    return lcp_[shift * n_ + pos];
   }
 
   /// Pointer to the m hash values of string `id`.
@@ -106,15 +123,18 @@ class CircularShiftArray {
   std::vector<LccsCandidate> Search(const HashValue* query, size_t k,
                                     std::vector<ShiftBounds>* state) const;
 
-  /// Memory footprint of the index (data + sorted indices + next links).
+  /// Memory footprint of the index (data + sorted indices + next links +
+  /// adjacent LCPs).
   size_t SizeBytes() const {
     return data_.size() * sizeof(HashValue) +
-           sorted_.size() * sizeof(int32_t) + next_.size() * sizeof(int32_t);
+           sorted_.size() * sizeof(int32_t) + next_.size() * sizeof(int32_t) +
+           lcp_.size() * sizeof(uint16_t);
   }
 
-  /// Frees the next-link arrays (N_i, one third of the index) and disables
-  /// narrowing. Next links only accelerate the binary-search cascade
-  /// (Corollary 3.2) and back Serialize; a memory-tight deployment — e.g.
+  /// Frees the next-link arrays (N_i: 4·m·n of the 14·m·n bytes SizeBytes
+  /// counts) and disables narrowing. Next links only accelerate the
+  /// binary-search cascade (Corollary 3.2) and back Serialize; the pop loop
+  /// walks L_i, which stays. A memory-tight deployment — e.g.
   /// bench/disk_store's quantized mode chasing an RSS ceiling — can drop
   /// them after Build and still answer every query exactly (the ablation
   /// equivalence property: full-range searches return identical results).
@@ -135,8 +155,9 @@ class CircularShiftArray {
   /// next links) to a binary stream; little-endian, versioned magic header.
   void Serialize(std::ostream& out) const;
 
-  /// Reconstructs a CSA previously written by Serialize. Throws
-  /// std::runtime_error on malformed input.
+  /// Reconstructs a CSA previously written by Serialize and derives its
+  /// adjacent-LCP arrays. Throws std::runtime_error on malformed input,
+  /// including in-range arrays whose order the derivation cannot trust.
   static CircularShiftArray Deserialize(std::istream& in);
 
   /// Entry of the shared candidate priority queue of Algorithm 2, packed
@@ -191,10 +212,12 @@ class CircularShiftArray {
     std::vector<uint8_t> seen;     ///< id -> stamp of the query that saw it
     std::vector<uint8_t> visited;  ///< shift*n + pos -> stamp (multi-probe)
     uint8_t stamp = 0;             ///< current query's stamp
+    bool dedup_positions = false;  ///< CollectFromHeap consults `visited`
 
     /// Starts a new query: bumps the stamp and (re)sizes the id-dedup array.
     /// `positions` > 0 additionally sizes the frontier-position dedup array
-    /// (m*n entries — only the multi-probe pop loop pays for it).
+    /// (m*n entries) and turns on the pop loop's position dedup — only the
+    /// multi-probe scheme pays for either.
     void Begin(size_t n, size_t m, size_t positions);
   };
 
@@ -208,54 +231,23 @@ class CircularShiftArray {
   /// PushBounds with probe tag 0. Call Begin first.
   void SearchBounds(const HashValue* query, SearchScratch* scratch) const;
 
-  /// The frontier pop loop of Algorithm 2 lines 12-15, generalized over
-  /// `num_probes` query strings feeding one heap: appends up to `count`
-  /// distinct ids to `out` in non-increasing LCP order. With more than one
-  /// probe, frontier positions are deduplicated through scratch->visited
-  /// (the redundancy control of Example 4.1); with one probe the lo/hi
-  /// chains never collide, so the check is skipped. Entries must already be
-  /// heaped (SearchBounds / PushBounds) and expansion extends LCPs against
-  /// probes[entry.probe].
-  void CollectFromHeap(const HashValue* const* probes, size_t num_probes,
-                       size_t count, SearchScratch* scratch,
+  /// The frontier pop loop of Algorithm 2 lines 12-15, over every probe
+  /// string that seeded the heap: appends up to `count` distinct ids to
+  /// `out` in non-increasing LCP order. Entries must already be heaped
+  /// (SearchBounds / PushBounds) with exact LCPs; a chain extends its LCP
+  /// as the running min of L_i, so no hash string is read. With
+  /// scratch->dedup_positions, frontier positions are deduplicated through
+  /// scratch->visited (the redundancy control of Example 4.1); one probe's
+  /// lo/hi chains never collide, so the base scheme leaves it off.
+  void CollectFromHeap(size_t count, SearchScratch* scratch,
                        std::vector<LccsCandidate>* out) const;
 
-  /// One query's pop-loop state for CollectFromHeapInterleaved. The scratch
-  /// must already be seeded (SearchBounds / PushBounds) and `probes` must
-  /// stay valid until the collect finishes.
-  struct CollectJob {
-    const HashValue* const* probes = nullptr;
-    size_t num_probes = 0;
-    SearchScratch* scratch = nullptr;
-    std::vector<LccsCandidate>* out = nullptr;
-  };
-
-  /// CollectFromHeap for several independent queries with their pop loops
-  /// interleaved round-robin, one iteration per query per turn. The pop loop
-  /// is a dependent chain of random hash-row reads (pop → successor id →
-  /// LCP over its hash string), so a single query keeps at most one cache
-  /// miss in flight; interleaving keeps `num_jobs` misses in flight and
-  /// gives each query's prefetch (issued right after its push) a full
-  /// round-trip of other queries' work to land. Per query this runs exactly
-  /// the CollectFromHeap iteration on the query's own scratch and output —
-  /// results are bit-identical to num_jobs solo calls.
-  void CollectFromHeapInterleaved(CollectJob* jobs, size_t num_jobs,
-                                  size_t count) const;
-
  private:
-  /// One iteration of the Algorithm 2 pop loop: pops the top entry,
-  /// possibly emits its id, advances its chain, and prefetches the hash row
-  /// the *next* iteration's LCP will read (the next pop is the current heap
-  /// top — nothing is pushed in between). Precondition: heap non-empty and
-  /// out not yet full. Returns whether another iteration can run.
-  bool CollectStep(const HashValue* const* probes, bool dedup_positions,
-                   size_t count, SearchScratch* scratch,
-                   std::vector<LccsCandidate>* out) const;
-
-  /// Three-way compare of shift(T_id, shift) against shift(Q, shift),
-  /// setting *lcp to the common-prefix length.
-  int Compare(int32_t id, const HashValue* query, size_t shift,
-              int32_t* lcp) const;
+  /// Fills lcp_ from data_, sorted_ and next_ (see the .cc): L_0 by direct
+  /// compares, every other shift from its successor's L through the next
+  /// links. Throws std::runtime_error when the arrays are out of order —
+  /// unreachable from Build, the hardening of Deserialize.
+  void DeriveAdjacentLcp();
 
   size_t n_ = 0;
   size_t m_ = 0;
@@ -264,6 +256,7 @@ class CircularShiftArray {
   std::vector<HashValue> data_;  // n x m, row-major
   std::vector<int32_t> sorted_;  // m x n: I_i
   std::vector<int32_t> next_;    // m x n: N_i
+  std::vector<uint16_t> lcp_;    // m x n: L_i
 };
 
 }  // namespace core

@@ -11,6 +11,9 @@
 #include <utility>
 
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <atomic>
 
@@ -669,6 +672,12 @@ void DynamicIndex::RunRebuild() {
     // park the error for WaitForRebuild instead.
     FinishRebuild(std::current_exception());
   }
+  // A rebuild retires a whole epoch (rows, hash strings, CSA arrays: tens
+  // of MB a shard), but glibc keeps freed heap pages mapped, so resident
+  // memory would ratchet up with every consolidation. Return them.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 bool DynamicIndex::TriggerRebuild() {

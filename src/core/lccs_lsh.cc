@@ -69,7 +69,6 @@ void LccsLsh::PrepareSearch(const float* query, const HashValue* hash,
   (void)query;  // the base scheme probes only the unperturbed hash string
   scratch->csa.Begin(n_, csa_.m(), 0);
   csa_.SearchBounds(hash, &scratch->csa);
-  scratch->probe_ptrs.assign(1, hash);
 }
 
 std::vector<LccsCandidate> LccsLsh::Candidates(const float* query,
@@ -106,36 +105,20 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       },
       num_threads);
 
-  // Phase 2: candidate generation in interleaved groups. Each query in a
-  // group gets its own scratch; PrepareSearch runs the bound cascade solo,
-  // then CollectFromHeapInterleaved drains the groups' heaps round-robin —
-  // the pop loop is a dependent chain of random hash-row reads, and
-  // interleaving keeps kInterleave misses in flight where a solo drain has
-  // one. Per query the pop iterations are those of a solo Algorithm 2
-  // drain, so each list keeps the order the search surfaces candidates in —
-  // the order phase 6 replays, which fixes TopK tie-breaking.
-  constexpr size_t kInterleave = 8;
+  // Phase 2: candidate generation, one bound cascade (PrepareSearch) and
+  // one Algorithm 2 drain per query on the chunk's reusable scratch. Each
+  // list keeps the order the search surfaces candidates in — the order
+  // phase 6 replays, which fixes TopK tie-breaking.
   std::vector<std::vector<LccsCandidate>> cands(num_queries);
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
-        std::vector<std::unique_ptr<QueryScratch>> scratches;
-        std::vector<CircularShiftArray::CollectJob> jobs;
-        for (size_t g = begin; g < end; g += kInterleave) {
-          const size_t g_end = std::min(end, g + kInterleave);
-          while (scratches.size() < g_end - g) {
-            scratches.push_back(MakeScratch());
-          }
-          jobs.clear();
-          for (size_t q = g; q < g_end; ++q) {
-            QueryScratch* scratch = scratches[q - g].get();
-            cands[q].reserve(std::min<size_t>(count, n_));
-            PrepareSearch(queries + q * d_, hashes.data() + q * m, scratch);
-            jobs.push_back({scratch->probe_ptrs.data(),
-                            scratch->probe_ptrs.size(), &scratch->csa,
-                            &cands[q]});
-          }
-          csa_.CollectFromHeapInterleaved(jobs.data(), jobs.size(), count);
+        const std::unique_ptr<QueryScratch> scratch = MakeScratch();
+        for (size_t q = begin; q < end; ++q) {
+          cands[q].reserve(std::min<size_t>(count, n_));
+          PrepareSearch(queries + q * d_, hashes.data() + q * m,
+                        scratch.get());
+          csa_.CollectFromHeap(count, &scratch->csa, &cands[q]);
         }
       },
       num_threads);
@@ -174,7 +157,8 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   // are counting-sorted into cache-block-major order (block =
   // id >> block_shift over the id space): O(candidates) per query, and
   // phase 5 reads each (query, block) run straight from the precomputed
-  // offsets. The union of ids is advised to the store once per window,
+  // offsets. The union of ids is advised to the store once per window, in
+  // ascending order (a scan of the in_union marks, cheaper than sorting),
   // so an mmap-resident base set faults each candidate page once per window
   // instead of once per query. Blocking and dedup only pay when several
   // lists can name the same row: a lone list is one block and, since the
@@ -215,10 +199,10 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       const auto id = static_cast<size_t>(list[s].id);
       ++boff[(id >> block_shift) + 1];
       if (shared) {
-        if (in_union[id]) continue;
         in_union[id] = 1;
+      } else {
+        union_ids.push_back(list[s].id);
       }
-      union_ids.push_back(list[s].id);
     }
     for (size_t b = 1; b <= num_blocks; ++b) boff[b] += boff[b - 1];
     for (size_t s = 0; s < list.size(); ++s) {
@@ -229,7 +213,9 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       blocked_slots[offsets[q] + pos] = static_cast<int32_t>(s);
     }
   }
-  if (shared) std::sort(union_ids.begin(), union_ids.end());
+  for (size_t id = 0; id < in_union.size(); ++id) {
+    if (in_union[id]) union_ids.push_back(static_cast<int32_t>(id));
+  }
   if (!union_ids.empty()) {
     store_->PrefetchRows(union_ids.data(), union_ids.size());
   }

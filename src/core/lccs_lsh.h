@@ -52,12 +52,14 @@ class LccsLsh {
 
   /// Answers `num_queries` queries stored row-major and contiguously (dim()
   /// floats each) — the one query path of the scheme. The window is
-  /// processed in shared passes: one ParallelFor hashing sweep, interleaved
-  /// CSA heap drains over per-thread reusable scratch, an int8 prune and
+  /// processed in shared passes: one ParallelFor hashing sweep, one
+  /// Algorithm 2 drain per query over per-thread reusable scratch (its
+  /// chains walk the CSA's adjacent-LCP arrays, not hash strings), an int8
+  /// prune and
   /// exact rerank (storage::PruneAndRerank) for queries the store's
   /// quantized tier can cut to k' = RerankKeep(k), and, for the rest, one
   /// deduplicated PrefetchRows + cache-blocked verification gather over the
-  /// union of candidate rows, scattering distances back into each query's
+  /// ascending union of candidate rows, scattering distances back into each query's
   /// TopK in its original candidate order (which fixes tie-breaking, so a
   /// row's answer does not depend on the window it shares).
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
@@ -87,7 +89,7 @@ class LccsLsh {
   /// CircularShiftArray::set_use_narrowing).
   void set_use_narrowing(bool enabled) { csa_.set_use_narrowing(enabled); }
 
-  /// Frees the CSA's next-link arrays (one third of the index) at the cost
+  /// Frees the CSA's next-link arrays (2/7 of its arrays) at the cost
   /// of full-range binary searches per shift; results are unchanged. See
   /// CircularShiftArray::ReleaseNextLinks for the serialization caveat.
   void ReleaseNextLinks() { csa_.ReleaseNextLinks(); }
@@ -113,21 +115,14 @@ class LccsLsh {
   /// shared across threads.
   struct QueryScratch {
     CircularShiftArray::SearchScratch csa;
-    /// Probe strings feeding the heap, set by PrepareSearch (one entry —
-    /// the unperturbed hash — for the base scheme). Must stay valid until
-    /// the collect phase finishes.
-    std::vector<const HashValue*> probe_ptrs;
     virtual ~QueryScratch() = default;
   };
   virtual std::unique_ptr<QueryScratch> MakeScratch() const;
 
   /// Everything of the candidate search up to (not including) the heap pop
-  /// loop: begins the scratch, runs the bound cascade (plus, in MpLccsLsh,
-  /// the perturbed probes of Section 4.2), and records the probe string
-  /// pointers in scratch->probe_ptrs. Splitting here lets QueryBatch prepare
-  /// several queries and drain their heaps interleaved
-  /// (CollectFromHeapInterleaved), with the same per-query pop iteration as
-  /// the solo CollectFromHeap drain of MpLccsLsh::Candidates.
+  /// loop: begins the scratch and runs the bound cascade (plus, in
+  /// MpLccsLsh, the perturbed probes of Section 4.2), leaving the seeded
+  /// heap for CircularShiftArray::CollectFromHeap.
   virtual void PrepareSearch(const float* query, const HashValue* hash,
                              QueryScratch* scratch) const;
 

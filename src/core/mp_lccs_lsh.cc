@@ -22,17 +22,11 @@ void MpLccsLsh::PrepareSearch(const float* query, const HashValue* hash,
   const bool multi = params_.num_probes > 1;
   ps->csa.Begin(n_, m, multi ? m * n_ : 0);
 
-  // Probe 0 is the unperturbed hash string; the flat buffer is sized for the
-  // full probing budget upfront so pointers into it stay stable.
-  ps->probe_buf.resize(params_.num_probes * m);
-  std::copy(hash, hash + m, ps->probe_buf.data());
-  size_t num_probes = 1;
-
   // Base λ-LCCS search (Algorithm 2 lines 2-11): per-shift bounds and the
   // seeded heap. The matched window of shift i is [i, i + reach_i); a later
   // probe only needs to revisit shift i if it modifies a position inside
   // that window.
-  csa_.SearchBounds(ps->probe_buf.data(), &ps->csa);
+  csa_.SearchBounds(hash, &ps->csa);
   ps->reach.resize(m);
   for (size_t i = 0; i < m; ++i) {
     const CircularShiftArray::ShiftBounds& b = ps->csa.state[i];
@@ -51,12 +45,12 @@ void MpLccsLsh::PrepareSearch(const float* query, const HashValue* hash,
     // The first vector is the empty perturbation — already searched above.
     gen.Next(&delta);
     ps->affected.resize(m);
+    ps->probe.resize(m);
+    HashValue* probe = ps->probe.data();
     for (size_t t = 1; t < params_.num_probes && gen.Next(&delta); ++t) {
-      HashValue* probe = ps->probe_buf.data() + num_probes * m;
       std::copy(hash, hash + m, probe);
       for (const Perturbation& p : delta) probe[p.pos] = p.value;
-      const auto probe_idx = static_cast<int32_t>(num_probes);
-      ++num_probes;
+      const auto probe_idx = static_cast<int32_t>(t);
 
       // Skip unaffected positions: re-search shift i only when a modified
       // position lies in its matched window [i, i + reach_i) (circularly).
@@ -86,11 +80,9 @@ void MpLccsLsh::PrepareSearch(const float* query, const HashValue* hash,
   // across all probes: it pops in non-increasing LCP order, deduplicating
   // both ids and — because probes overlap heavily in the sorted orders (the
   // redundancy problem of Example 4.1) — frontier positions, which bounds
-  // the pop work per shift by n regardless of the number of probes.
-  ps->probe_ptrs.resize(num_probes);
-  for (size_t t = 0; t < num_probes; ++t) {
-    ps->probe_ptrs[t] = ps->probe_buf.data() + t * m;
-  }
+  // the pop work per shift by n regardless of the number of probes. It
+  // reads no probe string: every heap entry carries its exact LCP, and the
+  // chains extend it through the CSA's adjacent-LCP arrays.
 }
 
 std::vector<LccsCandidate> MpLccsLsh::Candidates(const float* query,
@@ -102,8 +94,7 @@ std::vector<LccsCandidate> MpLccsLsh::Candidates(const float* query,
   PrepareSearch(query, hq.data(), scratch.get());
   std::vector<LccsCandidate> out;
   out.reserve(std::min<size_t>(count, n_));
-  csa_.CollectFromHeap(scratch->probe_ptrs.data(), scratch->probe_ptrs.size(),
-                       count, &scratch->csa, &out);
+  csa_.CollectFromHeap(count, &scratch->csa, &out);
   return out;
 }
 

@@ -47,17 +47,17 @@ class MpLccsLsh : public LccsLsh {
   /// PrepareSearch override below plus a solo heap drain. Query and
   /// QueryBatch are inherited from LccsLsh and dispatch through the same
   /// override, so the multi-probe scheme gets the batched engine (shared
-  /// hashing pass, interleaved heap drain, deduplicated gather) for free.
+  /// hashing pass, deduplicated gather) for free.
   std::vector<LccsCandidate> Candidates(const float* query,
                                         size_t count) const;
 
  protected:
-  /// Extends the base scratch with the multi-probe buffers: perturbed hash
-  /// strings live in one flat (num_probes x m) buffer so probe pointers stay
-  /// stable, and the alternatives / reach / affected arrays are reused
-  /// across the queries served by one scratch.
+  /// Extends the base scratch with the multi-probe buffers, reused across
+  /// the queries served by one scratch. A perturbed probe string is needed
+  /// only for its own bound searches (the drain reads none), so one buffer
+  /// holds each in turn.
   struct ProbeScratch : QueryScratch {
-    std::vector<HashValue> probe_buf;             ///< flat probe strings
+    std::vector<HashValue> probe;                 ///< current probe string
     std::vector<std::vector<lsh::AltHash>> alts;  ///< per-position alts
     std::vector<int32_t> reach;                   ///< matched window lengths
     std::vector<char> affected;                   ///< shifts to re-search
@@ -67,8 +67,7 @@ class MpLccsLsh : public LccsLsh {
   /// The multi-probe search of Section 4.2: base cascade via
   /// CircularShiftArray::SearchShiftFrom, perturbed probes re-searching only
   /// affected shifts, all feeding one shared heap (drained by the caller
-  /// with cross-probe frontier-position dedup; probe_ptrs point into the
-  /// scratch's flat probe buffer).
+  /// with cross-probe frontier-position dedup).
   void PrepareSearch(const float* query, const HashValue* hash,
                      QueryScratch* scratch) const override;
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,9 +120,92 @@ TEST(CsaBuildTest, SizeBytesAccountsForAllArrays) {
   const auto data = RandomStrings(n, m, 4, 9);
   CircularShiftArray csa;
   csa.Build(data.data(), n, m);
-  // data (n*m HashValue) + sorted (m*n int32) + next (m*n int32).
-  EXPECT_EQ(csa.SizeBytes(),
-            n * m * sizeof(HashValue) + 2 * m * n * sizeof(int32_t));
+  // data (n*m HashValue) + sorted (m*n int32) + next (m*n int32) +
+  // adjacent LCPs (m*n uint16).
+  EXPECT_EQ(csa.SizeBytes(), n * m * sizeof(HashValue) +
+                                 2 * m * n * sizeof(int32_t) +
+                                 m * n * sizeof(uint16_t));
+}
+
+// L_i[p] must be the circular LCP at shift i of the neighbours at p and
+// p + 1 of I_i — after Build, which derives it through the next links, and
+// after a Serialize -> Deserialize round trip, which derives it again.
+void ExpectAdjacentLcpIsDirect(const CircularShiftArray& csa) {
+  const size_t n = csa.n(), m = csa.m();
+  for (size_t shift = 0; shift < m; ++shift) {
+    for (size_t pos = 0; pos + 1 < n; ++pos) {
+      ASSERT_EQ(csa.AdjacentLcp(shift, pos),
+                CircularLcp(csa.String(csa.SortedId(shift, pos)),
+                            csa.String(csa.SortedId(shift, pos + 1)), m,
+                            shift))
+          << "n=" << n << " m=" << m << " shift=" << shift << " pos=" << pos;
+    }
+  }
+}
+
+void ExpectAdjacentLcpIsDirect(const std::vector<HashValue>& data, size_t n,
+                               size_t m) {
+  CircularShiftArray csa;
+  csa.Build(data.data(), n, m);
+  ExpectAdjacentLcpIsDirect(csa);
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  csa.Serialize(bytes);
+  ExpectAdjacentLcpIsDirect(CircularShiftArray::Deserialize(bytes));
+}
+
+TEST(CsaBuildTest, AdjacentLcpMatchesDirectCircularLcp) {
+  // The shapes of CsaSeedSweep (test_csa_stress.cc): the same seeds and the
+  // same draw order, so the same n, m, alphabets and strings.
+  for (uint64_t seed = 1000; seed < 1012; ++seed) {
+    util::Rng rng(seed);
+    for (int round = 0; round < 4; ++round) {
+      const size_t n = 4 + rng.NextBounded(120);
+      const size_t m = 1 + rng.NextBounded(20);
+      const int alphabet = 2 + static_cast<int>(rng.NextBounded(6));
+      rng.NextBounded(n);  // the sweep's k
+      std::vector<HashValue> data(n * m);
+      for (auto& v : data) {
+        v = static_cast<HashValue>(rng.NextBounded(alphabet));
+      }
+      ExpectAdjacentLcpIsDirect(data, n, m);
+      for (size_t i = 0; i < m; ++i) rng.NextBounded(alphabet);  // its query
+    }
+  }
+  // One and two strings.
+  ExpectAdjacentLcpIsDirect(RandomStrings(1, 5, 3, 11), 1, 5);
+  ExpectAdjacentLcpIsDirect(RandomStrings(2, 5, 3, 12), 2, 5);
+  ExpectAdjacentLcpIsDirect(std::vector<HashValue>(2 * 7, 4), 2, 7);
+  // Alphabet 1: every string is the same, so every entry is m.
+  ExpectAdjacentLcpIsDirect(RandomStrings(30, 9, 1, 13), 30, 9);
+  // All-equal non-constant strings: every entry is m too.
+  std::vector<HashValue> equal;
+  for (int i = 0; i < 25; ++i) equal.insert(equal.end(), {3, 1, 4, 1, 5, 9});
+  ExpectAdjacentLcpIsDirect(equal, 25, 6);
+  CircularShiftArray all_equal;
+  all_equal.Build(equal.data(), 25, 6);
+  for (size_t shift = 0; shift < 6; ++shift) {
+    for (size_t pos = 0; pos + 1 < 25; ++pos) {
+      EXPECT_EQ(all_equal.AdjacentLcp(shift, pos), 6);
+    }
+  }
+  // m = 300: near-copies of one template, so LCPs run past 255.
+  const size_t n = 40, m = 300;
+  const auto tmpl = RandomStrings(1, m, 3, 14);
+  util::Rng rng(15);
+  std::vector<HashValue> near;
+  for (size_t i = 0; i < n; ++i) {
+    near.insert(near.end(), tmpl.begin(), tmpl.end());
+    near[i * m + rng.NextBounded(m)] =
+        static_cast<HashValue>(rng.NextBounded(3));
+  }
+  ExpectAdjacentLcpIsDirect(near, n, m);
+  CircularShiftArray long_lcp;
+  long_lcp.Build(near.data(), n, m);
+  int32_t longest = 0;
+  for (size_t pos = 0; pos + 1 < n; ++pos) {
+    longest = std::max(longest, long_lcp.AdjacentLcp(0, pos));
+  }
+  EXPECT_GT(longest, 255);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +308,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CsaSearchCase{200, 16, 4, 20},
                       CsaSearchCase{50, 5, 2, 50},   // k == n
                       CsaSearchCase{30, 10, 16, 5},  // sparse collisions
-                      CsaSearchCase{128, 24, 2, 12}));
+                      CsaSearchCase{128, 24, 2, 12},
+                      CsaSearchCase{48, 300, 2, 12}));  // LCPs past 255
 
 TEST(CsaSearchTest, ReturnsDistinctIds) {
   const size_t n = 40, m = 8;
@@ -361,6 +446,67 @@ TEST(CsaDeserializeTest, TruncatedArrayThrowsRuntimeError) {
   // Cut inside the first length-prefixed array (magic + n + m + count = 32
   // bytes, then data_ payload).
   bytes.resize(48);
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
+}
+
+// In-range arrays out of order: the adjacent-LCP derivation reads a range
+// of L_{i+1} between the next links of two neighbours with equal symbols,
+// and needs unequal symbols to ascend. Swapping two neighbours' next links
+// reverses that range; swapping two sorted ids makes the symbols descend.
+// Stream offsets: 32-byte header + count, data, then each array after an
+// 8-byte count.
+size_t SortedOffset(size_t n, size_t m, size_t shift, size_t pos) {
+  return 32 + n * m * sizeof(HashValue) + 8 + (shift * n + pos) * 4;
+}
+
+size_t NextOffset(size_t n, size_t m, size_t shift, size_t pos) {
+  return SortedOffset(n, m, shift, pos) + m * n * 4 + 8;
+}
+
+void SwapU32(std::string* bytes, size_t a, size_t b) {
+  ASSERT_LE(std::max(a, b) + 4, bytes->size());
+  std::swap_ranges(bytes->begin() + a, bytes->begin() + a + 4,
+                   bytes->begin() + b);
+}
+
+// First neighbour pair (shift >= 1, pos) whose symbols at the shift are
+// equal (`equal`) or differ.
+std::pair<size_t, size_t> NeighbourPair(const CircularShiftArray& csa,
+                                        bool equal) {
+  for (size_t shift = 1; shift < csa.m(); ++shift) {
+    for (size_t pos = 0; pos + 1 < csa.n(); ++pos) {
+      const HashValue a = csa.String(csa.SortedId(shift, pos))[shift];
+      const HashValue b = csa.String(csa.SortedId(shift, pos + 1))[shift];
+      if ((a == b) == equal) return {shift, pos};
+    }
+  }
+  ADD_FAILURE() << "no neighbour pair found";
+  return {1, 0};
+}
+
+TEST(CsaDeserializeTest, SwappedNextLinksThrowRuntimeError) {
+  const size_t n = 12, m = 6;
+  const auto data = RandomStrings(n, m, 4, 99);
+  CircularShiftArray csa;
+  csa.Build(data.data(), n, m);
+  const auto [shift, pos] = NeighbourPair(csa, /*equal=*/true);
+  std::string bytes = SerializedCsa(n, m);
+  SwapU32(&bytes, NextOffset(n, m, shift, pos),
+          NextOffset(n, m, shift, pos + 1));
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
+}
+
+TEST(CsaDeserializeTest, SwappedSortedIdsThrowRuntimeError) {
+  const size_t n = 12, m = 6;
+  const auto data = RandomStrings(n, m, 4, 99);
+  CircularShiftArray csa;
+  csa.Build(data.data(), n, m);
+  const auto [shift, pos] = NeighbourPair(csa, /*equal=*/false);
+  std::string bytes = SerializedCsa(n, m);
+  SwapU32(&bytes, SortedOffset(n, m, shift, pos),
+          SortedOffset(n, m, shift, pos + 1));
   std::istringstream in(bytes, std::ios::binary);
   EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
 }

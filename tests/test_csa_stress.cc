@@ -178,6 +178,102 @@ TEST(CsaStressTest, NegativeHashValuesSupported) {
   }
 }
 
+// The pop loop with the chain LCP measured by comparing hash strings
+// against the entry's probe, as Algorithm 2 states it — the reference the
+// adjacent-LCP walk must reproduce entry for entry. Same pop order, same
+// fast-forward over seen ids and visited positions, same run extension.
+std::vector<LccsCandidate> StringCompareDrain(
+    const CircularShiftArray& csa,
+    const std::vector<std::vector<HashValue>>& probes,
+    std::vector<CircularShiftArray::HeapKey> heap, size_t count) {
+  using Csa = CircularShiftArray;
+  const auto n = static_cast<int32_t>(csa.n());
+  const size_t m = csa.m();
+  std::vector<char> seen(csa.n(), 0), visited(m * csa.n(), 0);
+  std::vector<LccsCandidate> out;
+  std::make_heap(heap.begin(), heap.end());
+  while (out.size() < count && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    const Csa::HeapKey key = heap.back();
+    heap.pop_back();
+    const int32_t len = Csa::HeapKeyLen(key);
+    const int32_t shift = Csa::HeapKeyShift(key);
+    const int32_t dir = Csa::HeapKeyDir(key);
+    const HashValue* probe = probes[Csa::HeapKeyProbe(key)].data();
+    const auto at = [&](int32_t pos) -> char& {
+      return visited[static_cast<size_t>(shift) * csa.n() + pos];
+    };
+    const int32_t pos = Csa::HeapKeyPos(key);
+    if (at(pos)) continue;
+    at(pos) = 1;
+    const int32_t id = csa.SortedId(shift, pos);
+    if (!seen[id]) {
+      seen[id] = 1;
+      out.push_back({id, len});
+    }
+    for (int32_t npos = pos + dir; npos >= 0 && npos < n; npos += dir) {
+      const int32_t nid = csa.SortedId(shift, npos);
+      if (at(npos) || seen[nid]) continue;
+      const int32_t nlen = csa.Lcp(nid, probe, shift);
+      if (nlen != len || out.size() >= count) {
+        heap.push_back(Csa::PackHeapKey(nlen, shift, npos,
+                                        Csa::HeapKeyProbe(key), dir));
+        std::push_heap(heap.begin(), heap.end());
+        break;
+      }
+      at(npos) = 1;
+      seen[nid] = 1;
+      out.push_back({nid, nlen});
+    }
+  }
+  return out;
+}
+
+TEST(CsaStressTest, MultiProbeDrainMatchesStringCompareWalk) {
+  // Several probes feed one heap, so chains cross positions other probes
+  // consumed: the adjacent-LCP walk must lower its running LCP over those
+  // skipped positions exactly as a string compare would see it.
+  util::Rng rng(477);
+  for (int round = 0; round < 12; ++round) {
+    const size_t n = 20 + rng.NextBounded(150);
+    const size_t m = 2 + rng.NextBounded(16);
+    const int alphabet = 2 + static_cast<int>(rng.NextBounded(4));
+    const auto data = RandomStrings(n, m, alphabet, &rng);
+    CircularShiftArray csa;
+    csa.Build(data.data(), n, m);
+    std::vector<std::vector<HashValue>> probes(1 + rng.NextBounded(8),
+                                               std::vector<HashValue>(m));
+    for (auto& v : probes[0]) {
+      v = static_cast<HashValue>(rng.NextBounded(alphabet));
+    }
+    CircularShiftArray::SearchScratch scratch;
+    scratch.Begin(n, m, m * n);
+    csa.SearchBounds(probes[0].data(), &scratch);
+    for (size_t t = 1; t < probes.size(); ++t) {
+      probes[t] = probes[0];
+      probes[t][rng.NextBounded(m)] =
+          static_cast<HashValue>(rng.NextBounded(alphabet));
+      for (size_t shift = 0; shift < m; ++shift) {
+        if (rng.NextBounded(2) == 0) continue;  // an unaffected shift
+        csa.PushBounds(
+            csa.SearchShift(probes[t].data(), shift, 0,
+                            static_cast<int32_t>(n) - 1),
+            shift, static_cast<int32_t>(t), &scratch);
+      }
+    }
+    const size_t count = 1 + rng.NextBounded(n);
+    const auto expected = StringCompareDrain(csa, probes, scratch.heap, count);
+    std::vector<LccsCandidate> got;
+    csa.CollectFromHeap(count, &scratch, &got);
+    ASSERT_EQ(got.size(), expected.size()) << "round " << round;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[i].id) << "round " << round << " i " << i;
+      EXPECT_EQ(got[i].len, expected[i].len)
+          << "round " << round << " i " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace lccs

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,6 +105,111 @@ BENCHMARK(BM_VerifyScalarPerPair)->Arg(128)->Arg(960)
 BENCHMARK(BM_VerifySimdPerPair)->Arg(128)->Arg(960)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_VerifyBatched)->Arg(128)->Arg(960)
+    ->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Bounded scatter (partial distance search) vs the unbounded grouped kernel,
+// on one LCCS-sized candidate list: λ + k − 1 = 2009 rows (λ = 2000,
+// k = 10) gathered from a Gaussian mixture, at the msong (420), deep (256),
+// sift (128) and gist (960) dimensions. Args: (d, k, bounded). The list is
+// ordered as the gather sees it — its first k rows are the k nearest, so the
+// seed bound is the k-th best distance. bounded = 1 runs the engine's
+// phase 5: the k seeds scored exactly, then the rest under the bound;
+// bounded = 0 scores all 2009 rows unbounded. `rejected` is the fraction of
+// rows abandoned early. k = 100 and 300 put the list at 20·k and 6.7·k,
+// around the engine's 16·k engagement rule.
+
+constexpr size_t kScatterList = 2009;
+
+struct ScatterFixture {
+  util::Matrix data;
+  std::vector<float> query;
+  std::vector<int32_t> ids;
+  std::vector<int32_t> slots;
+
+  explicit ScatterFixture(size_t d)
+      : data(kScatterList, d), query(d), ids(kScatterList),
+        slots(kScatterList) {
+    // The msong analogue's mixture (center scale 12, cluster stddev 1.2)
+    // over 8 clusters, one of them the query's: about 250 candidates share
+    // its cluster, as a 2009-row list over a 25k-row msong shard (~310
+    // rows per cluster) does.
+    constexpr size_t kClusters = 8;
+    util::Rng rng(45);
+    util::Matrix centers(kClusters, d);
+    rng.FillGaussian(centers.data(), kClusters * d);
+    const auto draw = [&](size_t cluster, float* out) {
+      rng.FillGaussian(out, d);
+      for (size_t j = 0; j < d; ++j) {
+        out[j] = 12.0f * centers.Row(cluster)[j] + 1.2f * out[j];
+      }
+    };
+    for (size_t i = 0; i < kScatterList; ++i) {
+      draw(rng.NextBounded(kClusters), data.Row(i));
+    }
+    draw(0, query.data());
+    for (size_t i = 0; i < kScatterList; ++i) {
+      ids[i] = static_cast<int32_t>((i * 997) % kScatterList);
+      slots[i] = static_cast<int32_t>(i);
+    }
+  }
+
+  // Moves the k nearest rows to the front of the list, nearest first.
+  void SeedNearestFirst(size_t k) {
+    std::vector<double> dist(kScatterList);
+    util::DistanceMany(util::Metric::kEuclidean, data.data(), data.cols(),
+                       query.data(), ids.data(), kScatterList, dist.data());
+    std::vector<size_t> order(kScatterList);
+    for (size_t i = 0; i < kScatterList; ++i) order[i] = i;
+    std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                      [&](size_t a, size_t b) { return dist[a] < dist[b]; });
+    std::vector<bool> front(kScatterList, false);
+    std::vector<int32_t> reordered;
+    for (size_t i = 0; i < k; ++i) {
+      reordered.push_back(ids[order[i]]);
+      front[order[i]] = true;
+    }
+    for (size_t i = 0; i < kScatterList; ++i) {
+      if (!front[i]) reordered.push_back(ids[i]);
+    }
+    ids = std::move(reordered);
+  }
+};
+
+void BM_DistanceScatterBounded(benchmark::State& state) {
+  const auto d = static_cast<size_t>(state.range(0));
+  const auto k = static_cast<size_t>(state.range(1));
+  const bool bounded = state.range(2) != 0;
+  ScatterFixture f(d);
+  f.SeedNearestFirst(k);
+  std::vector<double> out(kScatterList);
+  const size_t seeds = bounded ? k : 0;
+  for (auto _ : state) {
+    double bound = std::numeric_limits<double>::infinity();
+    if (seeds > 0) {
+      util::DistanceScatter(util::Metric::kEuclidean, f.data.data(), d,
+                            f.query.data(), f.ids.data(), f.slots.data(),
+                            seeds, out.data());
+      bound = *std::max_element(out.begin(), out.begin() + seeds);
+    }
+    util::DistanceScatter(util::Metric::kEuclidean, f.data.data(), d,
+                          f.query.data(), f.ids.data() + seeds,
+                          f.slots.data() + seeds, kScatterList - seeds,
+                          out.data(), bound);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const auto rejected = std::count(out.begin(), out.end(),
+                                   std::numeric_limits<double>::infinity());
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kScatterList),
+      benchmark::Counter::kIsRate);
+  state.counters["rejected"] =
+      static_cast<double>(rejected) / static_cast<double>(kScatterList);
+}
+
+BENCHMARK(BM_DistanceScatterBounded)
+    ->ArgsProduct({{128, 256, 420, 960}, {10, 100, 300}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

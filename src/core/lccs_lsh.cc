@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -11,6 +12,25 @@
 
 namespace lccs {
 namespace core {
+namespace {
+
+// Whether a query's gather seeds a bound from its first k candidates. The
+// bounded kernel only abandons rows on the Euclidean AVX2 tier, after whole
+// 32-float rounds, and the seed pass scores k rows outside the blocks, with
+// a bound that loosens as k grows. Measured on 25k-row shards at λ = 2000
+// (4-vCPU x86 VM): d = 420 at k = 10 or 100 cut the window gather by
+// 25–40%; d = 128 (SIFT analogue, k ∈ {10, 30, 100}) gained nothing or
+// lost up to 11%, and d = 420 at k = 300, a list of 7.7·k, lost 40%. Hence
+// rows of at least 8 rounds and lists of at least 16·k.
+bool SeedsBound(util::Metric metric, size_t d, size_t k, size_t list_size) {
+  constexpr size_t kMinDim = 256;
+  constexpr size_t kMinListPerK = 16;
+  return k > 0 && metric == util::Metric::kEuclidean && d >= kMinDim &&
+         list_size >= kMinListPerK * k &&
+         util::ActiveSimdTier() == util::SimdTier::kAvx2;
+}
+
+}  // namespace
 
 LccsLsh::LccsLsh(std::unique_ptr<lsh::HashFamily> family, util::Metric metric)
     : family_(std::move(family)), metric_(metric) {
@@ -163,23 +183,34 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   // instead of once per query. Blocking and dedup only pay when several
   // lists can name the same row: a lone list is one block and, since the
   // CSA surfaces each id at most once, its own union.
+  // A query that seeds a bound (see SeedsBound) keeps its first k
+  // candidates out of the blocks: phase 5 scores them first.
   std::vector<size_t> offsets(num_queries + 1, 0);
+  std::vector<size_t> seeds(num_queries, 0);
   size_t lists = 0;
+  bool seeded = false;
   for (size_t q = 0; q < num_queries; ++q) {
     offsets[q + 1] = offsets[q] + cands[q].size();
     if (!cands[q].empty()) ++lists;
+    if (SeedsBound(metric_, d_, k, cands[q].size())) {
+      seeds[q] = k;
+      seeded = true;
+    }
   }
   const bool shared = lists > 1;
   // A shared block spans 2^block_shift rows, the largest power of two
   // within 256 KB of rows, so a candidate's block is a shift, not a
-  // division. Shift 31 puts the whole int32 id space in one block.
+  // division. A bounded gather abandons most rows after a round or two and
+  // reads about a quarter of the block's bytes, so a seeded window spans
+  // 1 MB of rows instead: the same cache footprint, and runs per (query,
+  // block) four times longer for the lane kernel. Shift 31 puts the whole
+  // int32 id space in one block.
   size_t block_shift = 31;
   if (shared) {
     const size_t row_bytes = std::max<size_t>(1, d_ * sizeof(float));
+    const size_t block_bytes = (seeded ? size_t{1024} : size_t{256}) << 10;
     block_shift = 0;
-    while ((row_bytes << (block_shift + 1)) <= (size_t{256} << 10)) {
-      ++block_shift;
-    }
+    while ((row_bytes << (block_shift + 1)) <= block_bytes) ++block_shift;
   }
   const size_t num_blocks = n_ > 0 ? ((n_ - 1) >> block_shift) + 1 : 0;
   const size_t total = offsets[num_queries];
@@ -197,7 +228,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
     int32_t* boff = block_off.data() + q * (num_blocks + 1);
     for (size_t s = 0; s < list.size(); ++s) {
       const auto id = static_cast<size_t>(list[s].id);
-      ++boff[(id >> block_shift) + 1];
+      if (s >= seeds[q]) ++boff[(id >> block_shift) + 1];
       if (shared) {
         in_union[id] = 1;
       } else {
@@ -205,7 +236,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       }
     }
     for (size_t b = 1; b <= num_blocks; ++b) boff[b] += boff[b - 1];
-    for (size_t s = 0; s < list.size(); ++s) {
+    for (size_t s = seeds[q]; s < list.size(); ++s) {
       const int32_t id = list[s].id;
       const size_t b = static_cast<size_t>(id) >> block_shift;
       const size_t pos = static_cast<size_t>(boff[b]++);
@@ -220,11 +251,40 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
     store_->PrefetchRows(union_ids.data(), union_ids.size());
   }
 
-  // Phase 5: blocked verification gather. Rows are scored block-by-block so
-  // a row shared by several queries in the window is pulled into cache once
-  // and reused; distances land at the candidate's original slot. The SIMD
-  // kernels are bit-identical regardless of row grouping, so this changes
-  // evaluation order only, never values.
+  // Phase 5: seeded, blocked verification gather. A seeding query first
+  // scores its first k candidates (the longest LCCS matches) exactly into
+  // their slots; the largest of those k distances, b, is at least the
+  // query's final k-th distance. Then rows are scored block-by-block so a
+  // row shared by several queries in the window is pulled into cache once
+  // and reused; distances land at the candidate's original slot. With a
+  // finite b, util::DistanceScatter abandons a row once its partial sum
+  // proves its distance strictly greater than b, and leaves +inf in its
+  // slot. Such a row can never enter the top k, nor change which tied rows
+  // phase 6's TopK keeps: every element above the final k-th distance is
+  // evicted or refused whatever its value. Every other distance is
+  // bit-identical regardless of row grouping, so this changes evaluation
+  // order and the discarded values only, never the answer.
+  std::vector<double> bounds(num_queries,
+                             std::numeric_limits<double>::infinity());
+  if (seeded) {
+    util::ParallelFor(
+        num_queries,
+        [&](size_t begin, size_t end) {
+          std::vector<int32_t> ids;
+          for (size_t q = begin; q < end; ++q) {
+            if (seeds[q] == 0) continue;
+            ids.clear();
+            for (size_t s = 0; s < seeds[q]; ++s) {
+              ids.push_back(cands[q][s].id);
+            }
+            double* seed_dists = dists.data() + offsets[q];
+            util::DistanceMany(metric_, store_->data(), d_, queries + q * d_,
+                               ids.data(), ids.size(), seed_dists);
+            bounds[q] = *std::max_element(seed_dists, seed_dists + seeds[q]);
+          }
+        },
+        num_threads);
+  }
   util::ParallelFor(
       num_blocks,
       [&](size_t begin, size_t end) {
@@ -238,7 +298,8 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
                                   queries + q * d_,
                                   blocked_ids.data() + offsets[q] + s,
                                   blocked_slots.data() + offsets[q] + s,
-                                  e - s, dists.data() + offsets[q]);
+                                  e - s, dists.data() + offsets[q],
+                                  bounds[q]);
           }
         }
       },

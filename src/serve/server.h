@@ -134,8 +134,9 @@ class Server {
     /// sequential.
     size_t num_threads = 0;
     /// Admission bound (queued, not-yet-served requests of either kind);
-    /// 0 = unbounded.
-    size_t max_queue = 0;
+    /// 0 = unbounded. The default keeps an overloaded server's backlog
+    /// bounded while staying far above any window a healthy server holds.
+    size_t max_queue = 65536;
     /// Injectable microsecond clock for the deterministic window tests;
     /// nullptr = std::chrono::steady_clock. A test advancing a fake clock
     /// must call Poke() afterwards — with an injected clock the window

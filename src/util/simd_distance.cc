@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/matrix.h"
 
@@ -114,6 +115,116 @@ void L2SqRowsAvx2(const float* const* rows, size_t nrows, const float* q,
     }
   }
   for (size_t r = 0; r < nrows; ++r) out[r] = HorizontalSum(acc[r]);
+}
+
+// Floats each lane of the bounded scatter advances between bound checks:
+// four 8-float steps.
+constexpr size_t kRound = 32;
+
+// Partial distance search (Bei & Gray, IEEE Trans. Commun. 1985) over a
+// scatter list: kGroup lanes each own one candidate row and its accumulator
+// and advance in lockstep, one round at a time, so the FMA chains stay as
+// independent as in L2SqRowsAvx2. After every round the four partial sums
+// are reduced together; a lane whose sum exceeds `reject_above` — (float)
+// (b·b)·(1 + 2⁻¹⁶) for the caller's distance bound b — writes +inf and takes
+// the next candidate. A lane with less than one round left finishes alone.
+// Idle lanes (list exhausted) score the query against itself: their sum
+// stays 0, so they are never rejected, and they are never reported. Needs
+// d >= kRound, so every fresh row owes at least one round.
+//
+// Exactness:
+//  * A completed row ran L2SqRowsAvx2's sequence — zeroed accumulator, the
+//    8-float FMA steps in order, the masked tail — then HorizontalSum and
+//    sqrt, so its value is bit-identical to the unbounded kernel's.
+//  * Let f be the float sum behind b, so b = sqrt(f) in double. b·b is
+//    within 3·2⁻⁵³ relative of f, far inside half a float ulp, so (float)
+//    (b·b) == f.
+//  * Each lane accumulator only grows (fma(x, x, acc) >= acc, rounding is
+//    monotone), so every partial lane value is at most its final value. The
+//    partial sum P (hadd order) and the final sum F (HorizontalSum order)
+//    each add 8 nonnegative floats, and any such order is within 7·2⁻²⁴
+//    relative of the exact sum. So F >= P·(1 - 2⁻²⁰), and P above the
+//    threshold, itself >= f·(1 + 2⁻¹⁶)·(1 - 2⁻²⁴) after rounding, gives
+//    F > f. The double sqrt of two distinct floats stays distinct, so the
+//    row's distance sqrt(F) > b.
+//    A row at distance exactly b (a duplicate of the seed row) is kept:
+//    the same bound gives P <= f·(1 + 2⁻²⁰), below the threshold.
+__attribute__((target("avx2,fma")))
+void L2ScatterBoundedAvx2(const float* data, size_t d, const float* q,
+                          const int32_t* ids, const int32_t* slots, size_t n,
+                          float reject_above, double* out) {
+  // Most rows are abandoned after a round or two, so lanes cycle through
+  // candidates fast: warm only the first round of a row, well ahead.
+  constexpr size_t kLaneLookahead = 16;
+  const float* row[kGroup] = {};
+  size_t pos[kGroup] = {};
+  int32_t slot[kGroup] = {};
+  __m256 acc[kGroup] = {};
+  size_t next = 0;
+  size_t live = 0;
+  // Loads lane l with the next candidate, or parks it idle on the query.
+  // (The caller zeroes acc[l]: a lambda does not inherit the AVX target.)
+  const auto fill = [&](size_t l) {
+    pos[l] = 0;
+    if (next == n) {
+      row[l] = q;
+      slot[l] = -1;
+      return;
+    }
+    if (next + kLaneLookahead < n) {
+      const float* ahead =
+          data + static_cast<size_t>(ids[next + kLaneLookahead]) * d;
+      for (size_t f = 0; f < kRound; f += 16) __builtin_prefetch(ahead + f);
+    }
+    row[l] = data + static_cast<size_t>(ids[next]) * d;
+    slot[l] = slots[next];
+    ++next;
+    ++live;
+  };
+  for (size_t l = 0; l < kGroup; ++l) fill(l);
+  while (live > 0) {
+    for (size_t s = 0; s < kRound; s += 8) {
+      for (size_t l = 0; l < kGroup; ++l) {
+        const __m256 qv = _mm256_loadu_ps(q + pos[l] + s);
+        const __m256 diff =
+            _mm256_sub_ps(_mm256_loadu_ps(row[l] + pos[l] + s), qv);
+        acc[l] = _mm256_fmadd_ps(diff, diff, acc[l]);
+      }
+    }
+    const __m256 t = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                    _mm256_hadd_ps(acc[2], acc[3]));
+    const __m128 sums = _mm_add_ps(_mm256_castps256_ps128(t),
+                                   _mm256_extractf128_ps(t, 1));
+    const int over = _mm_movemask_ps(
+        _mm_cmpgt_ps(sums, _mm_set1_ps(reject_above)));
+    for (size_t l = 0; l < kGroup; ++l) {
+      if (slot[l] < 0) continue;
+      if (over & (1 << l)) {
+        out[slot[l]] = std::numeric_limits<double>::infinity();
+      } else if ((pos[l] += kRound) + kRound > d) {
+        __m256 a = acc[l];
+        size_t j = pos[l];
+        for (; j + 8 <= d; j += 8) {
+          const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(row[l] + j),
+                                            _mm256_loadu_ps(q + j));
+          a = _mm256_fmadd_ps(diff, diff, a);
+        }
+        if (j < d) {
+          const __m256i mask = TailMaskFor(d - j);
+          const __m256 diff =
+              _mm256_sub_ps(_mm256_maskload_ps(row[l] + j, mask),
+                            _mm256_maskload_ps(q + j, mask));
+          a = _mm256_fmadd_ps(diff, diff, a);
+        }
+        out[slot[l]] = std::sqrt(HorizontalSum(a));
+      } else {
+        continue;
+      }
+      --live;
+      acc[l] = _mm256_setzero_ps();
+      fill(l);
+    }
+  }
 }
 
 __attribute__((target("avx2,fma")))
@@ -519,8 +630,19 @@ void DistanceMany(Metric metric, const float* data, size_t d,
 
 void DistanceScatter(Metric metric, const float* data, size_t d,
                      const float* query, const int32_t* ids,
-                     const int32_t* slots, size_t n, double* out) {
+                     const int32_t* slots, size_t n, double* out,
+                     double bound) {
   if (n == 0) return;
+#if LCCS_SIMD_X86
+  if (bound < std::numeric_limits<double>::infinity() &&
+      metric == Metric::kEuclidean && d >= kRound &&
+      ActiveSimdTier() == SimdTier::kAvx2) {
+    const float reject_above =
+        static_cast<float>(bound * bound) * (1.0f + 0x1p-16f);
+    L2ScatterBoundedAvx2(data, d, query, ids, slots, n, reject_above, out);
+    return;
+  }
+#endif
   const double qnorm2 = QueryNorm2(metric, query, d);
   const float* rows[kGroup];
   double dist[kGroup];

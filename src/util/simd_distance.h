@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "util/metric.h"
 #include "util/topk.h"
@@ -77,9 +78,18 @@ void DistanceMany(Metric metric, const float* data, size_t d,
 /// blocks), and because every distance is bit-identical to a standalone
 /// util::Distance call, the scattered values are exactly what DistanceMany
 /// would have produced at those slots in any other order.
+///
+/// A finite `bound` lets the Euclidean AVX2 kernel abandon a row early
+/// (partial distance search): once a row's running squared sum proves its
+/// distance is strictly greater than `bound`, out[slots[i]] is set to +inf
+/// instead. Every row it does not abandon is still bit-identical to
+/// util::Distance, and a row at distance exactly `bound` is never
+/// abandoned. Other metrics, the scalar tier and rows shorter than 32
+/// floats ignore the bound and score every row exactly.
 void DistanceScatter(Metric metric, const float* data, size_t d,
                      const float* query, const int32_t* ids,
-                     const int32_t* slots, size_t n, double* out);
+                     const int32_t* slots, size_t n, double* out,
+                     double bound = std::numeric_limits<double>::infinity());
 
 /// Batched candidate verification: scores candidates as DistanceMany and
 /// pushes (id, distance) into `topk` in candidate order — drop-in for the

@@ -2,13 +2,17 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
+#include "core/mp_lccs_lsh.h"
 #include "lsh/family_factory.h"
+#include "util/simd_distance.h"
 
 namespace lccs {
 namespace core {
@@ -150,6 +154,84 @@ TEST(LccsLshTest, DeterministicAcrossRebuilds) {
     ASSERT_EQ(ra.size(), rb.size());
     for (size_t i = 0; i < ra.size(); ++i) {
       EXPECT_EQ(ra[i].id, rb[i].id);
+    }
+  }
+}
+
+// The gather's seeded bound (phase 5 of QueryBatch) must never change an
+// answer: every QueryBatch row equals, bit for bit, the paper's rule run
+// outside the engine — the k nearest of the λ + k − 1 candidates by
+// VerifyCandidates. The base set repeats rows two and three times, 1100 ids
+// apart — more than a gather block holds at these d — and half the queries are
+// exact copies of base rows, so k-th distances tie across ids and TopK's
+// tie-breaking is exercised. d = 128 and k = 300 (a list shorter than 16·k)
+// take the unbounded path; d ∈ {256, 420} at k ∈ {1, 10} seed a bound.
+TEST(LccsLshTest, SeededGatherMatchesVerifiedCandidates) {
+  const size_t distinct = 1100, n = 3000, nq = 64, lambda = 400;
+  for (const size_t d : {size_t{128}, size_t{256}, size_t{420}}) {
+    dataset::SyntheticConfig config;
+    config.n = distinct;
+    config.num_queries = nq / 2;
+    config.dim = d;
+    config.num_clusters = 8;
+    config.seed = 300 + d;
+    const auto data = dataset::GenerateClustered(config);
+    std::vector<float> base(n * d);
+    for (size_t i = 0; i < n; ++i) {
+      const float* src = data.data.Row(i % distinct);
+      std::copy(src, src + d, base.begin() + i * d);
+    }
+    std::vector<float> queries(nq * d);
+    for (size_t q = 0; q < nq; ++q) {
+      const float* src = q % 2 == 0 ? data.queries.Row(q / 2)
+                                    : base.data() + ((q * 37) % n) * d;
+      std::copy(src, src + d, queries.begin() + q * d);
+    }
+    auto family = [&] {
+      return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection, d, 32, 8.0,
+                             2026);
+    };
+    LccsLsh single(family(), util::Metric::kEuclidean);
+    ProbeParams probes;
+    probes.num_probes = 4;
+    MpLccsLsh multi(family(), util::Metric::kEuclidean, probes);
+    for (LccsLsh* scheme : {&single, static_cast<LccsLsh*>(&multi)}) {
+      scheme->Build(base.data(), n, d);
+    }
+    for (const size_t k : {size_t{1}, size_t{10}, size_t{300}}) {
+      const size_t count = lambda + k - 1;
+      for (const LccsLsh* scheme : {&single, static_cast<LccsLsh*>(&multi)}) {
+        const bool is_mp = scheme == &multi;
+        const std::string leg = std::string(is_mp ? "MP-LCCS" : "LCCS") +
+                                " d=" + std::to_string(d) +
+                                " k=" + std::to_string(k);
+        std::vector<std::vector<util::Neighbor>> expected(nq);
+        for (size_t q = 0; q < nq; ++q) {
+          const float* query = queries.data() + q * d;
+          const auto cands = is_mp ? multi.Candidates(query, count)
+                                   : scheme->Candidates(query, count);
+          std::vector<int32_t> ids;
+          for (const LccsCandidate& c : cands) ids.push_back(c.id);
+          util::TopK topk(k);
+          util::VerifyCandidates(util::Metric::kEuclidean, base.data(), d,
+                                 query, ids.data(), ids.size(), topk);
+          expected[q] = topk.Sorted();
+        }
+        for (size_t q = 0; q < nq; ++q) {
+          const auto solo =
+              scheme->QueryBatch(queries.data() + q * d, 1, k, lambda, 1);
+          EXPECT_EQ(solo[0], expected[q]) << leg << " window 1 query " << q;
+        }
+        for (const size_t threads : {size_t{1}, size_t{3}}) {
+          const auto window =
+              scheme->QueryBatch(queries.data(), nq, k, lambda, threads);
+          ASSERT_EQ(window.size(), nq) << leg;
+          for (size_t q = 0; q < nq; ++q) {
+            EXPECT_EQ(window[q], expected[q])
+                << leg << " window 64 threads " << threads << " query " << q;
+          }
+        }
+      }
     }
   }
 }

@@ -1212,6 +1212,49 @@ TEST(ServeAdmission, BoundedQueueRejectsWhenFull) {
   server.Stop();
 }
 
+// A server configured with defaults only is bounded too: with the sequencer
+// parked, it queues exactly Options().max_queue requests, sheds the next one
+// as a retryable overload and counts it, then serves every queued request.
+TEST(ServeAdmission, DefaultOptionsBoundTheQueue) {
+  auto gate = std::make_shared<Gate>();
+  ShardedIndex::Options index_options;
+  index_options.num_shards = 1;
+  ShardedIndex index(
+      [gate] { return std::make_unique<GatedLinearScan>(gate); },
+      index_options);
+  index.Build(InitialData(4, 13));
+
+  const Server::Options options;
+  ASSERT_EQ(options.max_queue, 65536u);
+  Server server(&index, options);
+
+  const auto vec = VectorFromPayload(6);
+  auto blocked = server.SubmitQuery(vec.data(), 1);
+  gate->WaitUntilEntered();
+
+  std::vector<std::future<QueryResponse>> queued;
+  queued.reserve(options.max_queue);
+  for (size_t i = 0; i < options.max_queue; ++i) {
+    queued.push_back(server.SubmitQuery(vec.data(), 1));
+  }
+  EXPECT_EQ(server.stats().rejected, 0u);
+  auto shed = server.SubmitQuery(vec.data(), 1);
+  try {
+    shed.get();
+    FAIL() << "submission past the default bound was admitted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "server overloaded");
+  }
+  EXPECT_EQ(server.stats().rejected, 1u);
+
+  gate->Open();
+  EXPECT_EQ(blocked.get().neighbors.size(), 1u);
+  for (auto& response : queued) {
+    EXPECT_EQ(response.get().neighbors.size(), 1u);
+  }
+  server.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // TSAN-targeted stress: many clients, approximate shards, live rebuilds
 // ---------------------------------------------------------------------------

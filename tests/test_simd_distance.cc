@@ -7,8 +7,10 @@
 
 #include "util/simd_distance.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -199,6 +201,127 @@ TEST(SimdDistanceTest, VerifyCandidatesEmptyListIsNoop) {
   TopK topk(5);
   VerifyCandidates(Metric::kEuclidean, nullptr, 8, nullptr, nullptr, 0, topk);
   EXPECT_EQ(topk.size(), 0u);
+}
+
+// Dimensions crossing every 8-float step, 32-float round and masked-tail
+// boundary of the bounded scatter kernel.
+const size_t kScatterDims[] = {1, 7, 8, 31, 32, 33, 63, 64, 65, 128, 256, 420};
+
+// A scatter list over `n` rows: gathered ids, slots a permutation of 0..n-1.
+void ScatterList(size_t n, std::vector<int32_t>* ids,
+                 std::vector<int32_t>* slots) {
+  ids->resize(n);
+  slots->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*ids)[i] = static_cast<int32_t>((i * 13 + 5) % n);
+    (*slots)[i] = static_cast<int32_t>((i * 7 + 3) % n);
+  }
+}
+
+TEST(SimdDistanceTest, DistanceScatterUnboundedMatchesDistanceMany) {
+  Rng rng(14);
+  const size_t n = 57;
+  std::vector<int32_t> ids, slots;
+  ScatterList(n, &ids, &slots);
+  for (const size_t d : kScatterDims) {
+    Matrix data(n, d);
+    rng.FillGaussian(data.data(), n * d);
+    const auto query = RandomVector(rng, d);
+    for (const Metric metric : {Metric::kEuclidean, Metric::kAngular,
+                                Metric::kHamming, Metric::kJaccard}) {
+      std::vector<double> many(n), scattered(n);
+      DistanceMany(metric, data.data(), d, query.data(), ids.data(), n,
+                   many.data());
+      DistanceScatter(metric, data.data(), d, query.data(), ids.data(),
+                      slots.data(), n, scattered.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(scattered[slots[i]], many[i])
+            << MetricName(metric) << " d=" << d << " i=" << i;
+      }
+    }
+  }
+}
+
+// The bound may only drop rows strictly farther than it: every row the
+// kernel completes is bit-identical to DistanceMany, every row it abandons
+// (+inf) is truly farther than the bound, and rows duplicating the row the
+// bound was taken from (distance exactly b) are always completed. Lists of
+// 1-3 rows start with idle lanes; 57 leaves a ragged last group.
+TEST(SimdDistanceTest, DistanceScatterBoundedIsExact) {
+  Rng rng(15);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const size_t d : kScatterDims) {
+    for (const size_t n : {size_t{1}, size_t{3}, size_t{57}}) {
+      Matrix data(n, d);
+      rng.FillGaussian(data.data(), n * d);
+      const auto query = RandomVector(rng, d);
+      std::vector<int32_t> ids, slots;
+      ScatterList(n, &ids, &slots);
+      std::vector<double> many(n);
+      DistanceMany(Metric::kEuclidean, data.data(), d, query.data(),
+                   ids.data(), n, many.data());
+      // Seed row: the median-distance row; every fourth row is its copy.
+      std::vector<double> sorted = many;
+      std::sort(sorted.begin(), sorted.end());
+      const double b = sorted[n / 2];
+      const size_t seed = static_cast<size_t>(
+          ids[std::find(many.begin(), many.end(), b) - many.begin()]);
+      for (size_t r = 0; r < n; r += 4) {
+        if (r == seed) continue;
+        std::copy(data.Row(seed), data.Row(seed) + d, data.Row(r));
+      }
+      DistanceMany(Metric::kEuclidean, data.data(), d, query.data(),
+                   ids.data(), n, many.data());
+      std::vector<double> bounded(n, -1.0);
+      DistanceScatter(Metric::kEuclidean, data.data(), d, query.data(),
+                      ids.data(), slots.data(), n, bounded.data(), b);
+      size_t rejected = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const double got = bounded[slots[i]];
+        const auto id = static_cast<size_t>(ids[i]);
+        if (got == inf) {
+          ++rejected;
+          EXPECT_GT(many[i], b) << "d=" << d << " n=" << n << " i=" << i;
+        } else {
+          EXPECT_EQ(got, many[i]) << "d=" << d << " n=" << n << " i=" << i;
+        }
+        if (id % 4 == 0 || id == seed) {
+          EXPECT_EQ(got, b) << "seed copy abandoned, d=" << d << " i=" << i;
+        }
+      }
+      // Far rows are abandoned once a whole round fits in the row.
+      if (ActiveSimdTier() == SimdTier::kAvx2 && d >= 64 && n == 57) {
+        EXPECT_GT(rejected, 0u) << "d=" << d;
+      }
+    }
+  }
+}
+
+// Off the Euclidean AVX2 path — other metrics, or the scalar tier, which
+// CI runs this suite on with LCCS_SIMD=scalar — the bound is ignored and
+// every row is scored exactly, even with a bound every row exceeds.
+TEST(SimdDistanceTest, DistanceScatterBoundIgnoredOffTheLaneKernel) {
+  Rng rng(16);
+  const size_t n = 21;
+  std::vector<int32_t> ids, slots;
+  ScatterList(n, &ids, &slots);
+  for (const size_t d : kScatterDims) {
+    Matrix data(n, d);
+    rng.FillGaussian(data.data(), n * d);
+    const auto query = RandomVector(rng, d);
+    for (const Metric metric : {Metric::kEuclidean, Metric::kAngular,
+                                Metric::kHamming, Metric::kJaccard}) {
+      const bool lane_kernel = metric == Metric::kEuclidean &&
+                               ActiveSimdTier() == SimdTier::kAvx2 && d >= 32;
+      if (lane_kernel) continue;
+      std::vector<double> unbounded(n), bounded(n);
+      DistanceScatter(metric, data.data(), d, query.data(), ids.data(),
+                      slots.data(), n, unbounded.data());
+      DistanceScatter(metric, data.data(), d, query.data(), ids.data(),
+                      slots.data(), n, bounded.data(), /*bound=*/0.0);
+      EXPECT_EQ(bounded, unbounded) << MetricName(metric) << " d=" << d;
+    }
+  }
 }
 
 // QueryBatch fans out over the persistent pool; results must stay

@@ -1,9 +1,13 @@
 // Microbenchmarks for the LSH families: η(d) per Section 5.2 — O(d) for
 // random projection, O(d log d) for cross-polytope (pseudo-rotations),
-// O(1) for bit sampling.
+// O(1) for bit sampling. The {420, 64} and {128, 16} shapes are the
+// lccs_bench read_saturated and disk_quantized indexes; the build-chunk
+// cases hash a 25k-row shard's rows on one thread, the hashing half of one
+// shard's Build, consolidation or checkpoint restore.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "lsh/family_factory.h"
@@ -28,6 +32,32 @@ void RunHashBench(benchmark::State& state, lsh::FamilyKind kind) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
 }
 
+// Hashes 25k Gaussian rows back to back and reports the cost per row.
+void RunBuildChunkBench(benchmark::State& state, lsh::FamilyKind kind) {
+  constexpr size_t kRows = 25000;
+  const auto d = static_cast<size_t>(state.range(0));
+  const auto m = static_cast<size_t>(state.range(1));
+  const auto family = lsh::MakeFamily(kind, d, m, 4.0, 11);
+  util::Rng rng(13);
+  std::vector<float> rows(kRows * d);
+  rng.FillGaussian(rows.data(), rows.size());
+  std::vector<lsh::HashValue> out(kRows * m);
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < kRows; ++i) {
+      family->Hash(rows.data() + i * d, out.data() + i * m);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  state.counters["us_per_row"] =
+      seconds * 1e6 / (static_cast<double>(state.iterations()) * kRows);
+}
+
 void BM_RandomProjection(benchmark::State& state) {
   RunHashBench(state, lsh::FamilyKind::kRandomProjection);
 }
@@ -40,9 +70,17 @@ void BM_SignProjection(benchmark::State& state) {
 void BM_BitSampling(benchmark::State& state) {
   RunHashBench(state, lsh::FamilyKind::kBitSampling);
 }
+void BM_RandomProjectionBuildChunk(benchmark::State& state) {
+  RunBuildChunkBench(state, lsh::FamilyKind::kRandomProjection);
+}
+void BM_SignProjectionBuildChunk(benchmark::State& state) {
+  RunBuildChunkBench(state, lsh::FamilyKind::kSignProjection);
+}
 
 BENCHMARK(BM_RandomProjection)
+    ->Args({128, 16})
     ->Args({128, 64})
+    ->Args({420, 64})
     ->Args({960, 64})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CrossPolytope)
@@ -50,13 +88,22 @@ BENCHMARK(BM_CrossPolytope)
     ->Args({960, 64})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SignProjection)
+    ->Args({128, 16})
     ->Args({128, 64})
+    ->Args({420, 64})
     ->Args({960, 64})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BitSampling)
     ->Args({128, 64})
     ->Args({960, 64})
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RandomProjectionBuildChunk)
+    ->Args({420, 64})
+    ->Args({128, 16})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SignProjectionBuildChunk)
+    ->Args({420, 64})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -63,7 +63,14 @@ std::vector<util::Neighbor> C2Lsh::Query(const float* query, size_t k) const {
   const size_t d = store_->cols();
   const bool euclidean = metric_ == util::Metric::kEuclidean;
   std::vector<lsh::HashValue> hq(m);
-  family_->Hash(query, hq.data());
+  // Categorical buckets widen through the family's alternatives, taken
+  // from the hashing pass.
+  std::vector<std::vector<lsh::AltHash>> alts;
+  if (euclidean) {
+    family_->Hash(query, hq.data());
+  } else {
+    family_->HashWithAlternatives(query, params_.max_rounds, hq.data(), &alts);
+  }
 
   std::vector<int32_t> counts(n, 0);
   size_t verified = 0;
@@ -121,10 +128,6 @@ std::vector<util::Neighbor> C2Lsh::Query(const float* query, size_t k) const {
   } else {
     // Categorical buckets (cross-polytope / bit sampling): "widening" admits
     // one more of the query's ranked alternative buckets per round.
-    std::vector<std::vector<lsh::AltHash>> alts(m);
-    for (size_t f = 0; f < m; ++f) {
-      family_->Alternatives(f, query, params_.max_rounds, &alts[f]);
-    }
     auto count_bucket = [&](size_t f, lsh::HashValue bucket) {
       const auto& column = entries_[f];
       auto lower = std::lower_bound(

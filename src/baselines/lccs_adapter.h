@@ -34,8 +34,8 @@ class LccsLshIndex : public AnnIndex {
   void Build(const dataset::Dataset& data) override;
   std::vector<util::Neighbor> Query(const float* query,
                                     size_t k) const override;
-  /// Routes to the scheme's cross-query batch engine (shared hashing pass,
-  /// reusable search scratch, one deduplicated gather over the union of
+  /// Routes to the scheme's cross-query batch engine (hashing and search on
+  /// reusable per-thread scratch, one deduplicated gather over the union of
   /// candidate rows) instead of the default per-row fan-out. Results are
   /// bit-identical to calling Query per row.
   std::vector<std::vector<util::Neighbor>> QueryBatch(

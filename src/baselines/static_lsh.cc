@@ -1,6 +1,7 @@
 #include "baselines/static_lsh.h"
 
 #include <cassert>
+#include <cstddef>
 #include <unordered_set>
 
 #include "core/perturbation.h"
@@ -71,7 +72,14 @@ std::vector<util::Neighbor> StaticLsh::Query(const float* query,
   assert(store_ != nullptr);
   const size_t total_funcs = params_.k_funcs * params_.num_tables;
   std::vector<lsh::HashValue> hq(total_funcs);
-  family_->Hash(query, hq.data());
+  // Multi-probe takes every function's alternatives from the hashing pass.
+  std::vector<std::vector<lsh::AltHash>> all_alts;
+  if (params_.num_probes > 1) {
+    family_->HashWithAlternatives(query, params_.num_alternatives, hq.data(),
+                                  &all_alts);
+  } else {
+    family_->Hash(query, hq.data());
+  }
 
   std::unordered_set<int32_t> seen;
   const size_t d = store_->cols();
@@ -96,12 +104,10 @@ std::vector<util::Neighbor> StaticLsh::Query(const float* query,
     // the K positions of the compound key, ordered by ascending score
     // (Multi-Probe LSH / FALCONN). MAX_GAP is irrelevant for keys this
     // short, so it is set to K (no restriction).
-    std::vector<std::vector<lsh::AltHash>> alts(params_.k_funcs);
     const size_t base = t * params_.k_funcs;
-    for (size_t j = 0; j < params_.k_funcs; ++j) {
-      family_->Alternatives(base + j, query, params_.num_alternatives,
-                            &alts[j]);
-    }
+    const auto first = all_alts.begin() + static_cast<std::ptrdiff_t>(base);
+    const std::vector<std::vector<lsh::AltHash>> alts(
+        first, first + static_cast<std::ptrdiff_t>(params_.k_funcs));
     core::PerturbationGenerator gen(&alts,
                                     static_cast<int>(params_.k_funcs));
     core::PerturbationVector delta;

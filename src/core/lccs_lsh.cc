@@ -84,11 +84,11 @@ std::unique_ptr<LccsLsh::QueryScratch> LccsLsh::MakeScratch() const {
   return std::make_unique<QueryScratch>();
 }
 
-void LccsLsh::PrepareSearch(const float* query, const HashValue* hash,
-                            QueryScratch* scratch) const {
-  (void)query;  // the base scheme probes only the unperturbed hash string
+void LccsLsh::PrepareSearch(const float* query, QueryScratch* scratch) const {
+  scratch->hash.resize(csa_.m());
+  family_->Hash(query, scratch->hash.data());
   scratch->csa.Begin(n_, csa_.m(), 0);
-  csa_.SearchBounds(hash, &scratch->csa);
+  csa_.SearchBounds(scratch->hash.data(), &scratch->csa);
 }
 
 std::vector<LccsCandidate> LccsLsh::Candidates(const float* query,
@@ -111,22 +111,10 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   std::vector<std::vector<util::Neighbor>> results(num_queries);
   if (num_queries == 0) return results;
   assert(store_ != nullptr);
-  const size_t m = family_->num_functions();
   const size_t count = CandidateBudget(k, lambda);
 
-  // Phase 1: hash the whole window in one ParallelFor pass.
-  std::vector<HashValue> hashes(num_queries * m);
-  util::ParallelFor(
-      num_queries,
-      [&](size_t begin, size_t end) {
-        for (size_t q = begin; q < end; ++q) {
-          family_->Hash(queries + q * d_, hashes.data() + q * m);
-        }
-      },
-      num_threads);
-
-  // Phase 2: candidate generation, one bound cascade (PrepareSearch) and
-  // one Algorithm 2 drain per query on the chunk's reusable scratch. Each
+  // Phases 1 and 2, per query on the chunk's reusable scratch: hashing and
+  // the bound cascade (PrepareSearch), then one Algorithm 2 drain. Each
   // list keeps the order the search surfaces candidates in — the order
   // phase 6 replays, which fixes TopK tie-breaking.
   std::vector<std::vector<LccsCandidate>> cands(num_queries);
@@ -136,8 +124,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
         const std::unique_ptr<QueryScratch> scratch = MakeScratch();
         for (size_t q = begin; q < end; ++q) {
           cands[q].reserve(std::min<size_t>(count, n_));
-          PrepareSearch(queries + q * d_, hashes.data() + q * m,
-                        scratch.get());
+          PrepareSearch(queries + q * d_, scratch.get());
           csa_.CollectFromHeap(count, &scratch->csa, &cands[q]);
         }
       },

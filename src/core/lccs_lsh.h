@@ -52,16 +52,16 @@ class LccsLsh {
 
   /// Answers `num_queries` queries stored row-major and contiguously (dim()
   /// floats each) — the one query path of the scheme. The window is
-  /// processed in shared passes: one ParallelFor hashing sweep, one
-  /// Algorithm 2 drain per query over per-thread reusable scratch (its
-  /// chains walk the CSA's adjacent-LCP arrays, not hash strings), an int8
-  /// prune and
-  /// exact rerank (storage::PruneAndRerank) for queries the store's
-  /// quantized tier can cut to k' = RerankKeep(k), and, for the rest, one
-  /// deduplicated PrefetchRows + cache-blocked verification gather over the
-  /// ascending union of candidate rows, scattering distances back into each query's
-  /// TopK in its original candidate order (which fixes tie-breaking, so a
-  /// row's answer does not depend on the window it shares).
+  /// processed in shared passes: one ParallelFor pass that hashes each
+  /// query and runs its Algorithm 2 drain over per-thread reusable scratch
+  /// (its chains walk the CSA's adjacent-LCP arrays, not hash strings), an
+  /// int8 prune and exact rerank (storage::PruneAndRerank) for queries the
+  /// store's quantized tier can cut to k' = RerankKeep(k), and, for the
+  /// rest, one deduplicated PrefetchRows + cache-blocked verification
+  /// gather over the ascending union of candidate rows, scattering
+  /// distances back into each query's TopK in its original candidate order
+  /// (which fixes tie-breaking, so a row's answer does not depend on the
+  /// window it shares).
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
                                                       size_t num_queries,
                                                       size_t k, size_t lambda,
@@ -115,16 +115,18 @@ class LccsLsh {
   /// shared across threads.
   struct QueryScratch {
     CircularShiftArray::SearchScratch csa;
+    std::vector<HashValue> hash;  ///< H(q) of the query being searched
     virtual ~QueryScratch() = default;
   };
   virtual std::unique_ptr<QueryScratch> MakeScratch() const;
 
   /// Everything of the candidate search up to (not including) the heap pop
-  /// loop: begins the scratch and runs the bound cascade (plus, in
-  /// MpLccsLsh, the perturbed probes of Section 4.2), leaving the seeded
-  /// heap for CircularShiftArray::CollectFromHeap.
-  virtual void PrepareSearch(const float* query, const HashValue* hash,
-                             QueryScratch* scratch) const;
+  /// loop: hashes the query into scratch->hash (MpLccsLsh takes its
+  /// multi-probe alternatives from the same pass), begins the scratch and
+  /// runs the bound cascade (plus, in MpLccsLsh, the perturbed probes of
+  /// Section 4.2), leaving the seeded heap for
+  /// CircularShiftArray::CollectFromHeap.
+  virtual void PrepareSearch(const float* query, QueryScratch* scratch) const;
 
   /// Candidates fetched per query: the paper's λ + k - 1.
   static size_t CandidateBudget(size_t k, size_t lambda) {

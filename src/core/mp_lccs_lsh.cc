@@ -14,12 +14,22 @@ std::unique_ptr<LccsLsh::QueryScratch> MpLccsLsh::MakeScratch() const {
   return std::make_unique<ProbeScratch>();
 }
 
-void MpLccsLsh::PrepareSearch(const float* query, const HashValue* hash,
+void MpLccsLsh::PrepareSearch(const float* query,
                               QueryScratch* scratch) const {
   const size_t m = family_->num_functions();
   const auto n = static_cast<int32_t>(n_);
   auto* ps = static_cast<ProbeScratch*>(scratch);
   const bool multi = params_.num_probes > 1;
+  // One hashing pass. A multi-probe search also takes every position's
+  // alternatives from it, so each projection is evaluated once.
+  ps->hash.resize(m);
+  HashValue* hash = ps->hash.data();
+  if (multi) {
+    family_->HashWithAlternatives(query, params_.num_alternatives, hash,
+                                  &ps->alts);
+  } else {
+    family_->Hash(query, hash);
+  }
   ps->csa.Begin(n_, m, multi ? m * n_ : 0);
 
   // Base λ-LCCS search (Algorithm 2 lines 2-11): per-shift bounds and the
@@ -33,13 +43,8 @@ void MpLccsLsh::PrepareSearch(const float* query, const HashValue* hash,
     ps->reach[i] = std::max({b.len_lo, b.len_hi, 1});
   }
 
-  // Perturbed probes (Algorithm 3 ordering). Alternatives are computed once
-  // per position from the same query.
+  // Perturbed probes (Algorithm 3 ordering) over the alternatives above.
   if (multi) {
-    ps->alts.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      family_->Alternatives(i, query, params_.num_alternatives, &ps->alts[i]);
-    }
     PerturbationGenerator gen(&ps->alts, params_.max_gap);
     PerturbationVector delta;
     // The first vector is the empty perturbation — already searched above.
@@ -88,10 +93,8 @@ void MpLccsLsh::PrepareSearch(const float* query, const HashValue* hash,
 std::vector<LccsCandidate> MpLccsLsh::Candidates(const float* query,
                                                  size_t count) const {
   assert(store_ != nullptr);
-  std::vector<HashValue> hq(family_->num_functions());
-  family_->Hash(query, hq.data());
   const std::unique_ptr<QueryScratch> scratch = MakeScratch();
-  PrepareSearch(query, hq.data(), scratch.get());
+  PrepareSearch(query, scratch.get());
   std::vector<LccsCandidate> out;
   out.reserve(std::min<size_t>(count, n_));
   csa_.CollectFromHeap(count, &scratch->csa, &out);

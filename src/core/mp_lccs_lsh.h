@@ -46,8 +46,8 @@ class MpLccsLsh : public LccsLsh {
   /// Raw candidates across the probing sequence (no verification): the
   /// PrepareSearch override below plus a solo heap drain. Query and
   /// QueryBatch are inherited from LccsLsh and dispatch through the same
-  /// override, so the multi-probe scheme gets the batched engine (shared
-  /// hashing pass, deduplicated gather) for free.
+  /// override, so the multi-probe scheme gets the batched engine
+  /// (deduplicated gather) for free.
   std::vector<LccsCandidate> Candidates(const float* query,
                                         size_t count) const;
 
@@ -64,12 +64,12 @@ class MpLccsLsh : public LccsLsh {
   };
   std::unique_ptr<QueryScratch> MakeScratch() const override;
 
-  /// The multi-probe search of Section 4.2: base cascade via
+  /// The multi-probe search of Section 4.2: one hashing pass that also
+  /// yields every position's alternatives, base cascade via
   /// CircularShiftArray::SearchShiftFrom, perturbed probes re-searching only
   /// affected shifts, all feeding one shared heap (drained by the caller
   /// with cross-probe frontier-position dedup).
-  void PrepareSearch(const float* query, const HashValue* hash,
-                     QueryScratch* scratch) const override;
+  void PrepareSearch(const float* query, QueryScratch* scratch) const override;
 
  private:
   ProbeParams params_;

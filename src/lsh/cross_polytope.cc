@@ -18,6 +18,56 @@ size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
+// The polytope vertex closest to a rotated vector: +e_i as i, -e_i as
+// i + dpad, for the coordinate i of largest magnitude.
+HashValue NearestVertex(const float* rotated, size_t dpad) {
+  size_t best = 0;
+  float best_abs = std::fabs(rotated[0]);
+  for (size_t i = 1; i < dpad; ++i) {
+    const float a = std::fabs(rotated[i]);
+    if (a > best_abs) {
+      best_abs = a;
+      best = i;
+    }
+  }
+  return static_cast<HashValue>(rotated[best] >= 0.0f ? best : best + dpad);
+}
+
+// Appends up to `max_alts` (≥ 1) vertices other than the nearest one to
+// the empty `out`, in FALCONN's probing order.
+void VertexAlternatives(const float* rotated, size_t dpad, size_t max_alts,
+                        std::vector<AltHash>* out) {
+  // Signed coordinate value of each of the 2*dpad polytope vertices; the
+  // primary hash is the maximum. Score of vertex j is the gap to the maximum
+  // squared (proportional to the extra squared distance from the normalized
+  // rotated query to that vertex, as in FALCONN's probing sequence).
+  double best = -1.0;
+  size_t best_idx = 0;
+  std::vector<double> value(2 * dpad);
+  for (size_t i = 0; i < dpad; ++i) {
+    value[i] = rotated[i];
+    value[i + dpad] = -rotated[i];
+    if (value[i] > best) {
+      best = value[i];
+      best_idx = i;
+    }
+    if (value[i + dpad] > best) {
+      best = value[i + dpad];
+      best_idx = i + dpad;
+    }
+  }
+  std::vector<size_t> order(2 * dpad);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&value](size_t a, size_t b) { return value[a] > value[b]; });
+  for (size_t idx : order) {
+    if (idx == best_idx) continue;
+    const double gap = best - value[idx];
+    out->push_back({static_cast<HashValue>(idx), gap * gap});
+    if (out->size() >= max_alts) break;
+  }
+}
+
 }  // namespace
 
 void FastHadamardTransform(float* v, size_t n) {
@@ -62,33 +112,14 @@ void CrossPolytopeFamily::Hash(const float* v, HashValue* out) const {
   std::vector<float> rotated(dpad_);
   for (size_t f = 0; f < m_; ++f) {
     Rotate(f, v, rotated.data());
-    size_t best = 0;
-    float best_abs = std::fabs(rotated[0]);
-    for (size_t i = 1; i < dpad_; ++i) {
-      const float a = std::fabs(rotated[i]);
-      if (a > best_abs) {
-        best_abs = a;
-        best = i;
-      }
-    }
-    out[f] = static_cast<HashValue>(rotated[best] >= 0.0f ? best
-                                                          : best + dpad_);
+    out[f] = NearestVertex(rotated.data(), dpad_);
   }
 }
 
 HashValue CrossPolytopeFamily::HashOne(size_t func, const float* v) const {
   std::vector<float> rotated(dpad_);
   Rotate(func, v, rotated.data());
-  size_t best = 0;
-  float best_abs = std::fabs(rotated[0]);
-  for (size_t i = 1; i < dpad_; ++i) {
-    const float a = std::fabs(rotated[i]);
-    if (a > best_abs) {
-      best_abs = a;
-      best = i;
-    }
-  }
-  return static_cast<HashValue>(rotated[best] >= 0.0f ? best : best + dpad_);
+  return NearestVertex(rotated.data(), dpad_);
 }
 
 void CrossPolytopeFamily::Alternatives(size_t func, const float* v,
@@ -98,34 +129,21 @@ void CrossPolytopeFamily::Alternatives(size_t func, const float* v,
   if (max_alts == 0) return;
   std::vector<float> rotated(dpad_);
   Rotate(func, v, rotated.data());
-  // Signed coordinate value of each of the 2*dpad_ polytope vertices; the
-  // primary hash is the maximum. Score of vertex j is the gap to the maximum
-  // squared (proportional to the extra squared distance from the normalized
-  // rotated query to that vertex, as in FALCONN's probing sequence).
-  double best = -1.0;
-  size_t best_idx = 0;
-  std::vector<double> value(2 * dpad_);
-  for (size_t i = 0; i < dpad_; ++i) {
-    value[i] = rotated[i];
-    value[i + dpad_] = -rotated[i];
-    if (value[i] > best) {
-      best = value[i];
-      best_idx = i;
+  VertexAlternatives(rotated.data(), dpad_, max_alts, out);
+}
+
+void CrossPolytopeFamily::HashWithAlternatives(
+    const float* v, size_t max_alts, HashValue* out,
+    std::vector<std::vector<AltHash>>* alts) const {
+  alts->resize(m_);
+  std::vector<float> rotated(dpad_);
+  for (size_t f = 0; f < m_; ++f) {
+    Rotate(f, v, rotated.data());
+    out[f] = NearestVertex(rotated.data(), dpad_);
+    (*alts)[f].clear();
+    if (max_alts > 0) {
+      VertexAlternatives(rotated.data(), dpad_, max_alts, &(*alts)[f]);
     }
-    if (value[i + dpad_] > best) {
-      best = value[i + dpad_];
-      best_idx = i + dpad_;
-    }
-  }
-  std::vector<size_t> order(2 * dpad_);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&value](size_t a, size_t b) { return value[a] > value[b]; });
-  for (size_t idx : order) {
-    if (idx == best_idx) continue;
-    const double gap = best - value[idx];
-    out->push_back({static_cast<HashValue>(idx), gap * gap});
-    if (out->size() >= max_alts) break;
   }
 }
 

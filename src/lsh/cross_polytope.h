@@ -2,6 +2,7 @@
 #define LCCS_LSH_CROSS_POLYTOPE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "lsh/hash_family.h"
 
@@ -36,6 +37,11 @@ class CrossPolytopeFamily : public HashFamily {
   HashValue HashOne(size_t func, const float* v) const override;
   void Alternatives(size_t func, const float* v, size_t max_alts,
                     std::vector<AltHash>* out) const override;
+  /// Rotates the query once per function for both the hash and the
+  /// alternatives.
+  void HashWithAlternatives(
+      const float* v, size_t max_alts, HashValue* out,
+      std::vector<std::vector<AltHash>>* alts) const override;
   double CollisionProbability(double dist) const override;
   std::string name() const override { return "cross-polytope"; }
   size_t SizeBytes() const override;

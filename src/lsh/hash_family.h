@@ -55,6 +55,20 @@ class HashFamily {
     out->clear();
   }
 
+  /// Hash plus every function's Alternatives in one call: fills out[0..m)
+  /// as Hash does and resizes `alts` to m with (*alts)[f] equal to
+  /// Alternatives(f, v, max_alts). Projection families derive both from one
+  /// evaluation of the projections; the default evaluates each separately.
+  virtual void HashWithAlternatives(
+      const float* v, size_t max_alts, HashValue* out,
+      std::vector<std::vector<AltHash>>* alts) const {
+    Hash(v, out);
+    alts->resize(num_functions());
+    for (size_t f = 0; f < alts->size(); ++f) {
+      Alternatives(f, v, max_alts, &(*alts)[f]);
+    }
+  }
+
   /// Collision probability p(τ) = Pr[h(o) = h(q)] of a single function for
   /// two points at distance τ (the family's native metric). Used by the
   /// theory module (Section 5) and by parameter selection.

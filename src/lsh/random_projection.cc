@@ -3,47 +3,39 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/random.h"
 #include "util/stats.h"
 
 namespace lccs {
 namespace lsh {
+namespace {
 
-RandomProjectionFamily::RandomProjectionFamily(size_t dim,
-                                               size_t num_functions, double w,
-                                               uint64_t seed)
-    : dim_(dim), m_(num_functions), w_(w), a_(num_functions, dim) {
-  assert(dim > 0 && num_functions > 0 && w > 0.0);
-  util::Rng rng(seed);
-  rng.FillGaussian(a_.data(), m_ * dim_);
-  b_.resize(m_);
-  for (size_t i = 0; i < m_; ++i) {
-    b_[i] = static_cast<float>(rng.Uniform(0.0, w_));
-  }
+// floor(p) as a hash value, defined for every double: the cast of a NaN,
+// an infinity or a value outside the int32 range is undefined behaviour, so
+// those saturate instead, and NaN goes to INT32_MIN.
+HashValue FloorToHash(double p) {
+  constexpr HashValue kMin = std::numeric_limits<HashValue>::min();
+  constexpr HashValue kMax = std::numeric_limits<HashValue>::max();
+  if (!(p >= kMin)) return kMin;  // NaN, -inf, below range
+  if (p >= kMax) return kMax;     // floor(p) >= INT32_MAX
+  return static_cast<HashValue>(std::floor(p));
 }
 
-double RandomProjectionFamily::Project(size_t func, const float* v) const {
-  assert(func < m_);
-  return (util::Dot(a_.Row(func), v, dim_) + b_[func]) / w_;
-}
-
-void RandomProjectionFamily::Hash(const float* v, HashValue* out) const {
-  for (size_t i = 0; i < m_; ++i) {
-    out[i] = static_cast<HashValue>(std::floor(Project(i, v)));
-  }
-}
-
-HashValue RandomProjectionFamily::HashOne(size_t func, const float* v) const {
-  return static_cast<HashValue>(std::floor(Project(func, v)));
-}
-
-void RandomProjectionFamily::Alternatives(size_t func, const float* v,
-                                          size_t max_alts,
-                                          std::vector<AltHash>* out) const {
+// The Lv et al. probing sequence around projection `proj` (in units of w):
+// bucket floor(proj) ± step, scored by the squared distance to its near
+// boundary. A projection whose buckets ± 65 leave the int32 range (NaN and
+// infinities included) has no alternatives.
+void ProbeAlternatives(double proj, size_t max_alts,
+                       std::vector<AltHash>* out) {
+  constexpr int kMaxStep = 65;
+  constexpr double kLo =
+      static_cast<double>(std::numeric_limits<HashValue>::min()) + kMaxStep;
+  constexpr double kHi =
+      static_cast<double>(std::numeric_limits<HashValue>::max()) - kMaxStep;
   out->clear();
-  if (max_alts == 0) return;
-  const double proj = Project(func, v);
+  if (max_alts == 0 || !(proj >= kLo && proj < kHi)) return;
   const auto base = static_cast<HashValue>(std::floor(proj));
   // Distance (in units of w) from the projected point to the near boundary of
   // bucket base+delta; squaring gives the Lv et al. probing score.
@@ -58,13 +50,61 @@ void RandomProjectionFamily::Alternatives(size_t func, const float* v,
       out->push_back({base + step, up * up});
       if (out->size() < max_alts) out->push_back({base - step, down * down});
     }
-    if (step > 64) break;  // defensive bound; scores beyond this are useless
+    if (step >= kMaxStep) break;  // defensive bound; scores beyond are useless
   }
   std::stable_sort(out->begin(), out->end(),
                    [](const AltHash& x, const AltHash& y) {
                      return x.score < y.score;
                    });
   if (out->size() > max_alts) out->resize(max_alts);
+}
+
+}  // namespace
+
+RandomProjectionFamily::RandomProjectionFamily(size_t dim,
+                                               size_t num_functions, double w,
+                                               uint64_t seed)
+    : w_(w) {
+  assert(dim > 0 && num_functions > 0 && w > 0.0);
+  util::Rng rng(seed);
+  a_ = ProjectionMatrix(dim, num_functions, &rng);
+  b_.resize(num_functions);
+  for (float& b : b_) b = static_cast<float>(rng.Uniform(0.0, w_));
+}
+
+double RandomProjectionFamily::Project(size_t func, const float* v) const {
+  return (a_.Dot(func, v) + b_[func]) / w_;
+}
+
+void RandomProjectionFamily::Hash(const float* v, HashValue* out) const {
+  a_.ForEachBlock(v, [&](size_t first, size_t count, const double* dots) {
+    for (size_t j = 0; j < count; ++j) {
+      out[first + j] = FloorToHash((dots[j] + b_[first + j]) / w_);
+    }
+  });
+}
+
+HashValue RandomProjectionFamily::HashOne(size_t func, const float* v) const {
+  return FloorToHash(Project(func, v));
+}
+
+void RandomProjectionFamily::Alternatives(size_t func, const float* v,
+                                          size_t max_alts,
+                                          std::vector<AltHash>* out) const {
+  ProbeAlternatives(Project(func, v), max_alts, out);
+}
+
+void RandomProjectionFamily::HashWithAlternatives(
+    const float* v, size_t max_alts, HashValue* out,
+    std::vector<std::vector<AltHash>>* alts) const {
+  alts->resize(num_functions());
+  a_.ForEachBlock(v, [&](size_t first, size_t count, const double* dots) {
+    for (size_t j = 0; j < count; ++j) {
+      const double proj = (dots[j] + b_[first + j]) / w_;
+      out[first + j] = FloorToHash(proj);
+      ProbeAlternatives(proj, max_alts, &(*alts)[first + j]);
+    }
+  });
 }
 
 double RandomProjectionFamily::CollisionProbability(double dist) const {

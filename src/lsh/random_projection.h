@@ -2,9 +2,10 @@
 #define LCCS_LSH_RANDOM_PROJECTION_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "lsh/hash_family.h"
-#include "util/matrix.h"
+#include "lsh/projection.h"
 
 namespace lccs {
 namespace lsh {
@@ -22,18 +23,25 @@ namespace lsh {
 /// Multi-probe alternatives follow Lv et al. (Multi-Probe LSH): bucket h±δ is
 /// scored by the squared distance from the projected query to that bucket's
 /// nearest boundary, normalized by w.
+///
+/// Hash values are defined for every input: a projection beyond the int32
+/// range saturates to INT32_MIN / INT32_MAX, and a NaN projection (a NaN
+/// coordinate, or +inf meeting -inf in the dot) hashes to INT32_MIN.
 class RandomProjectionFamily : public HashFamily {
  public:
   /// Creates m functions for d-dimensional data with bucket width w.
   RandomProjectionFamily(size_t dim, size_t num_functions, double w,
                          uint64_t seed);
 
-  size_t num_functions() const override { return m_; }
-  size_t dim() const override { return dim_; }
+  size_t num_functions() const override { return a_.num_functions(); }
+  size_t dim() const override { return a_.dim(); }
   void Hash(const float* v, HashValue* out) const override;
   HashValue HashOne(size_t func, const float* v) const override;
   void Alternatives(size_t func, const float* v, size_t max_alts,
                     std::vector<AltHash>* out) const override;
+  void HashWithAlternatives(
+      const float* v, size_t max_alts, HashValue* out,
+      std::vector<std::vector<AltHash>>* alts) const override;
   double CollisionProbability(double dist) const override;
   std::string name() const override { return "random-projection"; }
   size_t SizeBytes() const override;
@@ -45,11 +53,9 @@ class RandomProjectionFamily : public HashFamily {
   double Project(size_t func, const float* v) const;
 
  private:
-  size_t dim_;
-  size_t m_;
   double w_;
-  util::Matrix a_;           // m x d projection vectors
-  std::vector<float> b_;     // m offsets in [0, w)
+  ProjectionMatrix a_;    // m projection vectors, stored d x m
+  std::vector<float> b_;  // m offsets in [0, w)
 };
 
 }  // namespace lsh

@@ -7,36 +7,54 @@
 
 namespace lccs {
 namespace lsh {
+namespace {
+
+HashValue SignOf(double margin) { return margin >= 0.0 ? 1 : 0; }
+
+// The only alternative is the flipped sign; its score is the squared
+// (margin-normalized) distance of the query to the hyperplane.
+void FlipAlternative(double margin, size_t max_alts,
+                     std::vector<AltHash>* out) {
+  out->clear();
+  if (max_alts == 0) return;
+  out->push_back({SignOf(margin) == 1 ? 0 : 1, margin * margin});
+}
+
+}  // namespace
 
 SignProjectionFamily::SignProjectionFamily(size_t dim, size_t num_functions,
-                                           uint64_t seed)
-    : dim_(dim), m_(num_functions), a_(num_functions, dim) {
+                                           uint64_t seed) {
   assert(dim > 0 && num_functions > 0);
   util::Rng rng(seed);
-  rng.FillGaussian(a_.data(), m_ * dim_);
+  a_ = ProjectionMatrix(dim, num_functions, &rng);
 }
 
 void SignProjectionFamily::Hash(const float* v, HashValue* out) const {
-  for (size_t i = 0; i < m_; ++i) {
-    out[i] = util::Dot(a_.Row(i), v, dim_) >= 0.0 ? 1 : 0;
-  }
+  a_.ForEachBlock(v, [&](size_t first, size_t count, const double* dots) {
+    for (size_t j = 0; j < count; ++j) out[first + j] = SignOf(dots[j]);
+  });
 }
 
 HashValue SignProjectionFamily::HashOne(size_t func, const float* v) const {
-  assert(func < m_);
-  return util::Dot(a_.Row(func), v, dim_) >= 0.0 ? 1 : 0;
+  return SignOf(a_.Dot(func, v));
 }
 
 void SignProjectionFamily::Alternatives(size_t func, const float* v,
                                         size_t max_alts,
                                         std::vector<AltHash>* out) const {
-  out->clear();
-  if (max_alts == 0) return;
-  // The only alternative is the flipped sign; its score is the squared
-  // (margin-normalized) distance of the query to the hyperplane.
-  const double margin = util::Dot(a_.Row(func), v, dim_);
-  const HashValue primary = margin >= 0.0 ? 1 : 0;
-  out->push_back({primary == 1 ? 0 : 1, margin * margin});
+  FlipAlternative(a_.Dot(func, v), max_alts, out);
+}
+
+void SignProjectionFamily::HashWithAlternatives(
+    const float* v, size_t max_alts, HashValue* out,
+    std::vector<std::vector<AltHash>>* alts) const {
+  alts->resize(num_functions());
+  a_.ForEachBlock(v, [&](size_t first, size_t count, const double* dots) {
+    for (size_t j = 0; j < count; ++j) {
+      out[first + j] = SignOf(dots[j]);
+      FlipAlternative(dots[j], max_alts, &(*alts)[first + j]);
+    }
+  });
 }
 
 double SignProjectionFamily::CollisionProbability(double angle) const {

@@ -2,9 +2,10 @@
 #define LCCS_LSH_SIGN_PROJECTION_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "lsh/hash_family.h"
-#include "util/matrix.h"
+#include "lsh/projection.h"
 
 namespace lccs {
 namespace lsh {
@@ -21,20 +22,21 @@ class SignProjectionFamily : public HashFamily {
  public:
   SignProjectionFamily(size_t dim, size_t num_functions, uint64_t seed);
 
-  size_t num_functions() const override { return m_; }
-  size_t dim() const override { return dim_; }
+  size_t num_functions() const override { return a_.num_functions(); }
+  size_t dim() const override { return a_.dim(); }
   void Hash(const float* v, HashValue* out) const override;
   HashValue HashOne(size_t func, const float* v) const override;
   void Alternatives(size_t func, const float* v, size_t max_alts,
                     std::vector<AltHash>* out) const override;
+  void HashWithAlternatives(
+      const float* v, size_t max_alts, HashValue* out,
+      std::vector<std::vector<AltHash>>* alts) const override;
   double CollisionProbability(double angle) const override;
   std::string name() const override { return "sign-projection"; }
   size_t SizeBytes() const override { return a_.SizeBytes(); }
 
  private:
-  size_t dim_;
-  size_t m_;
-  util::Matrix a_;  // m x d hyperplane normals
+  ProjectionMatrix a_;  // m hyperplane normals, stored d x m
 };
 
 }  // namespace lsh

@@ -1,6 +1,11 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,10 +13,12 @@
 #include "lsh/bit_sampling.h"
 #include "lsh/cross_polytope.h"
 #include "lsh/family_factory.h"
+#include "lsh/projection.h"
 #include "lsh/random_projection.h"
 #include "lsh/sign_projection.h"
 #include "util/matrix.h"
 #include "util/random.h"
+#include "util/simd_distance.h"
 
 namespace lccs {
 namespace lsh {
@@ -376,6 +383,345 @@ TEST(FamilyFactoryTest, DefaultFamilies) {
             FamilyKind::kCrossPolytope);
   EXPECT_EQ(DefaultFamilyFor(util::Metric::kHamming),
             FamilyKind::kBitSampling);
+}
+
+// ---------------------------------------------------------------------------
+// Transposed projection kernel: every dot, projection and hash is bit-equal
+// to a scalar util::Dot over the m x d matrix the same seed draws.
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// The m x d Gaussian rows a projection family built from `seed` uses, and
+// (for random projection, which draws them next) its m offsets in [0, w).
+struct ReferenceProjections {
+  util::Matrix a;
+  std::vector<float> b;
+};
+
+ReferenceProjections DrawReference(size_t d, size_t m, double w,
+                                   uint64_t seed) {
+  ReferenceProjections ref{util::Matrix(m, d), std::vector<float>(m)};
+  util::Rng rng(seed);
+  rng.FillGaussian(ref.a.data(), m * d);
+  for (float& b : ref.b) b = static_cast<float>(rng.Uniform(0.0, w));
+  return ref;
+}
+
+// Query vectors for a shape: two Gaussian ones, and both scaled by 1000.
+std::vector<std::vector<float>> KernelInputs(size_t d, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> inputs;
+  for (int r = 0; r < 2; ++r) {
+    std::vector<float> v(d);
+    rng.FillGaussian(v.data(), d);
+    std::vector<float> scaled(v);
+    for (float& x : scaled) x *= 1000.0f;
+    inputs.push_back(v);
+    inputs.push_back(scaled);
+  }
+  return inputs;
+}
+
+constexpr size_t kKernelDims[] = {1,  7,   8,   9,   15,  16,  17,
+                                  31, 32,  33,  255, 256, 257, 420};
+constexpr size_t kKernelFuncs[] = {1, 15, 16, 17, 64, 100};
+constexpr util::SimdTier kTiers[] = {util::SimdTier::kScalar,
+                                     util::SimdTier::kAvx2};
+
+TEST(ProjectionMatrixTest, DotsBitEqualScalarDotOnBothTiers) {
+  for (size_t d : kKernelDims) {
+    for (size_t m : kKernelFuncs) {
+      const uint64_t seed = 1000 + d * 7 + m;
+      util::Rng rng(seed);
+      const ProjectionMatrix proj(d, m, &rng);
+      ASSERT_EQ(proj.dim(), d);
+      ASSERT_EQ(proj.num_functions(), m);
+      const ReferenceProjections ref = DrawReference(d, m, 1.0, seed);
+      for (const std::vector<float>& v : KernelInputs(d, seed)) {
+        for (util::SimdTier tier : kTiers) {
+          std::vector<double> dots(m);
+          size_t next = 0;
+          proj.ForEachBlock(
+              v.data(),
+              [&](size_t first, size_t count, const double* block) {
+                ASSERT_EQ(first, next);
+                ASSERT_EQ(count, std::min(ProjectionMatrix::kBlock,
+                                          m - first));
+                for (size_t j = 0; j < count; ++j) dots[first + j] = block[j];
+                next = first + count;
+              },
+              tier);
+          ASSERT_EQ(next, m);
+          for (size_t f = 0; f < m; ++f) {
+            const double expected = util::Dot(ref.a.Row(f), v.data(), d);
+            ASSERT_EQ(Bits(dots[f]), Bits(expected))
+                << "d=" << d << " m=" << m << " f=" << f
+                << " tier=" << util::SimdTierName(tier);
+            ASSERT_EQ(Bits(proj.Dot(f, v.data())), Bits(expected))
+                << "d=" << d << " m=" << m << " f=" << f;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RandomProjectionTest, HashBitExactAgainstScalarReference) {
+  const double w = 4.0;
+  for (size_t d : kKernelDims) {
+    for (size_t m : kKernelFuncs) {
+      const uint64_t seed = 2000 + d * 7 + m;
+      const RandomProjectionFamily family(d, m, w, seed);
+      const ReferenceProjections ref = DrawReference(d, m, w, seed);
+      std::vector<HashValue> h(m);
+      for (const std::vector<float>& v : KernelInputs(d, seed)) {
+        family.Hash(v.data(), h.data());
+        for (size_t f = 0; f < m; ++f) {
+          const double proj =
+              (util::Dot(ref.a.Row(f), v.data(), d) + ref.b[f]) / w;
+          ASSERT_EQ(Bits(family.Project(f, v.data())), Bits(proj))
+              << "d=" << d << " m=" << m << " f=" << f;
+          ASSERT_EQ(h[f], static_cast<HashValue>(std::floor(proj)))
+              << "d=" << d << " m=" << m << " f=" << f;
+          ASSERT_EQ(family.HashOne(f, v.data()), h[f]);
+        }
+      }
+    }
+  }
+}
+
+TEST(SignProjectionTest, HashBitExactAgainstScalarReference) {
+  for (size_t d : kKernelDims) {
+    for (size_t m : kKernelFuncs) {
+      const uint64_t seed = 3000 + d * 7 + m;
+      const SignProjectionFamily family(d, m, seed);
+      const ReferenceProjections ref = DrawReference(d, m, 1.0, seed);
+      std::vector<HashValue> h(m), h_alt(m);
+      std::vector<AltHash> alts;
+      std::vector<std::vector<AltHash>> all_alts;
+      for (const std::vector<float>& v : KernelInputs(d, seed)) {
+        family.Hash(v.data(), h.data());
+        family.HashWithAlternatives(v.data(), 1, h_alt.data(), &all_alts);
+        ASSERT_EQ(h_alt, h);
+        for (size_t f = 0; f < m; ++f) {
+          const double dot = util::Dot(ref.a.Row(f), v.data(), d);
+          ASSERT_EQ(h[f], dot >= 0.0 ? 1 : 0)
+              << "d=" << d << " m=" << m << " f=" << f;
+          ASSERT_EQ(family.HashOne(f, v.data()), h[f]);
+          // The flip alternative's score is the squared margin, so it
+          // exposes the dot: from the block kernel, and from the
+          // per-function column walk.
+          ASSERT_EQ(all_alts[f].size(), 1u);
+          ASSERT_EQ(Bits(all_alts[f][0].score), Bits(dot * dot))
+              << "d=" << d << " m=" << m << " f=" << f;
+          family.Alternatives(f, v.data(), 1, &alts);
+          ASSERT_EQ(alts.size(), 1u);
+          ASSERT_EQ(Bits(alts[0].score), Bits(dot * dot));
+        }
+      }
+    }
+  }
+}
+
+// The Lv et al. probing sequence computed straight from a reference
+// projection: what RandomProjectionFamily's alternatives must equal, value
+// for value, for every in-range projection.
+std::vector<AltHash> ReferenceProbes(double proj, size_t max_alts) {
+  std::vector<AltHash> out;
+  if (max_alts == 0) return out;
+  const auto base = static_cast<HashValue>(std::floor(proj));
+  const double frac = proj - std::floor(proj);
+  for (int step = 1; out.size() < max_alts; ++step) {
+    const double up = (static_cast<double>(step) - frac);
+    const double down = (frac + static_cast<double>(step) - 1.0);
+    if (down <= up) {
+      out.push_back({base - step, down * down});
+      if (out.size() < max_alts) out.push_back({base + step, up * up});
+    } else {
+      out.push_back({base + step, up * up});
+      if (out.size() < max_alts) out.push_back({base - step, down * down});
+    }
+    if (step > 64) break;
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const AltHash& x, const AltHash& y) {
+                     return x.score < y.score;
+                   });
+  if (out.size() > max_alts) out.resize(max_alts);
+  return out;
+}
+
+void ExpectSameAlternatives(const std::vector<AltHash>& got,
+                            const std::vector<AltHash>& want,
+                            const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].value, want[i].value) << where << " alt " << i;
+    EXPECT_EQ(Bits(got[i].score), Bits(want[i].score)) << where << " alt " << i;
+  }
+}
+
+TEST(HashWithAlternativesTest, RandomProjectionMatchesReferenceProbes) {
+  const double w = 4.0;
+  for (size_t d : {7, 128, 420}) {
+    for (size_t m : {1, 17, 64}) {
+      const uint64_t seed = 4000 + d + m;
+      const RandomProjectionFamily family(d, m, w, seed);
+      const ReferenceProjections ref = DrawReference(d, m, w, seed);
+      for (const std::vector<float>& v : KernelInputs(d, seed)) {
+        for (size_t max_alts : {0, 1, 4, 7, 200}) {
+          std::vector<HashValue> h(m), expected_h(m);
+          std::vector<std::vector<AltHash>> alts;
+          family.HashWithAlternatives(v.data(), max_alts, h.data(), &alts);
+          family.Hash(v.data(), expected_h.data());
+          EXPECT_EQ(h, expected_h);
+          ASSERT_EQ(alts.size(), m);
+          std::vector<AltHash> single;
+          for (size_t f = 0; f < m; ++f) {
+            const double proj =
+                (util::Dot(ref.a.Row(f), v.data(), d) + ref.b[f]) / w;
+            const std::string where = "d=" + std::to_string(d) +
+                                      " m=" + std::to_string(m) +
+                                      " f=" + std::to_string(f);
+            ExpectSameAlternatives(alts[f], ReferenceProbes(proj, max_alts),
+                                   where);
+            family.Alternatives(f, v.data(), max_alts, &single);
+            ExpectSameAlternatives(single, alts[f], where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HashWithAlternativesTest, EveryFamilyMatchesPerFunctionCalls) {
+  for (FamilyKind kind :
+       {FamilyKind::kRandomProjection, FamilyKind::kSignProjection,
+        FamilyKind::kCrossPolytope, FamilyKind::kBitSampling}) {
+    const size_t d = 20, m = 18;
+    const auto family = MakeFamily(kind, d, m, 2.0, 77);
+    util::Rng rng(78);
+    std::vector<float> v(d);
+    rng.FillGaussian(v.data(), d);
+    for (size_t max_alts : {0, 1, 3, 9}) {
+      std::vector<HashValue> h(m), expected_h(m);
+      // Stale contents must be replaced, not appended to.
+      std::vector<std::vector<AltHash>> alts(m + 3,
+                                             std::vector<AltHash>(2));
+      family->HashWithAlternatives(v.data(), max_alts, h.data(), &alts);
+      family->Hash(v.data(), expected_h.data());
+      EXPECT_EQ(h, expected_h) << FamilyKindName(kind);
+      ASSERT_EQ(alts.size(), m);
+      std::vector<AltHash> single;
+      for (size_t f = 0; f < m; ++f) {
+        family->Alternatives(f, v.data(), max_alts, &single);
+        ExpectSameAlternatives(alts[f], single,
+                               std::string(FamilyKindName(kind)) +
+                                   " f=" + std::to_string(f));
+      }
+    }
+  }
+}
+
+// NaN, ±inf and out-of-range coordinates: each dot is the same on both
+// tiers (bit for bit, or NaN on both), and the floor step saturates to
+// [INT32_MIN, INT32_MAX] with NaN at INT32_MIN instead of an undefined cast.
+TEST(RandomProjectionTest, NonFiniteAndHugeCoordinatesHashDeterministically) {
+  const size_t d = 9, m = 20;
+  const double w = 4.0;
+  const uint64_t seed = 55;
+  const RandomProjectionFamily family(d, m, w, seed);
+  const ReferenceProjections ref = DrawReference(d, m, w, seed);
+  util::Rng rng(seed);
+  const ProjectionMatrix proj(d, m, &rng);
+  constexpr HashValue kMin = std::numeric_limits<HashValue>::min();
+  constexpr HashValue kMax = std::numeric_limits<HashValue>::max();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 1e30f,
+                            -1e30f};
+  util::Rng vrng(56);
+  size_t saw_nan = 0, saw_max = 0, saw_min = 0;
+  for (float special : specials) {
+    for (size_t pos : {size_t{0}, size_t{4}, d - 1}) {
+      std::vector<float> v(d);
+      vrng.FillGaussian(v.data(), d);
+      v[pos] = special;
+      std::vector<double> tier_dots[2];
+      for (int t = 0; t < 2; ++t) {
+        tier_dots[t].resize(m);
+        proj.ForEachBlock(
+            v.data(),
+            [&](size_t first, size_t count, const double* block) {
+              for (size_t j = 0; j < count; ++j) {
+                tier_dots[t][first + j] = block[j];
+              }
+            },
+            kTiers[t]);
+      }
+      std::vector<HashValue> h(m), again(m);
+      family.Hash(v.data(), h.data());
+      family.Hash(v.data(), again.data());
+      EXPECT_EQ(h, again);
+      std::vector<AltHash> alts;
+      for (size_t f = 0; f < m; ++f) {
+        const double dot = util::Dot(ref.a.Row(f), v.data(), d);
+        for (int t = 0; t < 2; ++t) {
+          if (std::isnan(dot)) {
+            EXPECT_TRUE(std::isnan(tier_dots[t][f]));
+          } else {
+            EXPECT_EQ(Bits(tier_dots[t][f]), Bits(dot));
+          }
+        }
+        const double p = (dot + ref.b[f]) / w;
+        HashValue expected;
+        if (std::isnan(p)) {
+          expected = kMin;
+          ++saw_nan;
+        } else if (p >= static_cast<double>(kMax)) {
+          expected = kMax;
+          ++saw_max;
+        } else if (p <= static_cast<double>(kMin)) {
+          expected = kMin;
+          ++saw_min;
+        } else {
+          expected = static_cast<HashValue>(std::floor(p));
+        }
+        EXPECT_EQ(h[f], expected) << "special=" << special << " f=" << f;
+        EXPECT_EQ(family.HashOne(f, v.data()), expected);
+        // A saturated or NaN bucket has no neighbours to probe.
+        family.Alternatives(f, v.data(), 4, &alts);
+        if (expected == kMin || expected == kMax) {
+          EXPECT_TRUE(alts.empty());
+        }
+      }
+    }
+  }
+  EXPECT_GT(saw_nan, 0u);
+  EXPECT_GT(saw_max, 0u);
+  EXPECT_GT(saw_min, 0u);
+}
+
+TEST(SignProjectionTest, NonFiniteCoordinatesHashDeterministically) {
+  const size_t d = 9, m = 20;
+  const SignProjectionFamily family(d, m, 66);
+  const ReferenceProjections ref = DrawReference(d, m, 1.0, 66);
+  for (float special : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(), 1e30f}) {
+    std::vector<float> v(d, 0.5f);
+    v[3] = special;
+    std::vector<HashValue> h(m);
+    family.Hash(v.data(), h.data());
+    for (size_t f = 0; f < m; ++f) {
+      const double dot = util::Dot(ref.a.Row(f), v.data(), d);
+      EXPECT_EQ(h[f], dot >= 0.0 ? 1 : 0);  // NaN hashes to 0
+      EXPECT_EQ(family.HashOne(f, v.data()), h[f]);
+    }
+  }
 }
 
 }  // namespace

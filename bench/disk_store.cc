@@ -26,11 +26,11 @@
 // wait4(). Cold latency is the first query pass after the build (for mmap,
 // after dropping residency — every base page faults back in); warm is the
 // best of five further passes — steady-state latency, not one sample of it,
-// because a single 32-query pass on a loaded box can read several tens of
+// because a single query pass on a loaded box can read several tens of
 // percent high and the inmemory/quantized ratio below gates CI.
 //
 // Env knobs: LCCS_BENCH_N (default 100000; the paper-scale run uses
-// 1000000), LCCS_BENCH_QUERIES (default 32), LCCS_BENCH_BUDGET_MB.
+// 1000000), LCCS_BENCH_QUERIES (default 256), LCCS_BENCH_BUDGET_MB.
 // Usage: disk_store [out.json]
 
 #include <sys/resource.h>
@@ -238,7 +238,7 @@ RunResult ForkRun(const std::string& flat_path, const std::string& index_name,
 int Run(int argc, char** argv) {
   const size_t n = eval::EnvSize("LCCS_BENCH_N", 100000);
   const size_t dim = eval::EnvSize("LCCS_BENCH_DIM", 128);
-  const size_t num_queries = eval::EnvSize("LCCS_BENCH_QUERIES", 32);
+  const size_t num_queries = eval::EnvSize("LCCS_BENCH_QUERIES", 256);
   const size_t budget_mb = eval::EnvSize("LCCS_BENCH_BUDGET_MB", 64);
   const char* out_path = argc > 1 ? argv[1] : "BENCH_disk_store.json";
   const std::string flat_path =

@@ -333,6 +333,24 @@ TEST(Replication, BootstrapAndLiveTail) {
   EXPECT_EQ(CheckReplicaAgainstOracle(*replica.index(), seed, 110), "");
   EXPECT_EQ(replica.progress().bootstraps, 1u);  // tail, not re-bootstrap
 
+  // Caught up means no lag: an idle heartbeat (one per
+  // LogShipper::Options::heartbeat_us) reports the primary's head and
+  // nothing left to ship. Wait out two heartbeat periods so one sent after
+  // the tail has landed, then poll until the lag reads zero.
+  const uint64_t heartbeat_us = LogShipper::Options{}.heartbeat_us;
+  Replica::Progress caught_up;
+  for (uint64_t waited_us = 0; waited_us < kWaitUs; waited_us += 1000) {
+    caught_up = replica.progress();
+    if (waited_us >= 2 * heartbeat_us && caught_up.lag_records == 0 &&
+        caught_up.lag_bytes == 0) {
+      break;
+    }
+    ::usleep(1000);
+  }
+  EXPECT_EQ(caught_up.primary_version, 110u);
+  EXPECT_EQ(caught_up.lag_records, 0u);
+  EXPECT_EQ(caught_up.lag_bytes, 0u);
+
   // Snapshot serving off the follower names its cut.
   const ShardedSnapshot snapshot = replica.AcquireSnapshot();
   EXPECT_EQ(snapshot.state_version(), 110u);

@@ -1032,8 +1032,8 @@ TEST(ServeBatchingWindow, MutationsApplyWhileWindowStaysOpen) {
 
 TEST(ServeBatchingWindow, MixedTrafficKeepsWindowOccupancy) {
   // PR 4's engine cut the window at every mutation, collapsing occupancy
-  // under mixed traffic (mean batch 64 -> ~14 in the serve_throughput
-  // bench). Under MVCC the windows must fill identically with and without
+  // under mixed traffic (mean batch 64 -> ~14 with 64 closed-loop
+  // clients). Under MVCC the windows must fill identically with and without
   // interleaved mutations.
   const auto run = [](bool with_mutations) {
     Server::Options options;

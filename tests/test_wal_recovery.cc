@@ -4,7 +4,8 @@
 //   * deterministic unit suites: WAL round trips, segment rotation,
 //     checkpoint truncation, a parametrized torn-tail sweep that cuts a
 //     valid log at *every* byte offset of its final record, mid-stream
-//     corruption, checkpoint fallback, and the Append/Recover contract;
+//     corruption, checkpoint fallback, the Append/Recover contract, and
+//     each fsync policy's fsync count under a real serve::Server;
 //
 //   * a kill-injection harness: a child process (fork + exec of this very
 //     binary, so no threads survive into it) serves a seeded mutation
@@ -35,6 +36,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -857,6 +859,63 @@ TEST(WalRecovery, CheckpointRestoreIsPlacementIndependent) {
           std::binary_search(state.ids.begin(), state.ids.end(), id);
       EXPECT_EQ(restored.Contains(id), live) << "id " << id;
     }
+  }
+}
+
+// Each fsync policy's cost shows in the log's own counters once a Server
+// has acked every mutation: every_record fsyncs at least once per record,
+// group commit covers runs of records with fewer fsyncs and still recovers
+// every acked one.
+TEST(WalRecovery, ServerAcksPayTheirPolicysFsyncs) {
+  constexpr uint64_t kMutations = 64;
+  const uint64_t seed = 73;
+  for (const WriteAheadLog::FsyncPolicy policy :
+       {WriteAheadLog::FsyncPolicy::kEveryRecord,
+        WriteAheadLog::FsyncPolicy::kGroupCommit}) {
+    const bool every_record =
+        policy == WriteAheadLog::FsyncPolicy::kEveryRecord;
+    SCOPED_TRACE(every_record ? "every_record" : "group_commit");
+    TempDir dir;
+    auto index = MakeIndex(3, seed);
+    WriteAheadLog::Options wal_options;
+    wal_options.fsync_policy = policy;
+    WriteAheadLog wal(dir.path, wal_options);
+    wal.Recover(index.get());
+    {
+      Server::Options server_options;
+      server_options.wal = &wal;
+      Server server(index.get(), server_options);
+      std::vector<std::future<MutationResponse>> acks;
+      for (uint64_t i = 1; i <= kMutations; ++i) {
+        const PlannedOp op = PlanOp(seed, i);
+        acks.push_back(op.is_insert ? server.SubmitInsert(op.vec.data())
+                                    : server.SubmitRemove(op.target));
+      }
+      for (auto& ack : acks) {
+        ASSERT_EQ(ack.wait_for(std::chrono::seconds(20)),
+                  std::future_status::ready);
+        ack.get();
+      }
+      // Read while the server runs: its shutdown flush must not be what
+      // makes the counts.
+      const WriteAheadLog::Stats stats = wal.stats();
+      EXPECT_EQ(stats.records_appended, kMutations);
+      if (every_record) {
+        EXPECT_GE(stats.fsyncs, kMutations);
+      } else {
+        EXPECT_GE(stats.fsyncs, 1u);
+        EXPECT_LE(stats.fsyncs, kMutations);
+      }
+    }
+    if (every_record) continue;
+    auto recovered = MakeIndex(2, seed);
+    WriteAheadLog fresh(dir.path);
+    const WriteAheadLog::RecoveryResult result =
+        fresh.Recover(recovered.get());
+    EXPECT_EQ(result.replayed, kMutations);
+    EXPECT_EQ(result.final_version, kMutations);
+    ExpectMatchesOracle(*recovered, ReplayOracle(seed, kMutations),
+                        kMutations, seed);
   }
 }
 

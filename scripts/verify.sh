@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build everything (library, 28 test
+# Tier-1 verification: configure, build everything (library, 35 test
 # binaries, all benches and examples) with -Wall -Wextra, fail the build on
 # any warning in src/ (-DLCCS_WERROR=ON adds -Werror to the lccs library
 # target only), then run the full CTest suite.

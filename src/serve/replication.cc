@@ -15,8 +15,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "storage/flat_file.h"
-
 namespace lccs {
 namespace serve {
 
@@ -27,24 +25,20 @@ constexpr uint32_t kReplFormatVersion = 1;
 constexpr size_t kHelloBytes = 20;  ///< magic + format + have_version
 constexpr size_t kReplyBytes = 28;  ///< magic + format + start + ckpt_len
 
-/// Record-frame geometry, mirrored from the WAL encoding (wal.h names the
-/// stream as the wire format; these must match wal.cc).
-constexpr size_t kPreludeBytes = 12;        ///< uint32 length + uint64 FNV
-constexpr uint32_t kMinBodyBytes = 13;      ///< version + kind + id
-constexpr uint32_t kMaxBodyBytes = 16u << 20;
-constexpr size_t kKindOffset = 8;           ///< kind byte within the body
-constexpr uint8_t kKindHeartbeat = 2;       ///< wire-only; never on disk
-/// Heartbeat body: version + kind + id + head_version + pending_bytes.
-constexpr uint32_t kHeartbeatBodyBytes = 29;
+/// Records forwarded per Tailer::Poll before stats are refreshed.
+constexpr size_t kMaxBatchRecords = 256;
+/// Sleep between polls while caught up with the writer.
+constexpr useconds_t kIdlePollUs = 500;
+
+/// The heartbeat frame (layout in replication.h) is a record frame of the
+/// WAL codec (wal.h) with this wire-only kind and two uint64 gauges after
+/// the body's version, kind and id.
+constexpr uint8_t kKindHeartbeat = 2;
+constexpr size_t kHeartbeatBodyBytes =
+    WriteAheadLog::kMinFrameBodyBytes + 2 * sizeof(uint64_t);
 /// Bootstrap checkpoint sanity cap (a mangled reply must not make the
 /// follower allocate petabytes).
 constexpr uint64_t kMaxCheckpointBytes = 1ull << 40;
-
-template <typename T>
-void PutPod(std::vector<unsigned char>* buf, const T& v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&v);
-  buf->insert(buf->end(), p, p + sizeof(T));
-}
 
 uint64_t NowUs() {
   return static_cast<uint64_t>(
@@ -105,25 +99,14 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// A heartbeat frame, built with the record framing (prelude + FNV) so the
-/// follower's one frame loop handles it.
+/// A heartbeat frame, built by the WAL's frame encoder so the follower's
+/// one frame loop handles it. Version 0: it sits outside the log.
 std::vector<unsigned char> EncodeHeartbeat(uint64_t head_version,
                                            uint64_t pending_bytes) {
-  std::vector<unsigned char> body;
-  body.reserve(kHeartbeatBodyBytes);
-  PutPod(&body, static_cast<uint64_t>(0));  // version: outside the log
-  PutPod(&body, kKindHeartbeat);
-  PutPod(&body, static_cast<int32_t>(-1));
-  PutPod(&body, head_version);
-  PutPod(&body, pending_bytes);
-  std::vector<unsigned char> frame;
-  frame.reserve(kPreludeBytes + body.size());
-  PutPod(&frame, static_cast<uint32_t>(body.size()));
-  storage::FnvChecksum checksum;
-  checksum.Update(body.data(), body.size());
-  PutPod(&frame, checksum.Digest());
-  frame.insert(frame.end(), body.begin(), body.end());
-  return frame;
+  return WriteAheadLog::EncodeFrame(
+      0, kKindHeartbeat, -1,
+      {{&head_version, sizeof(head_version)},
+       {&pending_bytes, sizeof(pending_bytes)}});
 }
 
 /// Thrown inside the ship loop when the follower socket fails — the
@@ -256,13 +239,12 @@ WriteAheadLog::Tailer LogShipper::Handshake(int fd) {
   }
 
   const auto reply = [&](uint64_t start_version, uint64_t ckpt_len) {
-    std::vector<unsigned char> head;
-    head.reserve(kReplyBytes);
-    head.insert(head.end(), kReplMagic, kReplMagic + sizeof(kReplMagic));
-    PutPod(&head, kReplFormatVersion);
-    PutPod(&head, start_version);
-    PutPod(&head, ckpt_len);
-    if (!SendAll(fd, head.data(), head.size())) throw FollowerGone{};
+    unsigned char head[kReplyBytes];
+    std::memcpy(head, kReplMagic, sizeof(kReplMagic));
+    std::memcpy(head + 8, &kReplFormatVersion, sizeof(kReplFormatVersion));
+    std::memcpy(head + 12, &start_version, sizeof(start_version));
+    std::memcpy(head + 20, &ckpt_len, sizeof(ckpt_len));
+    if (!SendAll(fd, head, sizeof(head))) throw FollowerGone{};
   };
 
   if (have_version > 0) {
@@ -329,7 +311,7 @@ void LogShipper::ServeFollower(int fd) {
             batch_bytes += frame_bytes;
             Failpoint("repl:ship:after_frame");
           },
-          options_.max_batch_records);
+          kMaxBatchRecords);
       if (shipped > 0) {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.records_shipped += shipped;
@@ -345,7 +327,7 @@ void LogShipper::ServeFollower(int fd) {
         if (!SendAll(fd, heartbeat.data(), heartbeat.size())) break;
         last_heartbeat_us = now;
       }
-      ::usleep(static_cast<useconds_t>(options_.idle_poll_us));
+      ::usleep(kIdlePollUs);
     }
   } catch (const FollowerGone&) {
     // Normal follower departure.
@@ -492,12 +474,11 @@ bool Replica::StreamOnce() {
       std::lock_guard<std::mutex> lock(mu_);
       have_version = progress_.applied_version;
     }
-    std::vector<unsigned char> hello;
-    hello.reserve(kHelloBytes);
-    hello.insert(hello.end(), kReplMagic, kReplMagic + sizeof(kReplMagic));
-    PutPod(&hello, kReplFormatVersion);
-    PutPod(&hello, have_version);
-    if (!SendAll(fd, hello.data(), hello.size())) return true;
+    unsigned char hello[kHelloBytes];
+    std::memcpy(hello, kReplMagic, sizeof(kReplMagic));
+    std::memcpy(hello + 8, &kReplFormatVersion, sizeof(kReplFormatVersion));
+    std::memcpy(hello + 12, &have_version, sizeof(have_version));
+    if (!SendAll(fd, hello, sizeof(hello))) return true;
 
     unsigned char reply[kReplyBytes];
     if (RecvFull(fd, reply, sizeof(reply), stopped) != RecvStatus::kOk) {
@@ -542,39 +523,38 @@ bool Replica::StreamOnce() {
     }
     cv_.notify_all();
 
-    // Frame loop: prelude, body, checksum — the segment validation,
-    // re-run over the socket.
+    // Frame loop: the WAL codec's prelude and checksum check — the
+    // segment validation, re-run over the socket.
     std::vector<unsigned char> body;
     for (;;) {
-      unsigned char prelude[kPreludeBytes];
-      const RecvStatus status = RecvFull(fd, prelude, sizeof(prelude), stopped);
+      unsigned char prelude_bytes[WriteAheadLog::kFramePreludeBytes];
+      const RecvStatus status =
+          RecvFull(fd, prelude_bytes, sizeof(prelude_bytes), stopped);
       if (status != RecvStatus::kOk) return status != RecvStatus::kStopped;
-      uint32_t len = 0;
-      uint64_t checksum = 0;
-      std::memcpy(&len, prelude, sizeof(len));
-      std::memcpy(&checksum, prelude + sizeof(len), sizeof(checksum));
-      if (len < kMinBodyBytes || len > kMaxBodyBytes) {
+      WriteAheadLog::FramePrelude prelude;
+      if (!prelude.Decode(prelude_bytes)) {
         throw std::runtime_error("Replica: implausible frame length");
       }
-      body.resize(len);
-      const RecvStatus body_status = RecvFull(fd, body.data(), len, stopped);
+      body.resize(prelude.body_bytes);
+      const RecvStatus body_status =
+          RecvFull(fd, body.data(), body.size(), stopped);
       if (body_status != RecvStatus::kOk) {
         return body_status != RecvStatus::kStopped;
       }
-      storage::FnvChecksum fnv;
-      fnv.Update(body.data(), len);
-      if (fnv.Digest() != checksum) {
+      if (!prelude.Matches(body.data())) {
         throw std::runtime_error("Replica: frame checksum mismatch");
       }
-      if (body[kKindOffset] == kKindHeartbeat) {
-        if (len != kHeartbeatBodyBytes) {
+      // The kind byte follows the body's uint64 version.
+      if (body[sizeof(uint64_t)] == kKindHeartbeat) {
+        if (body.size() != kHeartbeatBodyBytes) {
           throw std::runtime_error("Replica: malformed heartbeat");
         }
         uint64_t head_version = 0;
         uint64_t pending_bytes = 0;
-        std::memcpy(&head_version, body.data() + kMinBodyBytes,
-                    sizeof(head_version));
-        std::memcpy(&pending_bytes, body.data() + kMinBodyBytes + 8,
+        const unsigned char* gauges =
+            body.data() + WriteAheadLog::kMinFrameBodyBytes;
+        std::memcpy(&head_version, gauges, sizeof(head_version));
+        std::memcpy(&pending_bytes, gauges + sizeof(head_version),
                     sizeof(pending_bytes));
         std::lock_guard<std::mutex> lock(mu_);
         progress_.primary_version =
@@ -586,7 +566,7 @@ bool Replica::StreamOnce() {
         progress_.lag_bytes = pending_bytes;
         continue;
       }
-      ApplyFrame(body.data(), len);
+      ApplyFrame(body.data(), body.size());
       cv_.notify_all();
     }
   } catch (const std::exception& e) {

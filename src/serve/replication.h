@@ -18,12 +18,12 @@ namespace serve {
 
 /// Primary/replica log shipping over the WAL segment stream.
 ///
-/// The WAL's on-disk encoding *is* the wire format. A record frame —
-/// 12-byte prelude (uint32 body length + uint64 FNV-1a checksum) followed
-/// by the body — is already length-prefixed and checksummed, so the
-/// primary forwards the raw segment bytes verbatim (WriteAheadLog::Tailer
-/// hands them over frame by frame) and a follower can validate each frame
-/// exactly the way crash recovery validates a segment. The bootstrap
+/// The WAL's on-disk encoding *is* the wire format. A record frame (its
+/// layout is defined once, in serve/wal.h) is already length-prefixed and
+/// checksummed, so the primary forwards the raw segment bytes verbatim
+/// (WriteAheadLog::Tailer hands them over frame by frame) and a follower
+/// checks each frame with the same codec (WriteAheadLog::FramePrelude)
+/// that crash recovery uses on a segment. The bootstrap
 /// payload reuses the checkpoint-file encoding the same way
 /// (WriteAheadLog::EncodeCheckpoint / DecodeCheckpoint).
 ///
@@ -58,8 +58,8 @@ namespace serve {
 /// re-decides.
 ///
 /// One wire-only record kind exists beyond the segment kinds 0 (insert)
-/// and 1 (remove): kind 2, a **progress heartbeat**, framed exactly like a
-/// record (same prelude, same checksum) so the follower's frame loop needs
+/// and 1 (remove): kind 2, a **progress heartbeat**, framed by the same
+/// encoder (WriteAheadLog::EncodeFrame) so the follower's frame loop needs
 /// no second parser. Body layout (29 bytes):
 ///
 ///     version (uint64, always 0), kind (uint8, 2), id (int32, -1),
@@ -84,10 +84,6 @@ class LogShipper {
   struct Options {
     /// TCP port to listen on (127.0.0.1); 0 = ephemeral, read port().
     uint16_t port = 0;
-    /// Records forwarded per Tailer::Poll before stats are refreshed.
-    size_t max_batch_records = 256;
-    /// Sleep between polls while caught up with the writer.
-    uint64_t idle_poll_us = 500;
     /// Heartbeat cadence while idle (lag gauges on the follower).
     uint64_t heartbeat_us = 20000;
     /// Test-only crash-injection hook, same contract as

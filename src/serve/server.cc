@@ -13,6 +13,10 @@ namespace serve {
 
 namespace {
 
+/// Group commit: the oldest deferred ack waits at most this long before the
+/// writer forces an fsync, even while the mutation queue stays busy.
+constexpr uint64_t kGroupCommitMaxUs = 1000;
+
 template <typename Response>
 std::future<Response> BrokenFuture(const char* what) {
   std::promise<Response> promise;
@@ -335,26 +339,17 @@ void Server::ApplyMutation(Request&& request, PendingAcks* pending,
     request.mutation_promise.set_exception(std::current_exception());
     return;
   }
-  switch (wal->options().fsync_policy) {
-    case WriteAheadLog::FsyncPolicy::kNever:
-      request.mutation_promise.set_value(response);
-      return;
-    case WriteAheadLog::FsyncPolicy::kEveryRecord:
-      pending->acks.emplace_back(std::move(request.mutation_promise),
-                                 response);
-      FlushPendingAcks(pending);
-      return;
-    case WriteAheadLog::FsyncPolicy::kGroupCommit: {
-      if (pending->acks.empty()) pending->oldest_us = NowUs();
-      pending->acks.emplace_back(std::move(request.mutation_promise),
-                                 response);
-      if (idle_after ||
-          pending->acks.size() >= wal->options().group_commit_max_records ||
-          NowUs() - pending->oldest_us >= wal->options().group_commit_max_us) {
-        FlushPendingAcks(pending);
-      }
-      return;
-    }
+  if (wal->options().fsync_policy == WriteAheadLog::FsyncPolicy::kEveryRecord) {
+    pending->acks.emplace_back(std::move(request.mutation_promise), response);
+    FlushPendingAcks(pending);
+    return;
+  }
+  if (pending->acks.empty()) pending->oldest_us = NowUs();
+  pending->acks.emplace_back(std::move(request.mutation_promise), response);
+  if (idle_after ||
+      pending->acks.size() >= wal->options().group_commit_max_records ||
+      NowUs() - pending->oldest_us >= kGroupCommitMaxUs) {
+    FlushPendingAcks(pending);
   }
 }
 

@@ -109,10 +109,9 @@ enum class WindowClose : uint8_t {
 /// mutation; kGroupCommit defers acks and releases a whole run of them
 /// with one covering fsync (at the queue's idle edge, at
 /// group_commit_max_records pending, or when the oldest pending ack ages
-/// past group_commit_max_us); kNever acks immediately and leaves
-/// durability to the OS. So under the two strict policies an acknowledged
-/// mutation survives `kill -9` — the invariant the crash-injection harness
-/// in tests/test_wal_recovery.cc proves. Options::checkpoint_every makes
+/// past 1 ms). So under either policy an acknowledged mutation survives
+/// `kill -9` — the invariant the crash-injection harness in
+/// tests/test_wal_recovery.cc proves. Options::checkpoint_every makes
 /// the writer thread periodically persist a consistent cut through the log
 /// (CheckpointNow() does it on demand), truncating obsolete segments.
 ///

@@ -24,12 +24,6 @@ namespace {
 constexpr char kWalMagic[8] = {'L', 'C', 'C', 'S', 'W', 'A', 'L', '1'};
 constexpr uint32_t kWalFormatVersion = 1;
 constexpr size_t kWalHeaderBytes = 24;
-constexpr size_t kRecordPreludeBytes = 12;  ///< uint32 length + uint64 FNV
-/// Smallest body: version (8) + kind (1) + id (4).
-constexpr uint32_t kMinRecordBodyBytes = 13;
-/// Length sanity cap — a torn prelude must not make the scanner allocate
-/// gigabytes before the checksum gets a chance to reject it.
-constexpr uint32_t kMaxRecordBodyBytes = 16u << 20;
 
 constexpr char kCkptMagic[8] = {'L', 'C', 'C', 'S', 'C', 'K', 'P', '1'};
 constexpr uint32_t kCkptFormatVersion = 1;
@@ -93,21 +87,26 @@ std::string NumberedName(const char* prefix, uint64_t value,
   return std::string(buf);
 }
 
-bool ParseNumberedName(const char* name, const char* prefix,
+bool HasSuffix(const std::string& name, const char* suffix) {
+  const size_t len = std::strlen(suffix);
+  return name.size() > len &&
+         name.compare(name.size() - len, len, suffix) == 0;
+}
+
+bool ParseNumberedName(const std::string& name, const char* prefix,
                        const char* suffix, uint64_t* value) {
   const size_t prefix_len = std::strlen(prefix);
   const size_t suffix_len = std::strlen(suffix);
-  const size_t name_len = std::strlen(name);
-  if (name_len <= prefix_len + suffix_len) return false;
-  if (std::strncmp(name, prefix, prefix_len) != 0) return false;
-  if (std::strcmp(name + name_len - suffix_len, suffix) != 0) return false;
+  if (name.size() <= prefix_len + suffix_len) return false;
+  if (name.compare(0, prefix_len, prefix) != 0) return false;
+  if (!HasSuffix(name, suffix)) return false;
   // 2^64 - 1 is 20 digits: any longer run cannot fit, and an in-range run
   // still needs the overflow guard (e.g. 20 nines). Silently wrapping here
   // would give a stray file a small first_version and corrupt segment
   // ordering, checkpoint GC, and recovery.
-  if (name_len - suffix_len - prefix_len > 20) return false;
+  if (name.size() - suffix_len - prefix_len > 20) return false;
   uint64_t v = 0;
-  for (size_t i = prefix_len; i < name_len - suffix_len; ++i) {
+  for (size_t i = prefix_len; i < name.size() - suffix_len; ++i) {
     if (name[i] < '0' || name[i] > '9') return false;
     const uint64_t digit = static_cast<uint64_t>(name[i] - '0');
     if (v > (UINT64_MAX - digit) / 10) return false;
@@ -117,19 +116,136 @@ bool ParseNumberedName(const char* name, const char* prefix,
   return true;
 }
 
-std::vector<unsigned char> EncodeBody(const WriteAheadLog::Record& record) {
-  std::vector<unsigned char> body;
-  body.reserve(kMinRecordBodyBytes +
-               (record.is_insert ? 4 + record.vec.size() * sizeof(float) : 0));
-  PutPod(&body, record.version);
-  PutPod(&body, static_cast<uint8_t>(record.is_insert ? 0 : 1));
-  PutPod(&body, record.id);
-  if (record.is_insert) {
-    PutPod(&body, static_cast<uint32_t>(record.vec.size()));
-    const auto* p = reinterpret_cast<const unsigned char*>(record.vec.data());
-    body.insert(body.end(), p, p + record.vec.size() * sizeof(float));
+/// The one directory scan: every entry name in `dir`.
+std::vector<std::string> ListNames(const std::string& dir) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    throw std::runtime_error("cannot open WAL directory: " + dir);
   }
-  return body;
+  std::vector<std::string> names;
+  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
+    names.emplace_back(e->d_name);
+  }
+  ::closedir(d);
+  return names;
+}
+
+/// (number, path) of every `<prefix><number><suffix>` file in `dir`,
+/// ascending.
+std::vector<std::pair<uint64_t, std::string>> ListNumbered(
+    const std::string& dir, const char* prefix, const char* suffix) {
+  std::vector<std::pair<uint64_t, std::string>> out;
+  for (const std::string& name : ListNames(dir)) {
+    uint64_t v = 0;
+    if (ParseNumberedName(name, prefix, suffix, &v)) {
+      out.emplace_back(v, dir + "/" + name);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// --- Segment header and frame reader (layouts in wal.h) ----------------------
+
+std::vector<unsigned char> EncodeSegmentHeader(uint64_t first_version) {
+  std::vector<unsigned char> header(kWalMagic, kWalMagic + sizeof(kWalMagic));
+  PutPod(&header, kWalFormatVersion);
+  PutPod(&header, storage::kFlatEndianTag);
+  PutPod(&header, first_version);
+  return header;
+}
+
+/// Outcome of reading a segment header or a record frame.
+enum class ReadStatus : uint8_t {
+  kOk,
+  kEnd,  ///< no byte at the frame offset: the segment ends cleanly there
+  kShortHeader,
+  kBadMagic,
+  kBadFormat,
+  kBadEndian,
+  kMislabeled,
+  kTornPrelude,
+  kBadLength,
+  kTornBody,
+  kBadChecksum,
+  kBadBody,
+  kOutOfSequence,
+};
+
+const char* StatusName(ReadStatus status) {
+  static constexpr const char* kNames[] = {
+      "ok",
+      "end of segment",
+      "truncated segment header",
+      "bad segment magic",
+      "unsupported segment format version",
+      "segment endianness does not match this machine",
+      "segment header does not match its file name",
+      "torn record prelude",
+      "implausible record length",
+      "torn record body",
+      "record checksum mismatch",
+      "malformed record body",
+      "record version out of sequence",
+  };
+  return kNames[static_cast<size_t>(status)];
+}
+
+/// Reads and checks the header of a segment file opened at offset 0.
+/// `named_version` is the first version in the file name (0 when the name
+/// has none — versions start at 1). `*first_version` receives the header's
+/// field whenever the header is whole.
+ReadStatus ReadSegmentHeader(std::FILE* f, const std::string& path,
+                             uint64_t named_version, uint64_t* first_version) {
+  unsigned char header[kWalHeaderBytes];
+  if (FreadChecked(f, header, sizeof(header), path, 0) != sizeof(header)) {
+    return ReadStatus::kShortHeader;
+  }
+  uint32_t format = 0;
+  uint32_t endian = 0;
+  std::memcpy(&format, header + 8, sizeof(format));
+  std::memcpy(&endian, header + 12, sizeof(endian));
+  std::memcpy(first_version, header + 16, sizeof(uint64_t));
+  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
+    return ReadStatus::kBadMagic;
+  }
+  if (format != kWalFormatVersion) return ReadStatus::kBadFormat;
+  if (endian != storage::kFlatEndianTag) return ReadStatus::kBadEndian;
+  if (*first_version != named_version) return ReadStatus::kMislabeled;
+  return ReadStatus::kOk;
+}
+
+/// Reads the frame at `offset` of an open segment file and decodes it as
+/// record `expected_version`. `frame` receives the prelude plus as much of
+/// the body as the prelude announces, so the frame ends at offset +
+/// frame->size() whatever the status. Throws on a real I/O error.
+ReadStatus ReadFrame(std::FILE* f, const std::string& path, uint64_t offset,
+                     uint64_t expected_version,
+                     std::vector<unsigned char>* frame,
+                     WriteAheadLog::Record* record) {
+  constexpr size_t kPrelude = WriteAheadLog::kFramePreludeBytes;
+  std::clearerr(f);
+  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+    throw std::runtime_error("WAL segment seek failed: " + path);
+  }
+  frame->resize(kPrelude);
+  const size_t got = FreadChecked(f, frame->data(), kPrelude, path, offset);
+  if (got == 0) return ReadStatus::kEnd;
+  if (got < kPrelude) return ReadStatus::kTornPrelude;
+  WriteAheadLog::FramePrelude prelude;
+  if (!prelude.Decode(frame->data())) return ReadStatus::kBadLength;
+  frame->resize(kPrelude + prelude.body_bytes);
+  unsigned char* body = frame->data() + kPrelude;
+  if (FreadChecked(f, body, prelude.body_bytes, path, offset + kPrelude) !=
+      prelude.body_bytes) {
+    return ReadStatus::kTornBody;
+  }
+  if (!prelude.Matches(body)) return ReadStatus::kBadChecksum;
+  if (!WriteAheadLog::DecodeRecordBody(body, prelude.body_bytes, record)) {
+    return ReadStatus::kBadBody;
+  }
+  if (record->version != expected_version) return ReadStatus::kOutOfSequence;
+  return ReadStatus::kOk;
 }
 
 }  // namespace
@@ -137,6 +253,44 @@ std::vector<unsigned char> EncodeBody(const WriteAheadLog::Record& record) {
 void SetWalReadFailpoint(
     std::function<bool(const std::string& path, uint64_t offset)> hook) {
   g_wal_read_failpoint = std::move(hook);
+}
+
+std::vector<unsigned char> WriteAheadLog::EncodeFrame(
+    uint64_t version, uint8_t kind, int32_t id,
+    std::initializer_list<Bytes> tail) {
+  size_t body_bytes = kMinFrameBodyBytes;
+  for (const Bytes& span : tail) body_bytes += span.size;
+  if (body_bytes > kMaxFrameBodyBytes) {
+    throw std::runtime_error("WAL: record too large");
+  }
+  std::vector<unsigned char> frame;
+  frame.reserve(kFramePreludeBytes + body_bytes);
+  PutPod(&frame, static_cast<uint32_t>(body_bytes));
+  PutPod(&frame, uint64_t{0});  // checksum, filled in below
+  PutPod(&frame, version);
+  PutPod(&frame, kind);
+  PutPod(&frame, id);
+  for (const Bytes& span : tail) {
+    const auto* p = static_cast<const unsigned char*>(span.data);
+    frame.insert(frame.end(), p, p + span.size);
+  }
+  storage::FnvChecksum checksum;
+  checksum.Update(frame.data() + kFramePreludeBytes, body_bytes);
+  const uint64_t digest = checksum.Digest();
+  std::memcpy(frame.data() + sizeof(uint32_t), &digest, sizeof(digest));
+  return frame;
+}
+
+bool WriteAheadLog::FramePrelude::Decode(const unsigned char* prelude) {
+  std::memcpy(&body_bytes, prelude, sizeof(body_bytes));
+  std::memcpy(&checksum, prelude + sizeof(body_bytes), sizeof(checksum));
+  return body_bytes >= kMinFrameBodyBytes && body_bytes <= kMaxFrameBodyBytes;
+}
+
+bool WriteAheadLog::FramePrelude::Matches(const unsigned char* body) const {
+  storage::FnvChecksum fnv;
+  fnv.Update(body, body_bytes);
+  return fnv.Digest() == checksum;
 }
 
 bool WriteAheadLog::DecodeRecordBody(const unsigned char* body, size_t len,
@@ -208,21 +362,13 @@ void WriteAheadLog::OpenSegmentLocked(uint64_t first_version) {
   if (fd < 0) {
     throw std::runtime_error("cannot create WAL segment: " + path);
   }
-  std::vector<unsigned char> header;
-  header.reserve(kWalHeaderBytes);
-  header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
-  PutPod(&header, kWalFormatVersion);
-  PutPod(&header, storage::kFlatEndianTag);
-  PutPod(&header, first_version);
+  const std::vector<unsigned char> header = EncodeSegmentHeader(first_version);
   try {
     WriteAllFd(fd, header.data(), header.size(), path);
-    // Make the directory entry and header durable up front (except under
-    // kNever, which promises nothing): the covering fsyncs that release
-    // acks then only have to flush record content.
-    if (options_.fsync_policy != FsyncPolicy::kNever) {
-      storage::SyncFd(fd, path);
-      storage::SyncParentDir(path);
-    }
+    // Make the directory entry and header durable up front: the covering
+    // fsyncs that release acks then only have to flush record content.
+    storage::SyncFd(fd, path);
+    storage::SyncParentDir(path);
   } catch (...) {
     ::close(fd);
     throw;
@@ -252,38 +398,33 @@ void WriteAheadLog::Append(const Record& record) {
                              std::to_string(record.version) + ", expected " +
                              std::to_string(next_version_));
   }
-  const std::vector<unsigned char> body = EncodeBody(record);
-  if (body.size() > kMaxRecordBodyBytes) {
-    throw std::runtime_error("WAL: record too large");
-  }
+  const uint32_t dim = static_cast<uint32_t>(record.vec.size());
+  const bool insert = record.is_insert;
+  const std::vector<unsigned char> frame = EncodeFrame(
+      record.version, insert ? 0 : 1, record.id,
+      {{&dim, insert ? sizeof(dim) : 0},
+       {record.vec.data(), insert ? record.vec.size() * sizeof(float) : 0}});
   if (fd_ >= 0 && segment_bytes_written_ >= options_.segment_bytes) {
     // Rotation mid-batch: pending records live in the old segment, so the
     // fsync covering them must land before it is closed — the group-commit
     // Sync above this layer would otherwise flush only the new file.
-    if (pending_records_ > 0 && options_.fsync_policy != FsyncPolicy::kNever) {
-      SyncLocked();
-    }
+    SyncLocked();
     CloseSegmentLocked();
     Failpoint("wal:rotate");
   }
   if (fd_ < 0) OpenSegmentLocked(next_version_);
 
-  std::vector<unsigned char> prelude;
-  prelude.reserve(kRecordPreludeBytes);
-  PutPod(&prelude, static_cast<uint32_t>(body.size()));
-  storage::FnvChecksum checksum;
-  checksum.Update(body.data(), body.size());
-  PutPod(&prelude, checksum.Digest());
-  WriteAllFd(fd_, prelude.data(), prelude.size(), segment_path_);
+  WriteAllFd(fd_, frame.data(), kFramePreludeBytes, segment_path_);
   // A kill right here leaves a prelude with no (or half a) body — exactly
   // the torn tail recovery detects and truncates.
   Failpoint("wal:append:mid_record");
-  WriteAllFd(fd_, body.data(), body.size(), segment_path_);
-  segment_bytes_written_ += kRecordPreludeBytes + body.size();
+  WriteAllFd(fd_, frame.data() + kFramePreludeBytes,
+             frame.size() - kFramePreludeBytes, segment_path_);
+  segment_bytes_written_ += frame.size();
   ++next_version_;
   ++pending_records_;
   ++stats_.records_appended;
-  stats_.bytes_appended += kRecordPreludeBytes + body.size();
+  stats_.bytes_appended += frame.size();
   Failpoint("wal:append:done");
 }
 
@@ -422,20 +563,8 @@ WriteAheadLog::RecoveryResult WriteAheadLog::Recover(ShardedIndex* index) {
   };
 
   // Stray temp files are checkpoint publishes that never happened — dead.
-  {
-    DIR* d = ::opendir(dir_.c_str());
-    if (d == nullptr) {
-      throw std::runtime_error("cannot open WAL directory: " + dir_);
-    }
-    std::vector<std::string> stale;
-    for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
-      const size_t len = std::strlen(e->d_name);
-      if (len > 4 && std::strcmp(e->d_name + len - 4, ".tmp") == 0) {
-        stale.push_back(dir_ + "/" + e->d_name);
-      }
-    }
-    ::closedir(d);
-    for (const std::string& path : stale) std::remove(path.c_str());
+  for (const std::string& name : ListNames(dir_)) {
+    if (HasSuffix(name, ".tmp")) std::remove((dir_ + "/" + name).c_str());
   }
 
   // 1. Newest checkpoint that validates end to end (a damaged file is
@@ -518,42 +647,18 @@ WriteAheadLog::RecoveryResult WriteAheadLog::Recover(ShardedIndex* index) {
 std::vector<WriteAheadLog::SegmentInfo> WriteAheadLog::ListSegments(
     const std::string& dir) {
   std::vector<SegmentInfo> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    throw std::runtime_error("cannot open WAL directory: " + dir);
+  for (auto& [version, path] : ListNumbered(dir, "wal_", ".log")) {
+    out.push_back(SegmentInfo{std::move(path), version});
   }
-  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
-    uint64_t v = 0;
-    if (ParseNumberedName(e->d_name, "wal_", ".log", &v)) {
-      out.push_back(SegmentInfo{dir + "/" + e->d_name, v});
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const SegmentInfo& a, const SegmentInfo& b) {
-              return a.first_version < b.first_version;
-            });
   return out;
 }
 
 std::vector<WriteAheadLog::CheckpointInfo> WriteAheadLog::ListCheckpoints(
     const std::string& dir) {
   std::vector<CheckpointInfo> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    throw std::runtime_error("cannot open WAL directory: " + dir);
+  for (auto& [version, path] : ListNumbered(dir, "checkpoint_", ".ckpt")) {
+    out.push_back(CheckpointInfo{std::move(path), version});
   }
-  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
-    uint64_t v = 0;
-    if (ParseNumberedName(e->d_name, "checkpoint_", ".ckpt", &v)) {
-      out.push_back(CheckpointInfo{dir + "/" + e->d_name, v});
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const CheckpointInfo& a, const CheckpointInfo& b) {
-              return a.version < b.version;
-            });
   return out;
 }
 
@@ -570,103 +675,36 @@ WriteAheadLog::ScanResult WriteAheadLog::ScanSegment(
   } closer{f};
 
   ScanResult result;
-  unsigned char header[kWalHeaderBytes];
-  if (FreadChecked(f, header, sizeof(header), path, 0) != sizeof(header)) {
-    result.clean = false;
-    result.error = "truncated segment header";
-    return result;
+  uint64_t named_version = 0;
+  ParseNumberedName(path.substr(path.find_last_of('/') + 1), "wal_", ".log",
+                    &named_version);
+  ReadStatus status =
+      ReadSegmentHeader(f, path, named_version, &result.first_version);
+  if (status == ReadStatus::kOk) {
+    result.valid_bytes = kWalHeaderBytes;
+    std::vector<unsigned char> frame;
+    Record record;
+    while ((status = ReadFrame(f, path, result.valid_bytes,
+                               result.first_version + result.records, &frame,
+                               &record)) == ReadStatus::kOk) {
+      if (fn) fn(record, result.valid_bytes);
+      ++result.records;
+      result.last_version = record.version;
+      result.valid_bytes += frame.size();
+    }
   }
-  uint32_t format = 0;
-  uint32_t endian = 0;
-  std::memcpy(&format, header + 8, sizeof(format));
-  std::memcpy(&endian, header + 12, sizeof(endian));
-  std::memcpy(&result.first_version, header + 16, sizeof(uint64_t));
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
+  if (status != ReadStatus::kEnd) {
     result.clean = false;
-    result.error = "bad segment magic";
-    return result;
-  }
-  if (format != kWalFormatVersion) {
-    result.clean = false;
-    result.error = "unsupported segment format version";
-    return result;
-  }
-  if (endian != storage::kFlatEndianTag) {
-    result.clean = false;
-    result.error = "segment endianness does not match this machine";
-    return result;
-  }
-  result.valid_bytes = kWalHeaderBytes;
-
-  std::vector<unsigned char> body;
-  Record record;
-  for (;;) {
-    unsigned char prelude[kRecordPreludeBytes];
-    const size_t got =
-        FreadChecked(f, prelude, sizeof(prelude), path, result.valid_bytes);
-    if (got == 0) break;  // clean end of segment
-    if (got < sizeof(prelude)) {
-      result.clean = false;
-      result.error = "torn record prelude";
-      break;
-    }
-    uint32_t len = 0;
-    uint64_t checksum = 0;
-    std::memcpy(&len, prelude, sizeof(len));
-    std::memcpy(&checksum, prelude + sizeof(len), sizeof(checksum));
-    if (len < kMinRecordBodyBytes || len > kMaxRecordBodyBytes) {
-      result.clean = false;
-      result.error = "implausible record length";
-      break;
-    }
-    body.resize(len);
-    if (FreadChecked(f, body.data(), len, path,
-                     result.valid_bytes + kRecordPreludeBytes) != len) {
-      result.clean = false;
-      result.error = "torn record body";
-      break;
-    }
-    storage::FnvChecksum fnv;
-    fnv.Update(body.data(), len);
-    if (fnv.Digest() != checksum) {
-      result.clean = false;
-      result.error = "record checksum mismatch";
-      break;
-    }
-    if (!DecodeRecordBody(body.data(), len, &record)) {
-      result.clean = false;
-      result.error = "malformed record body";
-      break;
-    }
-    if (record.version != result.first_version + result.records) {
-      result.clean = false;
-      result.error = "record version out of sequence";
-      break;
-    }
-    if (fn) fn(record, result.valid_bytes);
-    ++result.records;
-    result.last_version = record.version;
-    result.valid_bytes += kRecordPreludeBytes + len;
+    result.error = StatusName(status);
   }
   return result;
 }
 
 std::vector<std::string> WriteAheadLog::ListOrphans(const std::string& dir) {
   std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    throw std::runtime_error("cannot open WAL directory: " + dir);
+  for (const std::string& name : ListNames(dir)) {
+    if (HasSuffix(name, ".orphan")) out.push_back(dir + "/" + name);
   }
-  constexpr char kSuffix[] = ".orphan";
-  constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
-  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
-    const size_t len = std::strlen(e->d_name);
-    if (len > kSuffixLen &&
-        std::strcmp(e->d_name + len - kSuffixLen, kSuffix) == 0) {
-      out.push_back(dir + "/" + e->d_name);
-    }
-  }
-  ::closedir(d);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -807,21 +845,6 @@ ShardedIndex::CheckpointState WriteAheadLog::ReadCheckpoint(
 
 // --- Tailer ------------------------------------------------------------------
 
-WriteAheadLog::Tailer::Tailer(Tailer&& other) noexcept
-    : dir_(std::move(other.dir_)),
-      file_(other.file_),
-      segment_path_(std::move(other.segment_path_)),
-      segment_first_version_(other.segment_first_version_),
-      offset_(other.offset_),
-      next_version_(other.next_version_),
-      deliver_from_(other.deliver_from_) {
-  other.file_ = nullptr;
-}
-
-WriteAheadLog::Tailer::~Tailer() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 WriteAheadLog::Tailer WriteAheadLog::TailSegments(const std::string& dir,
                                                   uint64_t start_version) {
   if (start_version == 0) {
@@ -865,22 +888,17 @@ bool WriteAheadLog::Tailer::AdvanceSegment() {
   if (file_ != nullptr && best->path == segment_path_) {
     return false;  // no successor yet — stay where we are
   }
-  std::FILE* f = std::fopen(best->path.c_str(), "rb");
+  File f(std::fopen(best->path.c_str(), "rb"));
   if (f == nullptr) {
     // Listed a moment ago but gone now: checkpoint GC raced us. The next
     // Poll re-lists and either finds a successor or reports the gap.
     return false;
   }
-  unsigned char header[kWalHeaderBytes];
-  size_t got = 0;
-  try {
-    got = FreadChecked(f, header, sizeof(header), best->path, 0);
-  } catch (...) {
-    std::fclose(f);
-    throw;
-  }
-  if (got != sizeof(header)) {
-    std::fclose(f);
+  uint64_t first_version = 0;
+  const ReadStatus status = ReadSegmentHeader(f.get(), best->path,
+                                              best->first_version,
+                                              &first_version);
+  if (status == ReadStatus::kShortHeader) {
     // The writer creates a segment with a single 24-byte header write; a
     // short file here is that write still landing. Only if the stream has
     // moved past this segment is a short header settled damage.
@@ -892,20 +910,11 @@ bool WriteAheadLog::Tailer::AdvanceSegment() {
     }
     return false;
   }
-  uint32_t format = 0;
-  uint32_t endian = 0;
-  uint64_t first_version = 0;
-  std::memcpy(&format, header + 8, sizeof(format));
-  std::memcpy(&endian, header + 12, sizeof(endian));
-  std::memcpy(&first_version, header + 16, sizeof(first_version));
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0 ||
-      format != kWalFormatVersion || endian != storage::kFlatEndianTag ||
-      first_version != best->first_version) {
-    std::fclose(f);
-    throw std::runtime_error("WAL tail: bad segment header: " + best->path);
+  if (status != ReadStatus::kOk) {
+    throw std::runtime_error(std::string("WAL tail: bad segment header (") +
+                             StatusName(status) + "): " + best->path);
   }
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = f;
+  file_ = std::move(f);
   segment_path_ = best->path;
   segment_first_version_ = best->first_version;
   offset_ = kWalHeaderBytes;
@@ -953,14 +962,9 @@ size_t WriteAheadLog::Tailer::Poll(
   };
   while (delivered < max_records) {
     if (file_ == nullptr && !AdvanceSegment()) return delivered;
-    std::clearerr(file_);
-    if (std::fseek(file_, static_cast<long>(offset_), SEEK_SET) != 0) {
-      throw std::runtime_error("WAL tail: seek failed: " + segment_path_);
-    }
-    unsigned char prelude[kRecordPreludeBytes];
-    const size_t got =
-        FreadChecked(file_, prelude, sizeof(prelude), segment_path_, offset_);
-    if (got == 0) {
+    const ReadStatus status = ReadFrame(file_.get(), segment_path_, offset_,
+                                        next_version_, &frame, &record);
+    if (status == ReadStatus::kEnd) {
       // End of this segment: rotate when the dense successor exists.
       bool successor = false;
       bool later = false;
@@ -971,8 +975,7 @@ size_t WriteAheadLog::Tailer::Poll(
         if (s.first_version > next_version_) later = true;
       }
       if (successor) {
-        std::fclose(file_);
-        file_ = nullptr;
+        file_.reset();
         continue;  // AdvanceSegment opens it
       }
       if (later) {
@@ -982,58 +985,23 @@ size_t WriteAheadLog::Tailer::Poll(
       }
       return delivered;  // caught up with the writer
     }
-    if (got < sizeof(prelude)) {
-      if (settled(offset_ + sizeof(prelude))) {
-        throw std::runtime_error("WAL tail: torn record prelude mid-stream: " +
-                                 segment_path_);
+    if (status != ReadStatus::kOk) {
+      // A whole prelude lands in one write(), so only a short read or a
+      // checksum mismatch can be a write still landing.
+      const bool may_be_landing = status == ReadStatus::kTornPrelude ||
+                                  status == ReadStatus::kTornBody ||
+                                  status == ReadStatus::kBadChecksum;
+      if (may_be_landing && !settled(offset_ + frame.size())) {
+        return delivered;
       }
-      return delivered;
-    }
-    uint32_t len = 0;
-    uint64_t checksum = 0;
-    std::memcpy(&len, prelude, sizeof(len));
-    std::memcpy(&checksum, prelude + sizeof(len), sizeof(checksum));
-    if (len < kMinRecordBodyBytes || len > kMaxRecordBodyBytes) {
-      // The prelude is written in one write(); a full prelude with an
-      // implausible length is never an append in flight.
-      throw std::runtime_error("WAL tail: implausible record length: " +
-                               segment_path_);
-    }
-    const uint64_t frame_end = offset_ + kRecordPreludeBytes + len;
-    frame.resize(kRecordPreludeBytes + len);
-    std::memcpy(frame.data(), prelude, kRecordPreludeBytes);
-    const size_t body_got =
-        FreadChecked(file_, frame.data() + kRecordPreludeBytes, len,
-                     segment_path_, offset_ + kRecordPreludeBytes);
-    if (body_got < len) {
-      if (settled(frame_end)) {
-        throw std::runtime_error("WAL tail: torn record body mid-stream: " +
-                                 segment_path_);
-      }
-      return delivered;
-    }
-    storage::FnvChecksum fnv;
-    fnv.Update(frame.data() + kRecordPreludeBytes, len);
-    if (fnv.Digest() != checksum) {
-      if (settled(frame_end)) {
-        throw std::runtime_error("WAL tail: record checksum mismatch: " +
-                                 segment_path_);
-      }
-      return delivered;  // body write still landing — retry later
-    }
-    if (!DecodeRecordBody(frame.data() + kRecordPreludeBytes, len, &record)) {
-      throw std::runtime_error("WAL tail: malformed record body: " +
-                               segment_path_);
-    }
-    if (record.version != next_version_) {
-      throw std::runtime_error("WAL tail: record version out of sequence: " +
-                               segment_path_);
+      throw std::runtime_error(std::string("WAL tail: ") + StatusName(status) +
+                               ": " + segment_path_);
     }
     if (record.version >= deliver_from_) {
       if (fn) fn(record, frame.data(), frame.size());
       ++delivered;
     }
-    offset_ = frame_end;
+    offset_ += frame.size();
     ++next_version_;
   }
   return delivered;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,13 +20,12 @@ namespace serve {
 /// PR 6 gave every mutation ack a dense position in the applied total order
 /// (MutationResponse::state_version); this class makes that order survive a
 /// `kill -9`. The contract is *acked implies durable*: serve::Server appends
-/// each mutation's record here before fulfilling its ack, and (under the
-/// group-commit and every-record policies) only acks after an fsync that
-/// covers the record. Recovery then reconstructs exactly some dense prefix
-/// of the log — at least everything acked, never a phantom beyond what was
-/// logged — which is what lets the crash-injection harness check a
-/// recovered server bit-for-bit against an oracle replay of the acked
-/// prefix.
+/// each mutation's record here before fulfilling its ack, and only acks
+/// after an fsync that covers the record. Recovery then reconstructs
+/// exactly some dense prefix of the log — at least everything acked, never
+/// a phantom beyond what was logged — which is what lets the
+/// crash-injection harness check a recovered server bit-for-bit against an
+/// oracle replay of the acked prefix.
 ///
 /// On-disk layout (one directory, native endianness, tag-checked):
 ///
@@ -39,14 +40,20 @@ namespace serve {
 ///       12     4  endianness tag (uint32 0x01020304, as storage/flat_file)
 ///       16     8  version of the segment's first record (uint64)
 ///
-/// Record (length-prefixed + checksummed, so a torn tail is detectable):
+/// Record frame (length-prefixed + checksummed, so a torn tail is
+/// detectable):
 ///
 ///   offset  size  field
-///        0     4  body length in bytes (uint32)
+///        0     4  body length in bytes (uint32, kMinFrameBodyBytes..
+///                 kMaxFrameBodyBytes)
 ///        4     8  FNV-1a 64 checksum of the body
 ///       12   ...  body: version (uint64), kind (uint8: 0 insert /
 ///                 1 remove), global id (int32); inserts append
 ///                 dim (uint32) + dim float32 coordinates
+///
+/// One codec owns both layouts: EncodeFrame and FramePrelude below, and in
+/// wal.cc the segment-header writer and parser plus the frame reader that
+/// recovery (ScanSegment) and the streaming Tailer share.
 ///
 /// Records within a segment carry consecutive versions starting at the
 /// header's first_version; segments are contiguous end-to-end. Appending
@@ -59,7 +66,8 @@ namespace serve {
 /// socket, with a checkpoint (the on-disk checkpoint encoding, below) as
 /// the bootstrap. Length-prefixed, checksummed records need no re-framing;
 /// replication adds exactly one wire-only record kind (2 = progress
-/// heartbeat, serve/replication.h) that never appears in segment files.
+/// heartbeat, serve/replication.h), framed by the same EncodeFrame, that
+/// never appears in segment files.
 ///
 /// Checkpoint file: header (magic "LCCSCKP1" + format + endianness tag,
 /// 16 bytes), then the body — state_version (uint64), next_id (int64),
@@ -75,7 +83,9 @@ namespace serve {
 /// order, stop at the first torn/corrupt record and physically truncate it
 /// away (segments stranded past a hole are quarantined as `.orphan` — a
 /// hole can never be bridged, but durable bytes are never deleted on a
-/// fallback path), then resume appending at the next dense version.
+/// fallback path), then resume appending at the next dense version. A
+/// segment whose header is damaged — including a header whose first
+/// version disagrees with the file name — is quarantined whole.
 ///
 /// Thread safety: all methods are serialized on an internal mutex, so the
 /// writer thread's Append/Sync can race an external CheckpointNow. Recover
@@ -88,17 +98,14 @@ class WriteAheadLog {
   /// just appends and syncs on command); it lives here so one object
   /// carries the whole durability configuration.
   enum class FsyncPolicy : uint8_t {
-    kNever,        ///< append only; durability left to the OS page cache
     kGroupCommit,  ///< one fsync covers a run of records; acks wait for it
     kEveryRecord,  ///< fsync (and ack) per record — the slow, strict mode
   };
 
   struct Options {
     FsyncPolicy fsync_policy = FsyncPolicy::kGroupCommit;
-    /// Group commit: oldest pending ack may wait at most this long before
-    /// the writer forces an fsync, even while the queue stays busy.
-    uint64_t group_commit_max_us = 1000;
-    /// Group commit: force an fsync once this many acks are pending.
+    /// Group commit: force an fsync once this many acks are pending (or
+    /// once the oldest has waited 1 ms, even while the queue stays busy).
     size_t group_commit_max_records = 64;
     /// Rotate to a fresh segment once the current one reaches this size.
     size_t segment_bytes = 4u << 20;
@@ -149,8 +156,8 @@ class WriteAheadLog {
   /// no-op that adopts the index's current state_version as the base.
   RecoveryResult Recover(ShardedIndex* index);
 
-  /// Appends one record (two write()s: length+checksum prelude, then the
-  /// body — a kill between them leaves a detectably torn tail). Enforces
+  /// Appends one record frame (two write()s: length+checksum prelude, then
+  /// the body — a kill between them leaves a detectably torn tail). Enforces
   /// version density: `record.version` must be exactly one past the last
   /// appended record, so a failed append (disk full) jams the log — every
   /// later append throws instead of logging across a hole, and the server
@@ -214,7 +221,9 @@ class WriteAheadLog {
   };
   /// Scans one segment, invoking `fn` (may be null) for every valid record
   /// in order with its byte offset; stops at the first torn/corrupt record
-  /// without throwing (a torn tail is an expected crash artifact). Throws
+  /// without throwing (a torn tail is an expected crash artifact). A header
+  /// whose first version differs from the one in the file name (or a file
+  /// not named wal_<version>.log) is damaged: nothing is valid. Throws
   /// when the file cannot be opened — and when a short read is a real I/O
   /// error (std::ferror) rather than end-of-file: truncating durable bytes
   /// because a read transiently failed would silently lose acked records.
@@ -243,10 +252,44 @@ class WriteAheadLog {
   static ShardedIndex::CheckpointState DecodeCheckpoint(
       const unsigned char* bytes, size_t len, const std::string& context);
 
-  /// Decodes one record *body* (the bytes after the 12-byte prelude; the
-  /// caller has already verified length + checksum). Returns false when the
-  /// body is malformed. Only kinds 0/1 (insert/remove) are accepted — the
-  /// wire-only heartbeat kind is handled in serve/replication.cc.
+  // --- Log-frame codec (segment files and the replication stream) ---------
+
+  static constexpr size_t kFramePreludeBytes = 12;  ///< length + FNV-1a 64
+  /// Smallest body: version (8) + kind (1) + id (4).
+  static constexpr uint32_t kMinFrameBodyBytes = 13;
+  /// Length sanity cap — a torn prelude must not make a reader allocate
+  /// gigabytes before the checksum gets a chance to reject it.
+  static constexpr uint32_t kMaxFrameBodyBytes = 16u << 20;
+
+  /// A span of body bytes handed to EncodeFrame.
+  struct Bytes {
+    const void* data;
+    size_t size;
+  };
+  /// The one frame encoder: prelude, then a body of version, kind, id and
+  /// the `tail` spans in order (an insert's dim + coordinates, a
+  /// heartbeat's gauges, nothing for a remove). Throws std::runtime_error
+  /// when the body would exceed kMaxFrameBodyBytes.
+  static std::vector<unsigned char> EncodeFrame(
+      uint64_t version, uint8_t kind, int32_t id,
+      std::initializer_list<Bytes> tail);
+
+  /// A decoded frame prelude: the one length-bounds and checksum check,
+  /// for file readers and the replica's socket loop alike.
+  struct FramePrelude {
+    uint32_t body_bytes = 0;
+    uint64_t checksum = 0;
+    /// Reads kFramePreludeBytes bytes; false when the announced body length
+    /// is outside [kMinFrameBodyBytes, kMaxFrameBodyBytes].
+    bool Decode(const unsigned char* prelude);
+    /// Whether `body` (body_bytes long) matches the checksum.
+    bool Matches(const unsigned char* body) const;
+  };
+
+  /// Decodes one record *body* (the bytes after the prelude; the caller has
+  /// already verified length + checksum). Returns false when the body is
+  /// malformed. Only kinds 0/1 (insert/remove) are accepted — the wire-only
+  /// heartbeat kind is handled in serve/replication.cc.
   static bool DecodeRecordBody(const unsigned char* body, size_t len,
                                Record* out);
 
@@ -272,10 +315,9 @@ class WriteAheadLog {
   /// follower re-bootstraps.
   class Tailer {
    public:
-    Tailer(Tailer&& other) noexcept;
+    Tailer(Tailer&& other) noexcept = default;
     Tailer& operator=(Tailer&&) = delete;
     Tailer(const Tailer&) = delete;
-    ~Tailer();
 
     /// Delivers up to `max_records` next records to `fn` (record, raw
     /// frame bytes). Returns the number delivered; 0 = caught up (no
@@ -294,11 +336,16 @@ class WriteAheadLog {
 
    private:
     friend class WriteAheadLog;
+    struct FileCloser {
+      void operator()(std::FILE* f) const { std::fclose(f); }
+    };
+    using File = std::unique_ptr<std::FILE, FileCloser>;
+
     Tailer() = default;
     bool AdvanceSegment();
 
     std::string dir_;
-    std::FILE* file_ = nullptr;
+    File file_;
     std::string segment_path_;
     uint64_t segment_first_version_ = 0;
     uint64_t offset_ = 0;         ///< read position in the open segment

@@ -4,8 +4,9 @@
 //   * deterministic unit suites: WAL round trips, segment rotation,
 //     checkpoint truncation, a parametrized torn-tail sweep that cuts a
 //     valid log at *every* byte offset of its final record, mid-stream
-//     corruption, checkpoint fallback, the Append/Recover contract, and
-//     each fsync policy's fsync count under a real serve::Server;
+//     corruption, a mislabeled segment, checkpoint fallback, the
+//     Append/Recover contract, each fsync policy's fsync count under a real
+//     serve::Server, and the streaming tailer's in-flight vs settled rule;
 //
 //   * a kill-injection harness: a child process (fork + exec of this very
 //     binary, so no threads survive into it) serves a seeded mutation
@@ -649,6 +650,54 @@ TEST(WalRecovery, CorruptMidStreamStopsReplayAndDropsOrphans) {
   EXPECT_EQ(WriteAheadLog::ListOrphans(dir.path).size(), orphans.size());
 }
 
+// A segment whose file name disagrees with its header's first version is a
+// damaged header: recovery quarantines it instead of replaying records
+// 5.. on top of version 0, and the streaming tailer rejects it too.
+TEST(WalRecovery, MislabeledSegmentIsQuarantined) {
+  const uint64_t seed = 59;
+  TempDir dir;
+  {
+    auto index = MakeIndex(2, seed);
+    for (uint64_t i = 1; i <= 4; ++i) {  // versions 1..4 are never logged
+      const PlannedOp op = PlanOp(seed, i);
+      if (op.is_insert) {
+        index->ApplyInsert(op.vec.data());
+      } else {
+        index->ApplyRemove(op.target);
+      }
+    }
+    WriteAheadLog wal(dir.path);
+    wal.Recover(index.get());
+    ApplyAndLog(index.get(), &wal, seed, 5, 12);
+  }
+  const std::vector<WriteAheadLog::SegmentInfo> segments =
+      WriteAheadLog::ListSegments(dir.path);
+  ASSERT_EQ(segments.size(), 1u);
+  ASSERT_EQ(segments[0].first_version, 5u);
+  const std::string mislabeled = dir.path + "/wal_00000000000000000001.log";
+  ASSERT_EQ(std::rename(segments[0].path.c_str(), mislabeled.c_str()), 0);
+
+  const WriteAheadLog::ScanResult scan =
+      WriteAheadLog::ScanSegment(mislabeled, nullptr);
+  EXPECT_FALSE(scan.clean);
+  EXPECT_EQ(scan.valid_bytes, 0u);
+  EXPECT_EQ(scan.records, 0u);
+  WriteAheadLog::Tailer tailer = WriteAheadLog::TailSegments(dir.path, 1);
+  EXPECT_THROW(tailer.Poll(nullptr, 100), std::runtime_error);
+
+  auto recovered = MakeIndex(2, seed);
+  WriteAheadLog wal(dir.path);
+  WriteAheadLog::RecoveryResult result;
+  ASSERT_NO_THROW(result = wal.Recover(recovered.get()));
+  EXPECT_EQ(result.final_version, 0u);
+  EXPECT_EQ(result.replayed, 0u);
+  EXPECT_EQ(result.orphaned_segments, 1u);
+  EXPECT_TRUE(WriteAheadLog::ListSegments(dir.path).empty());
+  EXPECT_EQ(WriteAheadLog::ListOrphans(dir.path),
+            std::vector<std::string>{mislabeled + ".orphan"});
+  ExpectMatchesOracle(*recovered, ReplayOracle(seed, 0), 0, seed);
+}
+
 TEST(WalRecovery, ReadErrorIsNotMistakenForATornTail) {
   // A short fread caused by a real I/O error (not end-of-file) must abort
   // recovery, not silently truncate the log at the failed offset and
@@ -916,6 +965,195 @@ TEST(WalRecovery, ServerAcksPayTheirPolicysFsyncs) {
     EXPECT_EQ(result.final_version, kMutations);
     ExpectMatchesOracle(*recovered, ReplayOracle(seed, kMutations),
                         kMutations, seed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The streaming tailer's in-flight vs settled rule
+// ---------------------------------------------------------------------------
+
+/// One segment of 12 logged mutations: its file name, its bytes and the
+/// byte offset of every record frame.
+struct LoggedSegment {
+  std::string name;
+  std::vector<unsigned char> bytes;
+  std::vector<uint64_t> offsets;
+};
+
+LoggedSegment LogTwelveRecords(uint64_t seed) {
+  TempDir dir;
+  auto index = MakeIndex(2, seed);
+  {
+    WriteAheadLog wal(dir.path);
+    wal.Recover(index.get());
+    ApplyAndLog(index.get(), &wal, seed, 1, 12);
+  }
+  const auto segments = WriteAheadLog::ListSegments(dir.path);
+  if (segments.size() != 1) throw std::runtime_error("expected one segment");
+  LoggedSegment out;
+  out.name = BaseName(segments[0].path);
+  out.bytes = ReadFileBytes(segments[0].path);
+  WriteAheadLog::ScanSegment(segments[0].path,
+                             [&](const WriteAheadLog::Record&, uint64_t off) {
+                               out.offsets.push_back(off);
+                             });
+  return out;
+}
+
+std::vector<unsigned char> Prefix(const std::vector<unsigned char>& bytes,
+                                  uint64_t n) {
+  return std::vector<unsigned char>(bytes.begin(), bytes.begin() + n);
+}
+
+/// Polls once, collecting the delivered versions; every delivered frame
+/// must be the segment's own bytes at the record's offset.
+size_t PollInto(WriteAheadLog::Tailer* tailer, const LoggedSegment& segment,
+                std::vector<uint64_t>* versions) {
+  return tailer->Poll(
+      [&](const WriteAheadLog::Record& record, const unsigned char* frame,
+          size_t frame_bytes) {
+        versions->push_back(record.version);
+        const uint64_t offset = segment.offsets[record.version - 1];
+        EXPECT_EQ(0, std::memcmp(frame, segment.bytes.data() + offset,
+                                 frame_bytes))
+            << "version " << record.version;
+      },
+      1000);
+}
+
+std::vector<uint64_t> Versions(uint64_t first, uint64_t last) {
+  std::vector<uint64_t> out;
+  for (uint64_t v = first; v <= last; ++v) out.push_back(v);
+  return out;
+}
+
+// A cut anywhere inside the newest record at the write head is an append
+// in flight: the whole records before it are delivered, then the tailer
+// waits (returns 0) instead of throwing. A mangled body that ends exactly
+// at the write head is the body write still landing, too.
+TEST(WalTailer, CutAtTheWriteHeadIsAnAppendInFlight) {
+  const LoggedSegment segment = LogTwelveRecords(79);
+  const uint64_t last_start = segment.offsets.back();
+  for (uint64_t cut = last_start; cut < segment.bytes.size(); ++cut) {
+    TempDir trial;
+    WriteFileBytes(trial.path + "/" + segment.name,
+                   Prefix(segment.bytes, cut));
+    WriteAheadLog::Tailer tailer = WriteAheadLog::TailSegments(trial.path, 1);
+    std::vector<uint64_t> versions;
+    size_t delivered = 0;
+    ASSERT_NO_THROW(delivered = PollInto(&tailer, segment, &versions))
+        << "cut=" << cut;
+    ASSERT_EQ(delivered, 11u) << "cut=" << cut;
+    ASSERT_EQ(versions, Versions(1, 11)) << "cut=" << cut;
+    ASSERT_NO_THROW(delivered = PollInto(&tailer, segment, &versions))
+        << "cut=" << cut;
+    ASSERT_EQ(delivered, 0u) << "cut=" << cut;
+    ASSERT_EQ(tailer.next_version(), 12u) << "cut=" << cut;
+
+    // Once the rest of the record lands, it is delivered from where the
+    // cursor waited.
+    std::FILE* f = std::fopen((trial.path + "/" + segment.name).c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(segment.bytes.data() + cut, 1,
+                          segment.bytes.size() - cut, f),
+              segment.bytes.size() - cut);
+    std::fclose(f);
+    ASSERT_EQ(PollInto(&tailer, segment, &versions), 1u) << "cut=" << cut;
+    ASSERT_EQ(versions, Versions(1, 12)) << "cut=" << cut;
+  }
+
+  TempDir trial;
+  std::vector<unsigned char> mangled = segment.bytes;
+  mangled.back() ^= 0xFF;
+  WriteFileBytes(trial.path + "/" + segment.name, mangled);
+  WriteAheadLog::Tailer tailer = WriteAheadLog::TailSegments(trial.path, 1);
+  std::vector<uint64_t> versions;
+  EXPECT_EQ(PollInto(&tailer, segment, &versions), 11u);
+  EXPECT_EQ(PollInto(&tailer, segment, &versions), 0u);
+}
+
+// The same cut is settled corruption once anything lies beyond it: more
+// bytes in the segment, or a successor segment.
+TEST(WalTailer, CutFollowedByMoreBytesOrASuccessorThrows) {
+  const LoggedSegment segment = LogTwelveRecords(83);
+  const uint64_t last_start = segment.offsets.back();
+  std::vector<unsigned char> successor(segment.bytes.begin(),
+                                       segment.bytes.begin() + 24);
+  const uint64_t successor_first = 13;
+  std::memcpy(successor.data() + 16, &successor_first, sizeof(uint64_t));
+  for (uint64_t cut = last_start; cut < segment.bytes.size(); ++cut) {
+    for (const bool junk : {true, false}) {
+      SCOPED_TRACE(junk ? "64 junk bytes" : "successor segment");
+      TempDir trial;
+      std::vector<unsigned char> bytes = Prefix(segment.bytes, cut);
+      if (junk) {
+        bytes.insert(bytes.end(), 64, 0xAB);
+      } else {
+        WriteFileBytes(trial.path + "/wal_00000000000000000013.log",
+                       successor);
+      }
+      WriteFileBytes(trial.path + "/" + segment.name, bytes);
+      WriteAheadLog::Tailer tailer =
+          WriteAheadLog::TailSegments(trial.path, 1);
+      std::vector<uint64_t> versions;
+      EXPECT_THROW(PollInto(&tailer, segment, &versions), std::runtime_error)
+          << "cut=" << cut;
+      EXPECT_EQ(versions, Versions(1, 11)) << "cut=" << cut;
+    }
+  }
+}
+
+// A whole prelude is written in one write(), so an implausible length is
+// never an append in flight: it throws even at the write head.
+TEST(WalTailer, ImplausibleLengthThrowsAtOnce) {
+  const LoggedSegment segment = LogTwelveRecords(89);
+  for (const uint32_t len : {uint32_t{0}, uint32_t{12}, (16u << 20) + 1}) {
+    TempDir trial;
+    std::vector<unsigned char> bytes = segment.bytes;
+    const uint64_t checksum = 0;
+    const auto* p = reinterpret_cast<const unsigned char*>(&len);
+    bytes.insert(bytes.end(), p, p + sizeof(len));
+    p = reinterpret_cast<const unsigned char*>(&checksum);
+    bytes.insert(bytes.end(), p, p + sizeof(checksum));
+    WriteFileBytes(trial.path + "/" + segment.name, bytes);
+    WriteAheadLog::Tailer tailer = WriteAheadLog::TailSegments(trial.path, 1);
+    std::vector<uint64_t> versions;
+    EXPECT_THROW(PollInto(&tailer, segment, &versions), std::runtime_error)
+        << "len=" << len;
+    EXPECT_EQ(versions, Versions(1, 12)) << "len=" << len;
+  }
+}
+
+// A segment header shorter than 24 bytes is the writer's header write
+// still landing — unless a later segment exists, which settles it.
+TEST(WalTailer, HeaderStillLandingWaitsUnlessSettled) {
+  const LoggedSegment segment = LogTwelveRecords(97);
+  const std::vector<unsigned char> partial_header = Prefix(segment.bytes, 10);
+  {
+    TempDir trial;
+    WriteFileBytes(trial.path + "/" + segment.name, partial_header);
+    WriteAheadLog::Tailer tailer = WriteAheadLog::TailSegments(trial.path, 1);
+    std::vector<uint64_t> versions;
+    EXPECT_EQ(PollInto(&tailer, segment, &versions), 0u);
+    EXPECT_EQ(PollInto(&tailer, segment, &versions), 0u);
+  }
+  {
+    // The successor of a full segment is still landing: the tailer
+    // delivers the full segment and then waits at the successor.
+    TempDir trial;
+    WriteFileBytes(trial.path + "/" + segment.name, segment.bytes);
+    WriteFileBytes(trial.path + "/wal_00000000000000000013.log",
+                   partial_header);
+    WriteAheadLog::Tailer tailer = WriteAheadLog::TailSegments(trial.path, 1);
+    std::vector<uint64_t> versions;
+    EXPECT_EQ(PollInto(&tailer, segment, &versions), 12u);
+    EXPECT_EQ(PollInto(&tailer, segment, &versions), 0u);
+    EXPECT_EQ(tailer.next_version(), 13u);
+
+    // A later segment settles the short header as damage.
+    WriteFileBytes(trial.path + "/wal_00000000000000000020.log",
+                   partial_header);
+    EXPECT_THROW(PollInto(&tailer, segment, &versions), std::runtime_error);
   }
 }
 

@@ -35,7 +35,7 @@ int main() {
     index.Build(data);
     double ms_on = 0.0, ms_off = 0.0;
     for (const bool narrowing : {true, false}) {
-      const_cast<core::MpLccsLsh&>(index.scheme())
+      const_cast<core::LccsLsh&>(index.scheme())
           .set_use_narrowing(narrowing);
       const auto run = eval::EvaluateQueries(index, data, gt, 10, 0.0, 0, "");
       (narrowing ? ms_on : ms_off) = run.avg_query_ms;
@@ -59,7 +59,7 @@ int main() {
     index.Build(data);
     double ms_on = 0.0, ms_off = 0.0;
     for (const bool skip : {true, false}) {
-      auto& scheme = const_cast<core::MpLccsLsh&>(index.scheme());
+      auto& scheme = const_cast<core::LccsLsh&>(index.scheme());
       core::ProbeParams probe = scheme.probe_params();
       probe.skip_unaffected = skip;
       scheme.set_probe_params(probe);

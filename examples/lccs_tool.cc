@@ -132,7 +132,7 @@ int Build(int argc, char** argv) {
 
   auto family = lsh::MakeFamily(descriptor.family, data.dim(), m, w,
                                 descriptor.seed);
-  core::MpLccsLsh index(std::move(family), metric, descriptor.probes);
+  core::LccsLsh index(std::move(family), metric, descriptor.probes);
   util::Timer timer;
   index.Build(data.data.data(), data.n(), data.dim());
   std::printf("built in %.2f s (index %.1f MB)\n", timer.ElapsedSeconds(),

@@ -20,7 +20,7 @@ void LccsLshIndex::AttachPrebuilt(const dataset::Dataset& data,
   scheme_->AttachPrebuilt(data.data.store(), std::move(csa));
 }
 
-std::unique_ptr<core::MpLccsLsh> LccsLshIndex::MakeScheme(
+std::unique_ptr<core::LccsLsh> LccsLshIndex::MakeScheme(
     const dataset::Dataset& data) const {
   const lsh::FamilyKind kind =
       params_.family.value_or(lsh::DefaultFamilyFor(data.metric));
@@ -30,8 +30,8 @@ std::unique_ptr<core::MpLccsLsh> LccsLshIndex::MakeScheme(
   probe.num_probes = params_.num_probes;
   probe.max_gap = params_.max_gap;
   probe.num_alternatives = params_.num_alternatives;
-  return std::make_unique<core::MpLccsLsh>(std::move(family), data.metric,
-                                           probe);
+  return std::make_unique<core::LccsLsh>(std::move(family), data.metric,
+                                         probe);
 }
 
 void LccsLshIndex::set_num_probes(size_t num_probes) {

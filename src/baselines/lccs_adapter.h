@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "baselines/ann_index.h"
-#include "core/mp_lccs_lsh.h"
+#include "core/lccs_lsh.h"
 #include "lsh/family_factory.h"
 
 namespace lccs {
@@ -63,7 +63,7 @@ class LccsLshIndex : public AnnIndex {
   }
 
   /// Access to the wrapped scheme (tests and diagnostics).
-  const core::MpLccsLsh& scheme() const { return *scheme_; }
+  const core::LccsLsh& scheme() const { return *scheme_; }
 
   /// Binds a deserialized CSA instead of hashing + rebuilding: regenerates
   /// the hash family from params() (families are bit-reproducible from the
@@ -75,11 +75,11 @@ class LccsLshIndex : public AnnIndex {
 
  private:
   /// Family + probe-parameter construction shared by Build / AttachPrebuilt.
-  std::unique_ptr<core::MpLccsLsh> MakeScheme(
+  std::unique_ptr<core::LccsLsh> MakeScheme(
       const dataset::Dataset& data) const;
 
   Params params_;
-  std::unique_ptr<core::MpLccsLsh> scheme_;
+  std::unique_ptr<core::LccsLsh> scheme_;
 };
 
 }  // namespace baselines

@@ -249,7 +249,8 @@ void CircularShiftArray::PushBounds(const ShiftBounds& b, size_t shift,
                                     int32_t probe,
                                     SearchScratch* scratch) const {
   const auto n = static_cast<int32_t>(n_);
-  assert(probe >= 0 && probe <= 0xFF);
+  assert(probe >= 0);
+  probe = std::min(probe, kMaxProbeTag);
   auto& heap = scratch->heap;
   if (b.pos_lo >= 0) {
     heap.push_back(PackHeapKey(b.len_lo, static_cast<int32_t>(shift),

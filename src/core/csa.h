@@ -118,8 +118,8 @@ class CircularShiftArray {
   std::vector<LccsCandidate> Search(const HashValue* query, size_t k) const;
 
   /// Same as Search but also exposes the per-shift bounds computed during
-  /// the narrowed binary-search cascade (needed by MP-LCCS-LSH to skip
-  /// unaffected positions, Section 4.2).
+  /// the narrowed binary-search cascade (tests and diagnostics; the
+  /// multi-probe scheme reads the same bounds from SearchBounds).
   std::vector<LccsCandidate> Search(const HashValue* query, size_t k,
                                     std::vector<ShiftBounds>* state) const;
 
@@ -168,12 +168,17 @@ class CircularShiftArray {
   /// the whole five-field comparison branchlessly (the pop loop spends a
   /// meaningful share of its time in heap sift compares; a 16-byte struct
   /// with a five-branch comparator was measurably slower). Field widths cap
-  /// m at 4095, n at 2^31 - 1 and the probe tag at 255 — asserted where the
-  /// values enter, and orders of magnitude above the paper's scales.
+  /// m at 4095 and n at 2^31 - 1 — asserted where the values enter, and
+  /// orders of magnitude above the paper's scales. The probe tag only breaks
+  /// ties between entries of equal (len, shift, pos), and the pop loop reads
+  /// no probe string, so PushBounds saturates it at kMaxProbeTag: probes 255
+  /// and later share one tag. (An unsaturated tag of 256 or more would
+  /// spill into the len field.)
   ///
   /// Layout (MSB to LSB): len:12 | 4095-shift:12 | (2^31-1)-pos:31 |
   /// 255-probe:8 | (dir < 0):1.
   using HeapKey = uint64_t;
+  static constexpr int32_t kMaxProbeTag = 0xFF;
   static HeapKey PackHeapKey(int32_t len, int32_t shift, int32_t pos,
                              int32_t probe, int dir) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(len)) << 52) |
@@ -223,6 +228,7 @@ class CircularShiftArray {
 
   /// Seeds `scratch->heap` with the bound entries of `b` tagged `probe`
   /// (the push_bounds step shared by Algorithm 2 and the multi-probe scheme).
+  /// Tags above kMaxProbeTag are saturated to it (see PackHeapKey).
   void PushBounds(const ShiftBounds& b, size_t shift, int32_t probe,
                   SearchScratch* scratch) const;
 

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/perturbation.h"
 #include "storage/quantized_store.h"
 #include "util/simd_distance.h"
 #include "util/thread_pool.h"
@@ -32,8 +33,9 @@ bool SeedsBound(util::Metric metric, size_t d, size_t k, size_t list_size) {
 
 }  // namespace
 
-LccsLsh::LccsLsh(std::unique_ptr<lsh::HashFamily> family, util::Metric metric)
-    : family_(std::move(family)), metric_(metric) {
+LccsLsh::LccsLsh(std::unique_ptr<lsh::HashFamily> family, util::Metric metric,
+                 ProbeParams params)
+    : family_(std::move(family)), metric_(metric), params_(params) {
   assert(family_ != nullptr);
 }
 
@@ -80,24 +82,87 @@ void LccsLsh::AttachPrebuilt(const float* data, size_t n, size_t d,
   AttachPrebuilt(storage::WrapBorrowed(data, n, d), std::move(csa));
 }
 
-std::unique_ptr<LccsLsh::QueryScratch> LccsLsh::MakeScratch() const {
-  return std::make_unique<QueryScratch>();
-}
-
 void LccsLsh::PrepareSearch(const float* query, QueryScratch* scratch) const {
-  scratch->hash.resize(csa_.m());
-  family_->Hash(query, scratch->hash.data());
-  scratch->csa.Begin(n_, csa_.m(), 0);
-  csa_.SearchBounds(scratch->hash.data(), &scratch->csa);
+  const size_t m = family_->num_functions();
+  const bool multi = params_.num_probes > 1;
+  // One hashing pass. A multi-probe search also takes every position's
+  // alternatives from it, so each projection is evaluated once.
+  scratch->hash.resize(m);
+  HashValue* hash = scratch->hash.data();
+  if (multi) {
+    family_->HashWithAlternatives(query, params_.num_alternatives, hash,
+                                  &scratch->alts);
+  } else {
+    family_->Hash(query, hash);
+  }
+
+  // Base λ-LCCS search (Algorithm 2 lines 2-11): per-shift bounds and the
+  // seeded heap. Candidate extraction (CollectFromHeap, run by the caller)
+  // is shared across all probes: it pops in non-increasing LCP order,
+  // deduplicating both ids and — because probes overlap heavily in the
+  // sorted orders (the redundancy problem of Example 4.1) — frontier
+  // positions, which bounds the pop work per shift by n regardless of the
+  // number of probes. It reads no probe string: every heap entry carries
+  // its exact LCP, and the chains extend it through the CSA's adjacent-LCP
+  // arrays.
+  scratch->csa.Begin(n_, m, multi ? m * n_ : 0);
+  csa_.SearchBounds(hash, &scratch->csa);
+  if (!multi) return;
+
+  // The matched window of shift i is [i, i + reach_i); a later probe only
+  // needs to revisit shift i if it modifies a position inside that window.
+  const auto n = static_cast<int32_t>(n_);
+  scratch->reach.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    const CircularShiftArray::ShiftBounds& b = scratch->csa.state[i];
+    scratch->reach[i] = std::max({b.len_lo, b.len_hi, 1});
+  }
+
+  // Perturbed probes (Algorithm 3 ordering) over the alternatives above.
+  PerturbationGenerator gen(&scratch->alts, params_.max_gap);
+  PerturbationVector delta;
+  // The first vector is the empty perturbation — already searched above.
+  gen.Next(&delta);
+  scratch->affected.resize(m);
+  scratch->probe.resize(m);
+  HashValue* probe = scratch->probe.data();
+  for (size_t t = 1; t < params_.num_probes && gen.Next(&delta); ++t) {
+    std::copy(hash, hash + m, probe);
+    for (const Perturbation& p : delta) probe[p.pos] = p.value;
+
+    // Skip unaffected positions: re-search shift i only when a modified
+    // position lies in its matched window [i, i + reach_i) (circularly).
+    if (params_.skip_unaffected) {
+      std::fill(scratch->affected.begin(), scratch->affected.end(), 0);
+      for (const Perturbation& p : delta) {
+        for (size_t i = 0; i < m; ++i) {
+          const auto offset =
+              static_cast<int32_t>((p.pos - static_cast<int32_t>(i) +
+                                    static_cast<int32_t>(m)) %
+                                   static_cast<int32_t>(m));
+          if (offset < scratch->reach[i]) scratch->affected[i] = 1;
+        }
+      }
+    } else {
+      std::fill(scratch->affected.begin(), scratch->affected.end(), 1);
+    }
+    for (size_t i = 0; i < m; ++i) {
+      if (!scratch->affected[i]) continue;
+      const auto b = csa_.SearchShift(probe, i, 0, n - 1);
+      csa_.PushBounds(b, i, static_cast<int32_t>(t), &scratch->csa);
+    }
+  }
 }
 
 std::vector<LccsCandidate> LccsLsh::Candidates(const float* query,
                                                size_t count) const {
   assert(store_ != nullptr);
-  const size_t m = family_->num_functions();
-  std::vector<HashValue> hq(m);
-  family_->Hash(query, hq.data());
-  return csa_.Search(hq.data(), count);
+  QueryScratch scratch;
+  PrepareSearch(query, &scratch);
+  std::vector<LccsCandidate> out;
+  out.reserve(std::min<size_t>(count, n_));
+  csa_.CollectFromHeap(count, &scratch.csa, &out);
+  return out;
 }
 
 std::vector<util::Neighbor> LccsLsh::Query(const float* query, size_t k,
@@ -114,18 +179,18 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   const size_t count = CandidateBudget(k, lambda);
 
   // Phases 1 and 2, per query on the chunk's reusable scratch: hashing and
-  // the bound cascade (PrepareSearch), then one Algorithm 2 drain. Each
-  // list keeps the order the search surfaces candidates in — the order
+  // the probes' bound cascades (PrepareSearch), then one Algorithm 2 drain.
+  // Each list keeps the order the search surfaces candidates in — the order
   // phase 6 replays, which fixes TopK tie-breaking.
   std::vector<std::vector<LccsCandidate>> cands(num_queries);
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
-        const std::unique_ptr<QueryScratch> scratch = MakeScratch();
+        QueryScratch scratch;
         for (size_t q = begin; q < end; ++q) {
           cands[q].reserve(std::min<size_t>(count, n_));
-          PrepareSearch(queries + q * d_, scratch.get());
-          csa_.CollectFromHeap(count, &scratch->csa, &cands[q]);
+          PrepareSearch(queries + q * d_, &scratch);
+          csa_.CollectFromHeap(count, &scratch.csa, &cands[q]);
         }
       },
       num_threads);

@@ -13,7 +13,22 @@
 namespace lccs {
 namespace core {
 
-/// Single-probe LCCS-LSH (Section 4.1).
+/// Probe parameters of the multi-probe search (MP-LCCS-LSH, Section 4.2).
+/// With num_probes == 1 the search is single-probe LCCS-LSH (footnote 13 of
+/// the paper) and the other fields are not read.
+struct ProbeParams {
+  size_t num_probes = 1;        ///< probes per query (1 = single-probe)
+  int max_gap = 2;              ///< MAX_GAP of Algorithm 3
+  size_t num_alternatives = 4;  ///< alternative hash values per position
+  /// Ablation switch for the "skip unaffected positions" optimization of
+  /// Section 4.2: when false, every probe re-searches all m shifts.
+  /// Candidate quality is unchanged; probing cost grows.
+  bool skip_unaffected = true;
+};
+
+/// LCCS-LSH (Section 4.1) and its multi-probe form MP-LCCS-LSH (Section
+/// 4.2): one class, since the multi-probe search at one probe is exactly
+/// the single-probe one.
 ///
 /// Indexing phase: draw m i.i.d. LSH functions from the injected family,
 /// convert every data object o into the hash string
@@ -22,7 +37,15 @@ namespace core {
 ///
 /// Query phase: compute H(q), run a (λ + k - 1)-LCCS search on the CSA, and
 /// verify the returned candidates with the true distance metric, keeping the
-/// best k.
+/// best k. With num_probes > 1 the search also probes a sequence of
+/// perturbed hash strings H^(t)(q), generated in ascending score order by
+/// Algorithm 3 from the family's per-position alternative hash values. Each
+/// probe re-runs the binary search only on the *affected* shifts — a shift
+/// i is affected when one of the probe's modified positions falls inside
+/// the window matched by the base search at i (the "skip unaffected
+/// positions" optimization). All probes feed one shared priority queue, so
+/// candidates are still surfaced in globally non-increasing LCP-length
+/// order and deduplicated across probes.
 ///
 /// The scheme is LSH-family-independent: any HashFamily works, which is how
 /// the same class serves Euclidean (random projection), Angular
@@ -31,7 +54,8 @@ class LccsLsh {
  public:
   /// Takes ownership of the hash family (which fixes m = family->
   /// num_functions()); `metric` is used only for candidate verification.
-  LccsLsh(std::unique_ptr<lsh::HashFamily> family, util::Metric metric);
+  LccsLsh(std::unique_ptr<lsh::HashFamily> family, util::Metric metric,
+          ProbeParams params = ProbeParams{});
 
   /// Builds the index over a shared vector store (heap, borrowed, or
   /// memory-mapped — see storage/vector_store.h). The store is retained,
@@ -53,27 +77,30 @@ class LccsLsh {
   /// Answers `num_queries` queries stored row-major and contiguously (dim()
   /// floats each) — the one query path of the scheme. The window is
   /// processed in shared passes: one ParallelFor pass that hashes each
-  /// query and runs its Algorithm 2 drain over per-thread reusable scratch
-  /// (its chains walk the CSA's adjacent-LCP arrays, not hash strings), an
-  /// int8 prune and exact rerank (storage::PruneAndRerank) for queries the
-  /// store's quantized tier can cut to k' = RerankKeep(k), and, for the
-  /// rest, one deduplicated PrefetchRows + cache-blocked verification
-  /// gather over the ascending union of candidate rows, scattering
-  /// distances back into each query's TopK in its original candidate order
-  /// (which fixes tie-breaking, so a row's answer does not depend on the
-  /// window it shares).
+  /// query, runs its probes' bound cascades and one Algorithm 2 drain over
+  /// per-thread reusable scratch (its chains walk the CSA's adjacent-LCP
+  /// arrays, not hash strings), an int8 prune and exact rerank
+  /// (storage::PruneAndRerank) for queries the store's quantized tier can
+  /// cut to k' = RerankKeep(k), and, for the rest, one deduplicated
+  /// PrefetchRows + cache-blocked verification gather over the ascending
+  /// union of candidate rows, scattering distances back into each query's
+  /// TopK in its original candidate order (which fixes tie-breaking, so a
+  /// row's answer does not depend on the window it shares).
   std::vector<std::vector<util::Neighbor>> QueryBatch(const float* queries,
                                                       size_t num_queries,
                                                       size_t k, size_t lambda,
                                                       size_t num_threads = 0)
       const;
 
-  /// Raw LCCS candidates of H(q) without distance verification (exposes the
-  /// k-LCCS search itself; used by tests and diagnostics). Deliberately
-  /// non-virtual: `mp.LccsLsh::Candidates(...)` must keep meaning the
-  /// single-probe Algorithm 2 search even on a multi-probe object.
+  /// Raw candidates across the probing sequence without distance
+  /// verification: the search QueryBatch runs, for one query (exposes the
+  /// k-LCCS search itself; used by tests and diagnostics). At one probe it
+  /// is Algorithm 2 over H(q), i.e. csa().Search(H(q), count).
   std::vector<LccsCandidate> Candidates(const float* query,
                                         size_t count) const;
+
+  const ProbeParams& probe_params() const { return params_; }
+  void set_probe_params(const ProbeParams& params) { params_ = params; }
 
   size_t n() const { return n_; }
   size_t dim() const { return d_; }
@@ -102,31 +129,27 @@ class LccsLsh {
   void AttachPrebuilt(const float* data, size_t n, size_t d,
                       CircularShiftArray csa);
 
-  // The user-declared (virtual) destructor would otherwise suppress moves,
-  // and tests build indexes in by-value helper functions.
-  LccsLsh(LccsLsh&&) = default;
-  LccsLsh& operator=(LccsLsh&&) = default;
-  virtual ~LccsLsh() = default;
-
- protected:
-  /// Reusable per-thread candidate-generation workspace. MakeScratch is
-  /// virtual so MpLccsLsh can extend it with probe buffers; one scratch
-  /// serves consecutive queries without reallocating, and must never be
-  /// shared across threads.
+ private:
+  /// Reusable per-thread candidate-generation workspace: one scratch serves
+  /// consecutive queries without reallocating, and must never be shared
+  /// across threads. The multi-probe buffers stay empty at one probe. A
+  /// perturbed probe string is needed only for its own bound searches (the
+  /// drain reads none), so one buffer holds each in turn.
   struct QueryScratch {
     CircularShiftArray::SearchScratch csa;
-    std::vector<HashValue> hash;  ///< H(q) of the query being searched
-    virtual ~QueryScratch() = default;
+    std::vector<HashValue> hash;                  ///< H(q) of the query
+    std::vector<HashValue> probe;                 ///< current probe string
+    std::vector<std::vector<lsh::AltHash>> alts;  ///< per-position alts
+    std::vector<int32_t> reach;                   ///< matched window lengths
+    std::vector<char> affected;                   ///< shifts to re-search
   };
-  virtual std::unique_ptr<QueryScratch> MakeScratch() const;
 
   /// Everything of the candidate search up to (not including) the heap pop
-  /// loop: hashes the query into scratch->hash (MpLccsLsh takes its
-  /// multi-probe alternatives from the same pass), begins the scratch and
-  /// runs the bound cascade (plus, in MpLccsLsh, the perturbed probes of
-  /// Section 4.2), leaving the seeded heap for
+  /// loop: one hashing pass into scratch->hash (with more than one probe it
+  /// also yields every position's alternatives), the base bound cascade
+  /// and the perturbed probes of Section 4.2, all seeding one heap for
   /// CircularShiftArray::CollectFromHeap.
-  virtual void PrepareSearch(const float* query, QueryScratch* scratch) const;
+  void PrepareSearch(const float* query, QueryScratch* scratch) const;
 
   /// Candidates fetched per query: the paper's λ + k - 1.
   static size_t CandidateBudget(size_t k, size_t lambda) {
@@ -135,11 +158,16 @@ class LccsLsh {
 
   std::unique_ptr<lsh::HashFamily> family_;
   util::Metric metric_;
+  ProbeParams params_;
   std::shared_ptr<const storage::VectorStore> store_;  ///< base vectors
   size_t n_ = 0;
   size_t d_ = 0;
   CircularShiftArray csa_;
 };
+
+/// The paper's name for the multi-probe scheme (MP-LCCS-LSH, Section 4.2):
+/// the same class, constructed with ProbeParams::num_probes > 1.
+using MpLccsLsh = LccsLsh;
 
 }  // namespace core
 }  // namespace lccs

@@ -1,6 +1,7 @@
 #include "core/serialize.h"
 
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "core/stream_io.h"
@@ -57,6 +58,11 @@ IndexDescriptor ReadDescriptor(std::istream& in, const std::string& path) {
   uint32_t family = 0, metric = 0;
   ReadPod(in, &family);
   ReadPod(in, &metric);
+  if (family > static_cast<uint32_t>(lsh::FamilyKind::kMinHash) ||
+      metric > static_cast<uint32_t>(util::Metric::kJaccard)) {
+    throw std::runtime_error("index file corrupt: unknown family or metric: " +
+                             path);
+  }
   descriptor.family = static_cast<lsh::FamilyKind>(family);
   descriptor.metric = static_cast<util::Metric>(metric);
   ReadPod(in, &descriptor.dim);
@@ -70,6 +76,11 @@ IndexDescriptor ReadDescriptor(std::istream& in, const std::string& path) {
   ReadPod(in, &max_gap);
   ReadPod(in, &num_alternatives);
   ReadPod(in, &skip_unaffected);
+  if (num_probes == 0 || max_gap < 1 ||
+      max_gap > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("index file corrupt: invalid probe parameters: " +
+                             path);
+  }
   descriptor.probes.num_probes = num_probes;
   descriptor.probes.max_gap = static_cast<int>(max_gap);
   descriptor.probes.num_alternatives = num_alternatives;
@@ -85,8 +96,8 @@ IndexDescriptor ReadIndexDescriptor(const std::string& path) {
   return ReadDescriptor(in, path);
 }
 
-std::unique_ptr<MpLccsLsh> LoadIndex(const std::string& path,
-                                     const float* data, size_t n, size_t d) {
+std::unique_ptr<LccsLsh> LoadIndex(const std::string& path,
+                                   const float* data, size_t n, size_t d) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open for reading: " + path);
   const IndexDescriptor descriptor = ReadDescriptor(in, path);
@@ -98,12 +109,15 @@ std::unique_ptr<MpLccsLsh> LoadIndex(const std::string& path,
   if (csa.n() != n) {
     throw std::runtime_error("index size does not match supplied data");
   }
+  if (csa.m() != descriptor.m) {
+    throw std::runtime_error(
+        "index file corrupt: descriptor m does not match its CSA: " + path);
+  }
   auto lsh_family =
       lsh::MakeFamily(descriptor.family, descriptor.dim, descriptor.m,
                       descriptor.w, descriptor.seed);
-  auto index = std::make_unique<MpLccsLsh>(std::move(lsh_family),
-                                           descriptor.metric,
-                                           descriptor.probes);
+  auto index = std::make_unique<LccsLsh>(std::move(lsh_family),
+                                         descriptor.metric, descriptor.probes);
   index->AttachPrebuilt(data, n, d, std::move(csa));
   return index;
 }
@@ -138,7 +152,8 @@ baselines::LccsLshIndex::Params ReadLccsParams(std::istream& in) {
   ReadPod(in, &num_alternatives);
   ReadPod(in, &params.w);
   ReadPod(in, &params.seed);
-  if (m == 0 || num_probes == 0 ||
+  if (m == 0 || num_probes == 0 || max_gap < 1 ||
+      max_gap > std::numeric_limits<int>::max() ||
       family > static_cast<uint32_t>(lsh::FamilyKind::kMinHash)) {
     throw std::runtime_error(
         "dynamic index file corrupt: invalid LCCS parameters");
@@ -199,6 +214,11 @@ std::unique_ptr<DynamicIndex> LoadDynamicIndex(const std::string& path,
           throw std::runtime_error(
               "dynamic index file corrupt: epoch CSA size does not match "
               "its snapshot");
+        }
+        if (csa.m() != params.m) {
+          throw std::runtime_error(
+              "dynamic index file corrupt: epoch CSA m does not match the "
+              "LCCS parameters");
         }
         auto epoch = std::make_unique<baselines::LccsLshIndex>(params);
         epoch->AttachPrebuilt(data, std::move(csa));

@@ -6,7 +6,7 @@
 
 #include "baselines/lccs_adapter.h"
 #include "core/dynamic_index.h"
-#include "core/mp_lccs_lsh.h"
+#include "core/lccs_lsh.h"
 #include "lsh/family_factory.h"
 
 namespace lccs {
@@ -43,11 +43,13 @@ IndexDescriptor ReadIndexDescriptor(const std::string& path);
 
 /// Loads an index saved by SaveIndex and binds it to `data` (n row-major
 /// d-dimensional vectors — must be the same data the index was built over;
-/// n and d are validated against the stored CSA). Returns a ready-to-query
-/// MP-LCCS-LSH (probe params restored; use num_probes = 1 for the
-/// single-probe scheme).
-std::unique_ptr<MpLccsLsh> LoadIndex(const std::string& path,
-                                     const float* data, size_t n, size_t d);
+/// n and d are validated against the stored CSA, and so is the descriptor's
+/// m). Returns a ready-to-query LCCS-LSH scheme with its probe params
+/// restored (num_probes > 1 is MP-LCCS-LSH). Throws std::runtime_error on a
+/// malformed file, including a descriptor whose family or metric is out of
+/// range, whose num_probes is 0 or whose max_gap is below 1.
+std::unique_ptr<LccsLsh> LoadIndex(const std::string& path,
+                                   const float* data, size_t n, size_t d);
 
 /// How SaveDynamicIndex stores the epoch snapshot vectors.
 enum class SaveMode {

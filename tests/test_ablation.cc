@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/csa.h"
-#include "core/mp_lccs_lsh.h"
+#include "core/lccs_lsh.h"
 #include "dataset/synthetic.h"
 #include "lsh/family_factory.h"
 #include "util/random.h"

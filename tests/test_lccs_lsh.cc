@@ -10,7 +10,6 @@
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
-#include "core/mp_lccs_lsh.h"
 #include "lsh/family_factory.h"
 #include "util/simd_distance.h"
 

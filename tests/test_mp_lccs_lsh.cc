@@ -1,4 +1,4 @@
-#include "core/mp_lccs_lsh.h"
+#include "core/lccs_lsh.h"
 
 #include <memory>
 #include <set>
@@ -44,17 +44,51 @@ std::unique_ptr<MpLccsLsh> BuildMp(const dataset::Dataset& data, size_t m,
 TEST(MpLccsLshTest, SingleProbeMatchesBaseScheme) {
   const auto data = MediumClusters(util::Metric::kEuclidean);
   const auto mp = BuildMp(data, 32, 1);
-  // The base LccsLsh query path and the MP path with 1 probe must return
-  // identical candidates (same CSA, same search).
+  // With 1 probe the scheme's search is exactly Algorithm 2 over H(q):
+  // the same candidates with the same lengths, in the same order.
+  std::vector<HashValue> hq(mp->m());
   for (size_t q = 0; q < 5; ++q) {
-    const auto base =
-        mp->LccsLsh::Candidates(data.queries.Row(q), 40);  // Algorithm 2
+    mp->family().Hash(data.queries.Row(q), hq.data());
+    const auto base = mp->csa().Search(hq.data(), 40);  // Algorithm 2
     const auto multi = mp->Candidates(data.queries.Row(q), 40);
     ASSERT_EQ(base.size(), multi.size());
-    std::multiset<int32_t> base_ids, multi_ids;
-    for (const auto& c : base) base_ids.insert(c.id);
-    for (const auto& c : multi) multi_ids.insert(c.id);
-    EXPECT_EQ(base_ids, multi_ids);
+    for (size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(base[i].id, multi[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(base[i].len, multi[i].len) << "query " << q << " rank " << i;
+    }
+  }
+}
+
+// The heap key gives the probe tag 8 bits. Probes past the 256th share the
+// saturated tag instead of spilling into the length field, so every
+// candidate's length stays a real LCP (at most m) and lengths surface in
+// non-increasing order, as Algorithm 2 promises.
+TEST(MpLccsLshTest, ProbesBeyondTagWidthKeepLengthsExact) {
+  dataset::SyntheticConfig config;
+  config.n = 4000;
+  config.num_queries = 20;
+  config.dim = 24;
+  config.num_clusters = 15;
+  config.center_scale = 8.0;
+  config.cluster_stddev = 1.0;
+  config.metric = util::Metric::kEuclidean;
+  config.seed = 87;
+  const auto data = dataset::GenerateClustered(config);
+  const size_t m = 32;
+  for (const size_t probes : {size_t{257}, size_t{1025}}) {
+    const auto mp = BuildMp(data, m, probes);
+    for (size_t q = 0; q < data.num_queries(); ++q) {
+      const auto candidates = mp->Candidates(data.queries.Row(q), 200);
+      ASSERT_EQ(candidates.size(), 200u);
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        EXPECT_LE(candidates[i].len, static_cast<int32_t>(m))
+            << probes << " probes, query " << q << " rank " << i;
+        if (i > 0) {
+          EXPECT_LE(candidates[i].len, candidates[i - 1].len)
+              << probes << " probes, query " << q << " rank " << i;
+        }
+      }
+    }
   }
 }
 

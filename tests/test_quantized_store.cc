@@ -22,7 +22,7 @@
 #include "baselines/lccs_adapter.h"
 #include "baselines/linear_scan.h"
 #include "core/dynamic_index.h"
-#include "core/mp_lccs_lsh.h"
+#include "core/lccs_lsh.h"
 #include "core/serialize.h"
 #include "dataset/dataset.h"
 #include "lsh/family_factory.h"

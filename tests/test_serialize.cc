@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -151,6 +152,77 @@ TEST_F(IndexSerializeTest, RejectsWrongData) {
 TEST_F(IndexSerializeTest, MissingFileThrows) {
   EXPECT_THROW(LoadIndex("/nonexistent/file.lccs", nullptr, 0, 0),
                std::runtime_error);
+}
+
+// A descriptor that disagrees with the CSA it carries, or names values no
+// saver writes, must be rejected at load: the family would otherwise hash
+// m values into a search that reads csa.m(), out of bounds either way.
+TEST_F(IndexSerializeTest, CorruptDescriptorThrows) {
+  dataset::SyntheticConfig config;
+  config.n = 300;
+  config.num_queries = 2;
+  config.dim = 8;
+  config.seed = 13;
+  const auto data = dataset::GenerateClustered(config);
+  IndexDescriptor descriptor;
+  descriptor.dim = data.dim();
+  descriptor.m = 32;
+  descriptor.seed = 5;
+  descriptor.probes.num_probes = 4;
+  auto family = lsh::MakeFamily(descriptor.family, data.dim(), descriptor.m,
+                                descriptor.w, descriptor.seed);
+  LccsLsh index(std::move(family), descriptor.metric, descriptor.probes);
+  index.Build(data.data.data(), data.n(), data.dim());
+  SaveIndex(Path(), descriptor, index.csa());
+  std::string payload;
+  {
+    std::ifstream in(Path(), std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    payload = buffer.str();
+  }
+  // The intact file loads and answers.
+  ASSERT_EQ(LoadIndex(Path(), data.data.data(), data.n(), data.dim())
+                ->Query(data.queries.Row(0), 3, 20)
+                .size(),
+            3u);
+
+  // Descriptor layout after the 8-byte magic: family u32 (8), metric u32
+  // (12), dim u64 (16), m u64 (24), w f64 (32), seed u64 (40), num_probes
+  // u64 (48), max_gap i64 (56), num_alternatives u64 (64), skip u8 (72).
+  struct Patch {
+    const char* what;
+    size_t offset;
+    size_t width;
+    uint64_t value;
+    bool descriptor_only;  // ReadIndexDescriptor rejects it too
+  };
+  const Patch patches[] = {
+      {"m = 64", 24, 8, 64, false},
+      {"m = 8", 24, 8, 8, false},
+      {"m = 0", 24, 8, 0, false},
+      {"family = 99", 8, 4, 99, true},
+      {"metric = 99", 12, 4, 99, true},
+      {"num_probes = 0", 48, 8, 0, true},
+      {"max_gap = 0", 56, 8, 0, true},
+      {"max_gap = -1", 56, 8, ~uint64_t{0}, true},
+      {"max_gap = 2^32 + 1", 56, 8, (uint64_t{1} << 32) + 1, true},
+  };
+  for (const Patch& patch : patches) {
+    std::string corrupt = payload;
+    std::memcpy(&corrupt[patch.offset], &patch.value, patch.width);
+    {
+      std::ofstream out(Path(), std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    EXPECT_THROW(LoadIndex(Path(), data.data.data(), data.n(), data.dim()),
+                 std::runtime_error)
+        << patch.what;
+    if (patch.descriptor_only) {
+      EXPECT_THROW(ReadIndexDescriptor(Path()), std::runtime_error)
+          << patch.what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +405,42 @@ TEST_F(DynamicSerializeTest, CorruptedCountsThrowInsteadOfAllocating) {
     }
     EXPECT_THROW(LoadDynamicIndex(Path()), std::runtime_error)
         << "corruption at offset " << offset;
+  }
+}
+
+// The factory's m must agree with the epoch CSA it restores (a patched m
+// would hash m values into a search that reads csa.m()), and its max_gap
+// must be one Algorithm 3 accepts.
+TEST_F(DynamicSerializeTest, CorruptFactoryParamsThrow) {
+  dataset::SyntheticConfig config;
+  config.n = 60;
+  config.num_queries = 2;
+  config.dim = 8;
+  config.seed = 33;
+  const auto data = dataset::GenerateClustered(config);
+  const auto index = MakeMidEpochIndex(data);
+  SaveDynamicIndex(Path(), ExactParams(), *index);
+  std::string payload;
+  {
+    std::ifstream in(Path(), std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    payload = buffer.str();
+  }
+  // The factory parameters follow the 8-byte magic: family u32 (8), m u64
+  // (12), lambda u64 (20), num_probes u64 (28), max_gap i64 (36);
+  // ExactParams saves m = 16.
+  const std::pair<size_t, uint64_t> patches[] = {
+      {12, 8}, {12, 64}, {36, 0}, {36, ~uint64_t{0}}};
+  for (const auto& [offset, value] : patches) {
+    std::string corrupt = payload;
+    std::memcpy(&corrupt[offset], &value, sizeof(value));
+    {
+      std::ofstream out(Path(), std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    EXPECT_THROW(LoadDynamicIndex(Path()), std::runtime_error)
+        << "offset " << offset << " value " << value;
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef LCCS_BENCH_BENCH_COMMON_H_
 #define LCCS_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -79,6 +80,21 @@ inline std::string HardwareContextJson() {
   return "\"num_cpus\": " + std::to_string(NumCpus()) +
          ", \"pool_workers\": " + std::to_string(PoolWorkers()) +
          ", \"build_type\": \"" + std::string(BuildTypeName()) + "\"";
+}
+
+/// The λ sweep of the figure benches: max(5, frac·n) per fraction, sorted
+/// and without repeats, so a small n whose first fractions all clamp to 5
+/// runs that λ once.
+inline std::vector<size_t> LambdaGrid(const std::vector<double>& fractions,
+                                      size_t n) {
+  std::vector<size_t> lambdas;
+  for (const double frac : fractions) {
+    lambdas.push_back(std::max<size_t>(
+        5, static_cast<size_t>(frac * static_cast<double>(n))));
+  }
+  std::sort(lambdas.begin(), lambdas.end());
+  lambdas.erase(std::unique(lambdas.begin(), lambdas.end()), lambdas.end());
+  return lambdas;
 }
 
 inline void PrintHeader(const std::string& title) {

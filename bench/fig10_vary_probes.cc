@@ -21,6 +21,8 @@ void RunMetric(lccs::util::Metric metric) {
   const auto data = eval::LoadAnalogue("sift", metric, scale);
   const auto gt = dataset::GroundTruth::Compute(data, 10);
   const double dist_scale = eval::EstimateDistanceScale(data);
+  const std::vector<size_t> lambdas =
+      bench::LambdaGrid({0.0005, 0.002, 0.01, 0.04}, data.n());
   baselines::LccsLshIndex::Params params;
   params.m = kM;
   params.w = 2.0 * dist_scale;
@@ -33,9 +35,7 @@ void RunMetric(lccs::util::Metric metric) {
   for (const size_t probes :
        {size_t{1}, kM + 1, 2 * kM + 1, 4 * kM + 1, 8 * kM + 1}) {
     index.set_num_probes(probes);
-    for (const double frac : {0.0005, 0.002, 0.01, 0.04}) {
-      const auto lambda = std::max<size_t>(
-          5, static_cast<size_t>(frac * static_cast<double>(data.n())));
+    for (const size_t lambda : lambdas) {
       index.set_lambda(lambda);
       const auto run = eval::EvaluateQueries(index, data, gt, 10,
                                              build_seconds,

@@ -20,6 +20,8 @@ void RunMetric(lccs::util::Metric metric) {
   const auto data = eval::LoadAnalogue("sift", metric, scale);
   const auto gt = dataset::GroundTruth::Compute(data, 10);
   const double dist_scale = eval::EstimateDistanceScale(data);
+  const std::vector<size_t> lambdas =
+      bench::LambdaGrid({0.0005, 0.002, 0.01, 0.04, 0.15}, data.n());
   util::Table table(
       {"metric", "m", "lambda", "recall%", "ratio", "query_ms", "index"});
   for (const size_t m : {8u, 16u, 32u, 64u, 128u, 256u}) {
@@ -30,9 +32,7 @@ void RunMetric(lccs::util::Metric metric) {
     util::Timer timer;
     index.Build(data);
     const double build_seconds = timer.ElapsedSeconds();
-    for (const double frac : {0.0005, 0.002, 0.01, 0.04, 0.15}) {
-      const auto lambda = std::max<size_t>(
-          5, static_cast<size_t>(frac * static_cast<double>(data.n())));
+    for (const size_t lambda : lambdas) {
       index.set_lambda(lambda);
       const auto run = eval::EvaluateQueries(index, data, gt, 10,
                                              build_seconds,

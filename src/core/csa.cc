@@ -7,6 +7,7 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/stream_io.h"
 
@@ -14,12 +15,17 @@ namespace lccs {
 namespace core {
 
 void CircularShiftArray::Build(const HashValue* strings, size_t n, size_t m) {
-  assert(n >= 1 && m >= 1);
+  Build(std::vector<HashValue>(strings, strings + n * m), m);
+}
+
+void CircularShiftArray::Build(std::vector<HashValue> strings, size_t m) {
+  assert(m >= 1 && strings.size() >= m && strings.size() % m == 0);
+  const size_t n = strings.size() / m;
   // HeapKey field widths (see PackHeapKey): shift/len take 12 bits, pos 31.
   assert(m <= 0xFFF && n <= 0x7FFFFFFF);
   n_ = n;
   m_ = m;
-  data_.assign(strings, strings + n * m);
+  data_ = std::move(strings);
   sorted_.assign(m * n, 0);
   next_.assign(m * n, 0);
   if (next_released_) {

@@ -55,8 +55,14 @@ class CircularShiftArray {
  public:
   CircularShiftArray() = default;
 
-  /// Builds the CSA over `n` strings of length `m` stored row-major in
-  /// `strings` (Algorithm 1). The data is copied. Requires n >= 1, m >= 1.
+  /// Builds the CSA over the strings.size() / m strings of length `m`
+  /// stored row-major in `strings` (Algorithm 1). The vector is taken over
+  /// as the index's own copy of the strings, so a caller that moves it in
+  /// never holds the n·m values twice. Requires at least one string,
+  /// m >= 1, and strings.size() a multiple of m.
+  void Build(std::vector<HashValue> strings, size_t m);
+
+  /// Same as above over `n` strings read from `strings`, which are copied.
   void Build(const HashValue* strings, size_t n, size_t m);
 
   size_t n() const { return n_; }

@@ -46,10 +46,13 @@ void LccsLsh::Build(std::shared_ptr<const storage::VectorStore> store) {
   n_ = store_->rows();
   d_ = store_->cols();
   const size_t m = family_->num_functions();
-  // Hashing is embarrassingly parallel; the CSA build itself is sequential,
-  // mirroring the paper's single-thread indexing cost model. Each chunk
-  // advises the store first so a memory-mapped base set streams in with
-  // read-ahead and stays inside its residency budget.
+  // Hashing is embarrassingly parallel. The CSA build (Algorithm 1) runs on
+  // one thread per index, as in the paper's single-thread indexing cost
+  // model; a sharded index builds its shards' CSAs concurrently, one pool
+  // task each (serve::ShardedIndex), and this hashing loop then runs inline
+  // in that task. Each chunk advises the store first so a memory-mapped
+  // base set streams in with read-ahead and stays inside its residency
+  // budget. The strings move into the CSA, which keeps them as its own.
   std::vector<HashValue> strings(n_ * m);
   const storage::VectorStore& rows = *store_;
   util::ParallelFor(n_, [&](size_t begin, size_t end) {
@@ -57,7 +60,7 @@ void LccsLsh::Build(std::shared_ptr<const storage::VectorStore> store) {
       family_->Hash(rows.Row(i), strings.data() + i * m);
     });
   });
-  csa_.Build(strings.data(), n_, m);
+  csa_.Build(std::move(strings), m);
 }
 
 void LccsLsh::Build(const float* data, size_t n, size_t d) {

@@ -131,27 +131,21 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
   // balance; ShardFor tells the two apart by comparing with built_rows_.
   const std::shared_ptr<const storage::VectorStore> store = data.data.store();
 
-  const auto shard_options = ShardOptions(data.metric, d);
-
-  // Build fresh shards outside the lock — queries keep serving the old
-  // generation meanwhile, exactly like a DynamicIndex epoch install.
-  std::vector<std::unique_ptr<core::DynamicIndex>> shards;
-  shards.reserve(S);
+  std::vector<ShardSlice> slices(S);
   for (size_t s = 0; s < S; ++s) {
-    shards.push_back(
-        std::make_unique<core::DynamicIndex>(factory_, shard_options));
     const size_t begin = s * data.n() / S;
     const size_t end = (s + 1) * data.n() / S;
     if (begin == end) continue;  // never-built shard serves empty
-    std::vector<int32_t> ids(end - begin);
-    std::iota(ids.begin(), ids.end(), static_cast<int32_t>(begin));
-    dataset::Dataset slice;
-    slice.name = data.name + "/shard" + std::to_string(s);
-    slice.metric = data.metric;
-    slice.data = storage::VectorStoreRef(
+    ShardSlice& slice = slices[s];
+    slice.data.name = data.name + "/shard" + std::to_string(s);
+    slice.data.metric = data.metric;
+    slice.data.data = storage::VectorStoreRef(
         std::make_shared<storage::SliceStore>(store, begin, end - begin));
-    shards[s]->Build(slice, std::move(ids));
+    slice.ids.resize(end - begin);
+    std::iota(slice.ids.begin(), slice.ids.end(), static_cast<int32_t>(begin));
   }
+  std::vector<std::unique_ptr<core::DynamicIndex>> shards =
+      BuildShards(ShardOptions(data.metric, d), std::move(slices));
 
   auto lock = WriteLock();
   options_.metric = data.metric;
@@ -161,6 +155,27 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
   next_id_ = static_cast<int32_t>(data.n());
   built_rows_ = data.n();
   state_version_ = 0;
+}
+
+std::vector<std::unique_ptr<core::DynamicIndex>> ShardedIndex::BuildShards(
+    const core::DynamicIndex::Options& shard_options,
+    std::vector<ShardSlice> slices) const {
+  // Fresh shards are built outside the lock, so queries keep serving the
+  // old generation meanwhile, exactly like a DynamicIndex epoch install.
+  // One pool task per shard: a nested ParallelFor runs inline inside a pool
+  // task, so each shard hashes and builds its CSA on its own core; with
+  // S = 1 ParallelFor calls the task directly, outside the pool, and the
+  // shard keeps its hashing fan-out. ParallelFor rethrows a shard's error
+  // only after every task has finished, and the new generation is dropped.
+  std::vector<std::unique_ptr<core::DynamicIndex>> shards(slices.size());
+  util::ParallelFor(slices.size(), [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      shards[s] = std::make_unique<core::DynamicIndex>(factory_, shard_options);
+      if (slices[s].ids.empty()) continue;  // never-built shard serves empty
+      shards[s]->Build(slices[s].data, std::move(slices[s].ids));
+    }
+  });
+  return shards;
 }
 
 size_t ShardedIndex::dim() const {
@@ -288,22 +303,12 @@ void ShardedIndex::RestoreCheckpointState(const CheckpointState& state) {
 
   // Every survivor is hash-placed, so each shard's id list is an
   // ascending subset of state.ids.
-  std::vector<std::vector<int32_t>> shard_ids(S);
-  for (int32_t id : state.ids) shard_ids[ShardOf(id, S)].push_back(id);
-
-  const auto shard_options =
-      ShardOptions(state.metric, d > 0 ? d : options_.dim);
-
-  // Fresh shards are populated and built outside the lock — queries keep
-  // serving the old generation meanwhile, exactly like Build().
-  std::vector<std::unique_ptr<core::DynamicIndex>> shards;
+  std::vector<ShardSlice> slices(S);
+  for (int32_t id : state.ids) slices[ShardOf(id, S)].ids.push_back(id);
   std::vector<util::Matrix> shard_data;
-  shards.reserve(S);
   shard_data.reserve(S);
   for (size_t s = 0; s < S; ++s) {
-    shards.push_back(
-        std::make_unique<core::DynamicIndex>(factory_, shard_options));
-    shard_data.emplace_back(shard_ids[s].size(), d);
+    shard_data.emplace_back(slices[s].ids.size(), d);
   }
   std::vector<size_t> filled(S, 0);
   for (size_t i = 0; i < state.ids.size(); ++i) {
@@ -312,14 +317,14 @@ void ShardedIndex::RestoreCheckpointState(const CheckpointState& state) {
                 d * sizeof(float));
   }
   for (size_t s = 0; s < S; ++s) {
-    if (shard_ids[s].empty()) continue;
-    dataset::Dataset slice;
-    slice.name = "checkpoint/shard" + std::to_string(s);
-    slice.metric = state.metric;
-    slice.data = storage::VectorStoreRef(
+    if (slices[s].ids.empty()) continue;
+    slices[s].data.name = "checkpoint/shard" + std::to_string(s);
+    slices[s].data.metric = state.metric;
+    slices[s].data.data = storage::VectorStoreRef(
         std::make_shared<storage::InMemoryStore>(std::move(shard_data[s])));
-    shards[s]->Build(slice, std::move(shard_ids[s]));
   }
+  std::vector<std::unique_ptr<core::DynamicIndex>> shards = BuildShards(
+      ShardOptions(state.metric, d > 0 ? d : options_.dim), std::move(slices));
 
   auto lock = WriteLock();
   options_.metric = state.metric;

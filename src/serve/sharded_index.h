@@ -63,7 +63,10 @@ class ShardedSnapshot {
 /// the S shards go across the shared thread pool, one task per shard, and
 /// each shard's engine (hashing, CSA search, verification) runs inline
 /// within its task over its own 1/S of the rows. A single shard keeps the
-/// engine's own fan-out across the pool instead.
+/// engine's own fan-out across the pool instead. Build and
+/// RestoreCheckpointState build their S shards the same way, one pool task
+/// per shard, so the DynamicIndex::Factory may be called from several
+/// threads at once and must be safe to call concurrently.
 ///
 /// One id space: the ShardedIndex assigns ids in insert order (0, 1, 2,
 /// ... — exactly like a single DynamicIndex, so the two are drop-in
@@ -145,16 +148,22 @@ class ShardedIndex : public baselines::AnnIndex {
   };
 
   /// `factory` creates the epoch index of every shard (same contract as
-  /// DynamicIndex::Factory — called once per shard consolidation).
+  /// DynamicIndex::Factory — called once per shard consolidation). It may be
+  /// called from several threads at once: Build and RestoreCheckpointState
+  /// build the shards concurrently.
   ShardedIndex(core::DynamicIndex::Factory factory, Options options);
 
   // --- AnnIndex interface -------------------------------------------------
 
   /// Bulk load: rows get ids 0..n-1, are range-partitioned across the
   /// shards, and each non-empty shard is built over a zero-copy slice
-  /// of the dataset's shared store. Previous contents are discarded
-  /// (in-flight shard rebuilds are drained first) and the state version
-  /// resets to 0.
+  /// of the dataset's shared store. The shards build concurrently, one
+  /// util::ParallelFor task each, outside the lock, so queries keep
+  /// serving the previous contents until the new shards are installed.
+  /// The previous shards are then discarded (their in-flight rebuilds are
+  /// drained first) and the state version resets to 0. If a shard build
+  /// throws, the error is rethrown once every started shard build has
+  /// finished, and the previous contents stay in place.
   void Build(const dataset::Dataset& data) override;
 
   /// k nearest surviving neighbors by true distance, global ids.
@@ -243,9 +252,10 @@ class ShardedIndex : public baselines::AnnIndex {
   /// had range-placed via Build, since placement is invisible in results),
   /// dead ids are simply in no shard, and the id/version counters resume
   /// exactly where the cut was taken. Fresh shards are built outside the
-  /// lock, then installed under one writer-lock hold. Throws
-  /// std::runtime_error on an inconsistent state (shape mismatch, ids out
-  /// of range or not ascending).
+  /// lock, concurrently like Build's, then installed under one writer-lock
+  /// hold; a failing shard build leaves the previous contents in place, as
+  /// in Build. Throws std::runtime_error on an inconsistent state (shape
+  /// mismatch, ids out of range or not ascending).
   void RestoreCheckpointState(const CheckpointState& state);
 
   // --- Consolidation scheduling -------------------------------------------
@@ -275,6 +285,20 @@ class ShardedIndex : public baselines::AnnIndex {
   /// from options_ (background_rebuild off — MaintainShards schedules).
   core::DynamicIndex::Options ShardOptions(util::Metric metric,
                                            size_t dim) const;
+
+  /// One shard's bulk-load input: its rows and their ascending global ids
+  /// (no ids: the shard stays empty and is never built).
+  struct ShardSlice {
+    dataset::Dataset data;
+    std::vector<int32_t> ids;
+  };
+
+  /// Builds one fresh shard per slice, concurrently (the body Build and
+  /// RestoreCheckpointState share; see the .cc). Rethrows the first shard
+  /// error once every started shard build has finished.
+  std::vector<std::unique_ptr<core::DynamicIndex>> BuildShards(
+      const core::DynamicIndex::Options& shard_options,
+      std::vector<ShardSlice> slices) const;
 
   /// The shard holding non-negative `id`: its Build range when
   /// id < built_rows_, else ShardOf. Caller holds the lock.

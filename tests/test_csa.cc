@@ -208,6 +208,54 @@ TEST(CsaBuildTest, AdjacentLcpMatchesDirectCircularLcp) {
   EXPECT_GT(longest, 255);
 }
 
+std::string SerializedBytes(const CircularShiftArray& csa) {
+  std::ostringstream out(std::ios::binary);
+  csa.Serialize(out);
+  return out.str();
+}
+
+// Build(vector, m) takes the strings over instead of copying them; the
+// structure it builds must be byte-for-byte the one the copying overload
+// builds from the same strings.
+void ExpectOwningBuildMatchesCopy(const std::vector<HashValue>& data,
+                                  size_t n, size_t m) {
+  CircularShiftArray copied;
+  copied.Build(data.data(), n, m);
+  CircularShiftArray owned;
+  owned.Build(std::vector<HashValue>(data), m);
+  ASSERT_EQ(owned.n(), n);
+  ASSERT_EQ(owned.m(), m);
+  // The stream holds the strings, I_i and N_i; L_i is derived from them.
+  EXPECT_EQ(SerializedBytes(owned), SerializedBytes(copied))
+      << "n=" << n << " m=" << m;
+}
+
+TEST(CsaBuildTest, OwningBuildIsByteIdenticalToCopyingBuild) {
+  // The shapes of CsaSeedSweep, drawn as AdjacentLcpMatchesDirectCircularLcp
+  // draws them.
+  for (uint64_t seed = 1000; seed < 1012; ++seed) {
+    util::Rng rng(seed);
+    for (int round = 0; round < 4; ++round) {
+      const size_t n = 4 + rng.NextBounded(120);
+      const size_t m = 1 + rng.NextBounded(20);
+      const int alphabet = 2 + static_cast<int>(rng.NextBounded(6));
+      rng.NextBounded(n);  // the sweep's k
+      std::vector<HashValue> data(n * m);
+      for (auto& v : data) {
+        v = static_cast<HashValue>(rng.NextBounded(alphabet));
+      }
+      ExpectOwningBuildMatchesCopy(data, n, m);
+      for (size_t i = 0; i < m; ++i) rng.NextBounded(alphabet);  // its query
+    }
+  }
+  // One string, all-equal strings, and alphabet 1.
+  ExpectOwningBuildMatchesCopy(RandomStrings(1, 5, 3, 11), 1, 5);
+  std::vector<HashValue> equal;
+  for (int i = 0; i < 25; ++i) equal.insert(equal.end(), {3, 1, 4, 1, 5, 9});
+  ExpectOwningBuildMatchesCopy(equal, 25, 6);
+  ExpectOwningBuildMatchesCopy(RandomStrings(30, 9, 1, 13), 30, 9);
+}
+
 // ---------------------------------------------------------------------------
 // SearchShift (binary search with LCP).
 

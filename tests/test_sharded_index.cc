@@ -2,7 +2,9 @@
 // k larger than any shard, empty shards, the S = 1 degenerate case (must be
 // bit-identical to a single core::DynamicIndex), window rows independent of
 // window composition and fan-out, a failing shard failing its whole window,
-// and the consolidation scheduler (MaintainShards policy over
+// the concurrent shard build (every shard equal to a DynamicIndex built
+// alone over its slice, a failing shard build keeping the previous
+// generation), and the consolidation scheduler (MaintainShards policy over
 // DynamicIndex::stats snapshots).
 //
 // Shard configurations run in exhaustive-verification mode where oracle
@@ -16,6 +18,10 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <numeric>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -32,6 +38,7 @@
 #include "storage/flat_file.h"
 #include "storage/mmap_store.h"
 #include "util/random.h"
+#include "util/topk.h"
 
 namespace lccs {
 namespace serve {
@@ -421,8 +428,10 @@ class FaultyScan : public baselines::LinearScan {
   bool failing_ = false;
 };
 
-// Builds a 4-shard index whose shard 0 (first in Build order, and the
-// scatter's caller-run chunk) fails while the probe is armed.
+// Builds a 4-shard index one of whose shards fails while the probe is
+// armed: the one whose build took ticket 0. Shards build concurrently, so
+// which shard that is, and whether the scatter's caller-run chunk holds it,
+// varies from run to run.
 std::unique_ptr<ShardedIndex> MakeFaultyIndex(
     const std::shared_ptr<FaultProbe>& probe, const dataset::Dataset& data) {
   ShardedIndex::Options options;
@@ -440,8 +449,8 @@ TEST(ShardedIndexFailure, FailingShardFailsWindowAfterEveryShardTask) {
   const ShardedSnapshot snap = index->AcquireSnapshot();
 
   EXPECT_THROW(snap.QueryBatch(data.queries.data(), 8, 5), std::runtime_error);
-  // The scatter splits into at least two tasks, and the one without shard 0
-  // runs to completion before the error surfaces.
+  // The scatter splits into at least two tasks, and the one without the
+  // failing shard runs to completion before the error surfaces.
   EXPECT_GE(probe->started.load(), 2);
   EXPECT_EQ(probe->finished.load(), probe->started.load());
 
@@ -482,6 +491,280 @@ TEST(ShardedIndexFailure, ServerBreaksFailedWindowAndServesTheNext) {
     EXPECT_EQ(response.neighbors, index->Query(data.queries.Row(4 + i), 5));
   }
   server.Stop();
+}
+
+// --- Concurrent shard build ------------------------------------------------
+
+// Every epoch index a recording factory built, as bytes: its rows followed
+// by its serialized CSA. The shards of one ShardedIndex build concurrently,
+// so the factory and the log are called from several threads at once.
+struct BuildLog {
+  std::mutex mu;
+  std::vector<std::string> builds;
+
+  std::vector<std::string> Sorted() {
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<std::string> sorted = builds;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  }
+};
+
+class RecordingLccs : public baselines::LccsLshIndex {
+ public:
+  RecordingLccs(Params params, std::shared_ptr<BuildLog> log)
+      : LccsLshIndex(params), log_(std::move(log)) {}
+
+  void Build(const dataset::Dataset& data) override {
+    LccsLshIndex::Build(data);
+    std::string bytes;
+    for (size_t i = 0; i < data.n(); ++i) {
+      bytes.append(reinterpret_cast<const char*>(data.data.Row(i)),
+                   data.dim() * sizeof(float));
+    }
+    std::ostringstream csa(std::ios::binary);
+    scheme().csa().Serialize(csa);
+    bytes += csa.str();
+    std::lock_guard<std::mutex> lock(log_->mu);
+    log_->builds.push_back(std::move(bytes));
+  }
+
+ private:
+  std::shared_ptr<BuildLog> log_;
+};
+
+// Approximate LCCS (λ = 12, far below the 125 rows a shard gets at
+// n = 1000, S = 8), so equal answers need equal CSAs, not exhaustive
+// verification.
+core::DynamicIndex::Factory RecordingFactory(std::shared_ptr<BuildLog> log) {
+  baselines::LccsLshIndex::Params params;
+  params.m = 16;
+  params.lambda = 12;
+  params.w = 4.0;
+  return [params, log] { return std::make_unique<RecordingLccs>(params, log); };
+}
+
+// The serial build a sharded build must equal: one DynamicIndex per shard,
+// built alone and one after another over the shard's rows and ids.
+struct SerialShards {
+  std::shared_ptr<BuildLog> log = std::make_shared<BuildLog>();
+  std::vector<std::unique_ptr<core::DynamicIndex>> shards;
+
+  void Add(const dataset::Dataset& slice, std::vector<int32_t> ids) {
+    core::DynamicIndex::Options options;
+    options.dim = kDim;
+    options.background_rebuild = false;
+    shards.push_back(
+        std::make_unique<core::DynamicIndex>(RecordingFactory(log), options));
+    if (!ids.empty()) shards.back()->Build(slice, std::move(ids));
+  }
+
+  std::vector<util::Neighbor> Query(const float* query, size_t k) const {
+    std::vector<std::vector<util::Neighbor>> lists;
+    for (const auto& shard : shards) lists.push_back(shard->Query(query, k));
+    return util::MergeSortedTopK(lists, k);
+  }
+};
+
+void ExpectMatchesSerial(const ShardedIndex& index, SerialShards& serial,
+                         BuildLog& log,
+                         const storage::VectorStoreRef& queries) {
+  // Each shard's rows and CSA bytes equal those of its serial twin.
+  EXPECT_EQ(log.Sorted(), serial.log->Sorted());
+  constexpr size_t kK = 10;
+  const auto batched = index.QueryBatch(queries.data(), queries.rows(), kK);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const auto want = serial.Query(queries.Row(q), kK);
+    EXPECT_EQ(index.Query(queries.Row(q), kK), want) << "query " << q;
+    EXPECT_EQ(batched[q], want) << "query " << q;
+  }
+}
+
+TEST(ShardedIndexBuild, ConcurrentBuildEqualsSerialShardBuilds) {
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                              size_t{8}}) {
+    const std::set<size_t> sizes = {0, 1, shards - 1, 1000};
+    for (const size_t n : sizes) {
+      SCOPED_TRACE("S " + std::to_string(shards) + " n " + std::to_string(n));
+      auto data = MakeData(std::max<size_t>(n, 1), 101, 12);
+      if (n == 0) data.data.Resize(0, kDim);
+
+      auto log = std::make_shared<BuildLog>();
+      ShardedIndex::Options options;
+      options.num_shards = shards;
+      options.dim = kDim;
+      ShardedIndex index(RecordingFactory(log), options);
+      index.Build(data);
+      ASSERT_EQ(index.num_shards(), shards);
+      ASSERT_EQ(index.live_count(), n);
+
+      SerialShards serial;
+      for (size_t s = 0; s < shards; ++s) {
+        const size_t begin = s * n / shards;
+        const size_t end = (s + 1) * n / shards;
+        dataset::Dataset slice;
+        slice.metric = data.metric;
+        std::vector<int32_t> ids(end - begin);
+        std::iota(ids.begin(), ids.end(), static_cast<int32_t>(begin));
+        if (begin < end) {
+          slice.data = storage::VectorStoreRef(
+              std::make_shared<storage::SliceStore>(data.data.store(), begin,
+                                                    end - begin));
+        }
+        serial.Add(slice, std::move(ids));
+      }
+      ASSERT_EQ(log->Sorted().size(), std::min(n, shards));
+      ExpectMatchesSerial(index, serial, *log, data.queries);
+    }
+  }
+}
+
+TEST(ShardedIndexBuild, ConcurrentRestoreEqualsSerialShardBuilds) {
+  // A mutated 4-shard index: range-placed rows, hash-placed inserts, and
+  // tombstones, so the checkpoint's ids have gaps.
+  const auto data = MakeData(1000, 103, 12);
+  ShardedIndex::Options options;
+  options.num_shards = 4;
+  ShardedIndex source(LinearScanFactory(), options);
+  source.Build(data);
+  util::Rng rng(104);
+  for (int i = 0; i < 60; ++i) {
+    const auto vec = RandomVector(rng);
+    source.Insert(vec.data());
+  }
+  for (int32_t id = 0; id < 1060; id += 11) source.Remove(id);
+  const ShardedIndex::CheckpointState state = source.CaptureCheckpointState();
+
+  for (const size_t shards : {size_t{1}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE("S " + std::to_string(shards));
+    auto log = std::make_shared<BuildLog>();
+    options.num_shards = shards;
+    ShardedIndex index(RecordingFactory(log), options);
+    index.RestoreCheckpointState(state);
+    ASSERT_EQ(index.live_count(), state.ids.size());
+    EXPECT_EQ(index.state_version(), state.state_version);
+
+    SerialShards serial;
+    for (size_t s = 0; s < shards; ++s) {
+      std::vector<int32_t> ids;
+      std::vector<size_t> rows;
+      for (size_t i = 0; i < state.ids.size(); ++i) {
+        if (ShardedIndex::ShardOf(state.ids[i], shards) != s) continue;
+        ids.push_back(state.ids[i]);
+        rows.push_back(i);
+      }
+      util::Matrix vectors(rows.size(), kDim);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        std::copy(state.vectors.Row(rows[r]),
+                  state.vectors.Row(rows[r]) + kDim, vectors.Row(r));
+      }
+      dataset::Dataset slice;
+      slice.metric = state.metric;
+      slice.data = std::move(vectors);
+      serial.Add(slice, std::move(ids));
+    }
+    ExpectMatchesSerial(index, serial, *log, data.queries);
+  }
+}
+
+// Shared state of the shards FailingBuildScan builds: while `armed`, the
+// build that takes ticket `fail_ticket` throws, and the others count the
+// builds they start and finish.
+struct BuildFaultProbe {
+  std::atomic<bool> armed{false};
+  std::atomic<int> next_ticket{0};
+  int fail_ticket = 0;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+};
+
+class FailingBuildScan : public baselines::LinearScan {
+ public:
+  explicit FailingBuildScan(std::shared_ptr<BuildFaultProbe> probe)
+      : probe_(std::move(probe)) {}
+
+  void Build(const dataset::Dataset& data) override {
+    const bool armed = probe_->armed.load();
+    if (armed) {
+      if (probe_->next_ticket.fetch_add(1) == probe_->fail_ticket) {
+        throw std::runtime_error("injected shard build failure");
+      }
+      probe_->started.fetch_add(1);
+      // Slow enough that a rethrow racing ahead of this build would be seen.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    LinearScan::Build(data);
+    if (armed) probe_->finished.fetch_add(1);
+  }
+
+ private:
+  std::shared_ptr<BuildFaultProbe> probe_;
+};
+
+// A shard build that throws fails the whole Build (or restore) only after
+// every other started shard build has finished, and installs nothing: the
+// previous generation keeps serving, counters and answers unchanged.
+TEST(ShardedIndexBuild, FailingShardBuildKeepsThePreviousGeneration) {
+  const auto data = MakeData(400, 107, 8);
+  const auto other = MakeData(300, 108, 8);
+  ShardedIndex::Options options;
+  options.num_shards = 4;
+  // A valid checkpoint that differs from the index in every counter.
+  ShardedIndex donor(LinearScanFactory(), options);
+  donor.Build(other);
+  util::Rng rng(109);
+  for (int i = 0; i < 30; ++i) {
+    const auto vec = RandomVector(rng);
+    donor.Insert(vec.data());
+  }
+  const ShardedIndex::CheckpointState foreign = donor.CaptureCheckpointState();
+
+  for (const int fail_ticket : {0, 3}) {
+    SCOPED_TRACE("failing ticket " + std::to_string(fail_ticket));
+    auto probe = std::make_shared<BuildFaultProbe>();
+    probe->fail_ticket = fail_ticket;
+    ShardedIndex index(
+        [probe] { return std::make_unique<FailingBuildScan>(probe); },
+        options);
+    index.Build(data);
+    for (int i = 0; i < 10; ++i) {
+      const auto vec = RandomVector(rng);
+      index.Insert(vec.data());
+    }
+    for (int32_t id = 0; id < 400; id += 13) index.Remove(id);
+    const uint64_t version = index.state_version();
+    const size_t live = index.live_count();
+    const auto answers =
+        index.QueryBatch(data.queries.data(), data.num_queries(), 10);
+
+    const auto attempt = [&](const char* what, const auto& call) {
+      SCOPED_TRACE(what);
+      probe->next_ticket = 0;
+      probe->started = 0;
+      probe->finished = 0;
+      probe->armed = true;
+      EXPECT_THROW(call(), std::runtime_error);
+      probe->armed = false;
+      // ParallelFor splits the 4 shards into at least two chunks, and a
+      // chunk without the failing build runs every build it holds.
+      EXPECT_GE(probe->started.load(), 1);
+      EXPECT_EQ(probe->finished.load(), probe->started.load());
+      EXPECT_EQ(index.state_version(), version);
+      EXPECT_EQ(index.live_count(), live);
+      EXPECT_EQ(index.num_shards(), 4u);
+      EXPECT_EQ(
+          index.QueryBatch(data.queries.data(), data.num_queries(), 10),
+          answers);
+    };
+    attempt("Build", [&] { index.Build(other); });
+    attempt("RestoreCheckpointState",
+            [&] { index.RestoreCheckpointState(foreign); });
+
+    // Disarmed, the same calls go through.
+    index.RestoreCheckpointState(foreign);
+    EXPECT_EQ(index.state_version(), foreign.state_version);
+    EXPECT_EQ(index.live_count(), foreign.ids.size());
+  }
 }
 
 TEST(ShardedIndexScheduler, MaintainShardsConsolidatesOverThreshold) {

@@ -14,12 +14,6 @@ void LccsLshIndex::Build(const dataset::Dataset& data) {
   scheme_->Build(data.data.store());
 }
 
-void LccsLshIndex::AttachPrebuilt(const dataset::Dataset& data,
-                                  core::CircularShiftArray csa) {
-  scheme_ = MakeScheme(data);
-  scheme_->AttachPrebuilt(data.data.store(), std::move(csa));
-}
-
 std::unique_ptr<core::LccsLsh> LccsLshIndex::MakeScheme(
     const dataset::Dataset& data) const {
   const lsh::FamilyKind kind =

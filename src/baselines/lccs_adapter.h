@@ -65,16 +65,8 @@ class LccsLshIndex : public AnnIndex {
   /// Access to the wrapped scheme (tests and diagnostics).
   const core::LccsLsh& scheme() const { return *scheme_; }
 
-  /// Binds a deserialized CSA instead of hashing + rebuilding: regenerates
-  /// the hash family from params() (families are bit-reproducible from the
-  /// seed) and attaches `csa`, which must have been built over exactly
-  /// `data` with that family. Used by core/serialize.h to restore the
-  /// static epoch of a dynamic index.
-  void AttachPrebuilt(const dataset::Dataset& data,
-                      core::CircularShiftArray csa);
-
  private:
-  /// Family + probe-parameter construction shared by Build / AttachPrebuilt.
+  /// Family + probe-parameter construction of Build.
   std::unique_ptr<core::LccsLsh> MakeScheme(
       const dataset::Dataset& data) const;
 

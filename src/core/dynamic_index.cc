@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <istream>
 #include <limits>
 #include <numeric>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -17,7 +15,6 @@
 
 #include <atomic>
 
-#include "core/stream_io.h"
 #include "storage/flat_file.h"
 #include "storage/mmap_store.h"
 #include "storage/quantized_store.h"
@@ -29,17 +26,6 @@ namespace core {
 
 namespace {
 
-// Version 3: a has-quantized-codebook byte (and, when set, the codebook
-// itself — codes are re-encoded from the floats at load) follows the epoch
-// index payload. Version 2 added the epoch-storage-kind byte after the row
-// count (inline floats vs a path + checksum reference to a flat file).
-constexpr char kStateMagic[8] = {'L', 'C', 'C', 'S', 'D', 'Y', 'N', '3'};
-constexpr char kStreamName[] = "dynamic index stream";
-
-// Epoch storage kinds of the state stream.
-constexpr uint8_t kEpochInline = 0;    ///< floats embedded in the stream
-constexpr uint8_t kEpochExternal = 1;  ///< path + checksum of a flat file
-
 /// First delta generation's capacity. Deliberately small and independent of
 /// Options::rebuild_threshold (which tests set as high as 2^30 to disable
 /// consolidation): generations double, so reaching a threshold of T costs
@@ -50,18 +36,8 @@ constexpr size_t kInitialDeltaCapacity = 64;
 /// indexes sharing one spill_dir never collide.
 std::atomic<uint64_t> g_spill_counter{0};
 
-using io::ReadSizedVec;
-using io::ReadVec;
-using io::WritePod;
-using io::WriteVec;
-
-template <typename T>
-void ReadPod(std::istream& in, T* value) {
-  io::ReadPod(in, value, kStreamName);
-}
-
 /// The one way a delta generation is filled (doubling clone, rows left over
-/// at an install, load): `capacity` slots holding copies of `count` rows and
+/// at an install): `capacity` slots holding copies of `count` rows and
 /// ids. Every stamp starts at 0; callers set the ones their rows carry.
 std::shared_ptr<DeltaBuffer> FillDelta(size_t capacity, size_t dim,
                                        const float* rows, const int32_t* ids,
@@ -72,13 +48,6 @@ std::shared_ptr<DeltaBuffer> FillDelta(size_t capacity, size_t dim,
   std::memcpy(delta->ids.get(), ids, count * sizeof(int32_t));
   return delta;
 }
-
-// Header-derived allocations below are capped by io::RemainingBytes, so a
-// corrupt header that passes the range checks (next_id up to INT32_MAX, dim
-// up to 2^24 — a legal combination ~2^55 elements large) still cannot drive
-// a resize beyond what the stream could possibly back, surfacing as the
-// corrupt-stream runtime_error instead of bad_alloc.
-using io::RemainingBytes;
 
 }  // namespace
 
@@ -712,315 +681,6 @@ void DynamicIndex::WaitForRebuild() const {
     std::swap(error, rebuild_error_);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void DynamicIndex::SerializeState(std::ostream& out, const EpochWriter& writer,
-                                  bool external_vectors) const {
-  auto lock = ReadLock();
-  out.write(kStateMagic, sizeof(kStateMagic));
-  WritePod(out, static_cast<uint32_t>(options_.metric));
-  WritePod(out, static_cast<uint64_t>(options_.dim));
-  WritePod(out, static_cast<int64_t>(next_id_));
-  WritePod(out, epoch_sequence_);
-
-  const uint64_t epoch_rows = epoch_ != nullptr ? epoch_->ids.size() : 0;
-  WritePod(out, epoch_rows);
-  if (epoch_rows > 0) {
-    if (external_vectors) {
-      // Out-of-line mode: record where the epoch floats live instead of
-      // inlining half a gigabyte of them — path, checksum (revalidated at
-      // load against the file's own header) and this epoch's first row
-      // inside the file (a sharded or sliced epoch need not start at 0).
-      size_t row_offset = 0;
-      const storage::MmapStore* backing =
-          epoch_->data.data.store()->BackingMmap(&row_offset);
-      if (backing == nullptr) {
-        throw std::invalid_argument(
-            "SerializeState: external_vectors requires an mmap-backed "
-            "epoch (got " + epoch_->data.data.store()->DebugName() + ")");
-      }
-      if (backing->unlink_on_close()) {
-        // A spill epoch's flat file is unlinked the moment the epoch is
-        // replaced or the index destroyed — recording its path would
-        // produce a save that silently stops loading. Fail now instead.
-        throw std::invalid_argument(
-            "SerializeState: external_vectors cannot reference the "
-            "self-deleting spill file " + backing->path() +
-            "; consolidate to a persistent flat file or save inline");
-      }
-      WritePod(out, kEpochExternal);
-      const std::string& path = backing->path();
-      WritePod(out, static_cast<uint64_t>(path.size()));
-      out.write(path.data(), static_cast<std::streamsize>(path.size()));
-      WritePod(out, backing->checksum());
-      WritePod(out, static_cast<uint64_t>(row_offset));
-    } else {
-      WritePod(out, kEpochInline);
-      out.write(reinterpret_cast<const char*>(epoch_->data.data.data()),
-                epoch_rows * options_.dim * sizeof(float));
-    }
-    out.write(reinterpret_cast<const char*>(epoch_->ids.data()),
-              epoch_rows * sizeof(int32_t));
-    // Version stamps collapse into dead bytes: the stream format is a
-    // point-in-time save, and every stamp at save time is at or below the
-    // version any post-load snapshot will carry.
-    std::vector<uint8_t> epoch_dead(epoch_rows);
-    for (size_t r = 0; r < epoch_rows; ++r) {
-      epoch_dead[r] =
-          epoch_->deleted_at[r].load(std::memory_order_relaxed) != 0;
-    }
-    out.write(reinterpret_cast<const char*>(epoch_dead.data()), epoch_rows);
-    const uint8_t has_index = epoch_->index != nullptr ? 1 : 0;
-    WritePod(out, has_index);
-    if (has_index) writer(out, *epoch_->index);
-    // Quantized tier: only the codebook is persisted — codes are a pure
-    // function of (floats, codebook) and re-encode deterministically at
-    // load, so the save stays small and a corrupt-code class of failures
-    // cannot exist. QuantizedShared, not ActiveQuantized: the save needs an
-    // owning handle to the attachment itself.
-    std::shared_ptr<const storage::QuantizedStore> quantized =
-        epoch_->data.data.store() != nullptr
-            ? epoch_->data.data.store()->QuantizedShared()
-            : nullptr;
-    const uint8_t has_quantized = quantized != nullptr ? 1 : 0;
-    WritePod(out, has_quantized);
-    if (has_quantized) quantized->SerializeCodebook(out);
-  }
-
-  // Delta region, same flattened layout as the vectors it replaced.
-  std::vector<float> delta_rows(delta_len_ * options_.dim);
-  std::vector<int32_t> delta_ids(delta_len_);
-  std::vector<uint8_t> delta_dead(delta_len_);
-  if (delta_len_ > 0) {
-    std::memcpy(delta_rows.data(), delta_->rows.get(),
-                delta_rows.size() * sizeof(float));
-    std::memcpy(delta_ids.data(), delta_->ids.get(),
-                delta_len_ * sizeof(int32_t));
-    for (size_t s = 0; s < delta_len_; ++s) {
-      delta_dead[s] =
-          delta_->deleted_at[s].load(std::memory_order_relaxed) != 0;
-    }
-  }
-  WriteVec(out, delta_rows);
-  WriteVec(out, delta_ids);
-  WriteVec(out, delta_dead);
-  if (!out) throw std::runtime_error("dynamic index write error");
-}
-
-std::unique_ptr<DynamicIndex> DynamicIndex::DeserializeState(
-    std::istream& in, Factory factory, Options options,
-    const EpochReader& reader) {
-  char magic[sizeof(kStateMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || !std::equal(magic, magic + sizeof(magic), kStateMagic)) {
-    throw std::runtime_error("not an LCCS dynamic index stream");
-  }
-  uint32_t metric = 0;
-  uint64_t dim = 0, epoch_sequence = 0;
-  int64_t next_id = 0;
-  ReadPod(in, &metric);
-  ReadPod(in, &dim);
-  ReadPod(in, &next_id);
-  ReadPod(in, &epoch_sequence);
-  if (dim == 0 || dim > (uint64_t{1} << 24) || next_id < 0 ||
-      next_id > std::numeric_limits<int32_t>::max() ||
-      metric > static_cast<uint32_t>(util::Metric::kJaccard)) {
-    throw std::runtime_error("dynamic index stream corrupt: bad header");
-  }
-  options.metric = static_cast<util::Metric>(metric);
-  options.dim = dim;
-
-  auto index =
-      std::make_unique<DynamicIndex>(std::move(factory), options);
-  index->next_id_ = static_cast<int32_t>(next_id);
-  index->epoch_sequence_ = epoch_sequence;
-
-  uint64_t epoch_rows = 0;
-  ReadPod(in, &epoch_rows);
-  if (epoch_rows > static_cast<uint64_t>(next_id)) {
-    throw std::runtime_error(
-        "dynamic index stream corrupt: epoch larger than id space");
-  }
-  auto epoch = std::make_shared<EpochState>();
-  epoch->data.name = "dynamic-epoch";
-  epoch->data.metric = options.metric;
-  std::vector<uint8_t> epoch_dead;
-  if (epoch_rows > 0) {
-    uint8_t storage_kind = 0;
-    ReadPod(in, &storage_kind);
-    if (storage_kind != kEpochInline && storage_kind != kEpochExternal) {
-      throw std::runtime_error(
-          "dynamic index stream corrupt: unknown epoch storage kind");
-    }
-    // dim <= 2^24 and epoch_rows <= 2^31, so these products cannot
-    // overflow. The inline kind must additionally back its floats.
-    const uint64_t epoch_bytes =
-        epoch_rows * (sizeof(int32_t) + 1) +
-        (storage_kind == kEpochInline ? epoch_rows * dim * sizeof(float) : 0);
-    if (epoch_bytes > RemainingBytes(in)) {
-      throw std::runtime_error(
-          "dynamic index stream corrupt: epoch larger than stream");
-    }
-    if (storage_kind == kEpochExternal) {
-      // Out-of-line epoch: re-map the recorded flat file and hold the
-      // stream to its promises — the file must still match the checksum
-      // recorded at save time, and the recorded row range must exist.
-      uint64_t path_len = 0, checksum = 0, row_offset = 0;
-      ReadPod(in, &path_len);
-      if (path_len == 0 || path_len > 4096 ||
-          path_len > RemainingBytes(in)) {
-        throw std::runtime_error(
-            "dynamic index stream corrupt: bad epoch file path length");
-      }
-      std::string path(path_len, '\0');
-      in.read(path.data(), static_cast<std::streamsize>(path_len));
-      ReadPod(in, &checksum);
-      ReadPod(in, &row_offset);
-      if (!in) throw std::runtime_error("truncated dynamic index stream");
-      auto store = storage::MmapStore::Open(path);  // validates its header
-      if (store->checksum() != checksum) {
-        throw std::runtime_error(
-            "dynamic index epoch file checksum mismatch (file replaced "
-            "since save?): " + path);
-      }
-      if (store->cols() != dim || row_offset > store->rows() ||
-          epoch_rows > store->rows() - row_offset) {
-        throw std::runtime_error(
-            "dynamic index stream corrupt: epoch rows not contained in " +
-            path);
-      }
-      if (row_offset == 0 && epoch_rows == store->rows()) {
-        epoch->data.data = storage::VectorStoreRef(store);
-      } else {
-        epoch->data.data =
-            storage::VectorStoreRef(std::make_shared<storage::SliceStore>(
-                store, static_cast<size_t>(row_offset),
-                static_cast<size_t>(epoch_rows)));
-      }
-    }
-    try {
-      if (storage_kind == kEpochInline) {
-        epoch->data.data.Resize(epoch_rows, dim);
-      }
-      epoch->ids.resize(epoch_rows);
-      epoch_dead.resize(epoch_rows);
-    } catch (const std::bad_alloc&) {
-      // Reachable only on non-seekable streams (no byte budget): translate
-      // the allocator's verdict into the promised corrupt-stream error.
-      throw std::runtime_error(
-          "dynamic index stream corrupt: epoch allocation failed");
-    }
-    if (storage_kind == kEpochInline) {
-      in.read(reinterpret_cast<char*>(epoch->data.data.MutableData()),
-              epoch_rows * dim * sizeof(float));
-    }
-    in.read(reinterpret_cast<char*>(epoch->ids.data()),
-            epoch_rows * sizeof(int32_t));
-    in.read(reinterpret_cast<char*>(epoch_dead.data()), epoch_rows);
-    if (!in) throw std::runtime_error("truncated dynamic index stream");
-    uint8_t has_index = 0;
-    ReadPod(in, &has_index);
-    if (!has_index) {
-      // SerializeState always persists an index alongside a non-empty
-      // snapshot; its absence means the flag byte was tampered with, and
-      // loading anyway would silently serve delta-only results.
-      throw std::runtime_error(
-          "dynamic index stream corrupt: snapshot without an epoch index");
-    }
-    epoch->index = reader(in, epoch->data);
-    uint8_t has_quantized = 0;
-    ReadPod(in, &has_quantized);
-    if (has_quantized > 1) {
-      throw std::runtime_error(
-          "dynamic index stream corrupt: bad quantized flag");
-    }
-    if (has_quantized) {
-      // Validates magic/cols/checksum before allocating, then re-encodes
-      // the codes from the restored floats — deterministic, so the tier
-      // serves identically to the one that was saved.
-      storage::QuantizedStore::Codebook codebook =
-          storage::QuantizedStore::DeserializeCodebook(in, dim);
-      auto store = epoch->data.data.store();
-      store->AttachQuantized(std::make_shared<const storage::QuantizedStore>(
-          *store, options.metric, std::move(codebook)));
-      index->options_.quantize = true;
-    }
-  }
-  // Rows saved dead get stamp 1, like delta rows below (the clock restarts
-  // at 1), and all count towards the snapshot over-fetch.
-  epoch->deleted_at.reset(new std::atomic<uint64_t>[epoch_rows]());
-  for (size_t r = 0; r < epoch_rows; ++r) {
-    if (epoch_dead[r]) {
-      epoch->deleted_at[r].store(1, std::memory_order_relaxed);
-      ++index->epoch_removed_;
-    }
-  }
-  index->survivors_ = epoch_rows - index->epoch_removed_;
-  index->epoch_ = std::move(epoch);
-
-  const uint64_t max_points = static_cast<uint64_t>(next_id);
-  const uint64_t delta_budget = RemainingBytes(in);
-  std::vector<float> delta_rows;
-  std::vector<int32_t> delta_ids;
-  std::vector<uint8_t> delta_dead;
-  try {
-    ReadSizedVec(in, &delta_rows,
-                 std::min(max_points * dim, delta_budget / sizeof(float)),
-                 kStreamName);
-    ReadSizedVec(in, &delta_ids,
-                 std::min(max_points, delta_budget / sizeof(int32_t)),
-                 kStreamName);
-    ReadSizedVec(in, &delta_dead, std::min(max_points, delta_budget),
-                 kStreamName);
-  } catch (const std::bad_alloc&) {
-    throw std::runtime_error(
-        "dynamic index stream corrupt: delta allocation failed");
-  }
-  if (delta_rows.size() != delta_ids.size() * dim ||
-      delta_dead.size() != delta_ids.size()) {
-    throw std::runtime_error(
-        "dynamic index stream corrupt: delta arrays disagree");
-  }
-
-  // The id invariant everything else relies on — epoch ids strictly
-  // ascending, then delta ids strictly ascending above them, all inside
-  // [0, next_id) — must hold before any lookup binary-searches these
-  // arrays: duplicates or wild values would find the wrong row, or none,
-  // and corrupt Remove/Contains, LiveVectors and consolidation.
-  int32_t prev = -1;
-  for (const int32_t id : index->epoch_->ids) {
-    if (id <= prev || static_cast<int64_t>(id) >= next_id) {
-      throw std::runtime_error(
-          "dynamic index stream corrupt: epoch ids out of order");
-    }
-    prev = id;
-  }
-  for (const int32_t id : delta_ids) {
-    if (id <= prev || static_cast<int64_t>(id) >= next_id) {
-      throw std::runtime_error(
-          "dynamic index stream corrupt: delta ids out of order");
-    }
-    prev = id;
-  }
-
-  // Materialize the delta generation. Loaded tombstones get stamp 1 and the
-  // clock restarts at 1: stamp 0 means live, and every stamp must sit at or
-  // below the version of any snapshot acquired after the load.
-  index->delta_len_ = delta_ids.size();
-  index->version_ = 1;
-  if (index->delta_len_ > 0) {
-    index->delta_ = FillDelta(
-        std::max(kInitialDeltaCapacity, 2 * index->delta_len_), dim,
-        delta_rows.data(), delta_ids.data(), index->delta_len_);
-    for (size_t s = 0; s < delta_dead.size(); ++s) {
-      if (delta_dead[s]) {
-        index->delta_->deleted_at[s].store(1, std::memory_order_relaxed);
-      } else {
-        ++index->survivors_;
-      }
-    }
-  }
-  return index;
 }
 
 }  // namespace core

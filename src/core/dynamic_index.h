@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,11 +39,10 @@ namespace core {
 ///     essentially free next to the probing cost);
 ///   * **tombstones**: one per-row atomic version stamp, epoch or delta,
 ///     carrying the version of the mutation that removed the row (rows
-///     removed while a rebuild ran are stamped at its install, rows loaded
-///     dead at version 1). The wrapped index never sees them: only
-///     core::Snapshot reads the stamps, and a row is visible iff it is
-///     unstamped or stamped after the reader's version, so any point in
-///     mutation history can still be read.
+///     removed while a rebuild ran are stamped at its install). The wrapped
+///     index never sees them: only core::Snapshot reads the stamps, and a
+///     row is visible iff it is unstamped or stamped after the reader's
+///     version, so any point in mutation history can still be read.
 ///
 /// Reads are MVCC snapshots: AcquireSnapshot() captures the epoch
 /// shared_ptr, the delta buffer shared_ptr, the delta prefix length and the
@@ -214,9 +212,9 @@ class DynamicIndex : public baselines::AnnIndex {
     size_t epoch_rows = 0;      ///< rows in the static snapshot
     size_t delta_rows = 0;      ///< delta rows (live + tombstoned)
     size_t tombstones = 0;      ///< tombstones not yet consolidated away
-    /// Stamped epoch rows — removed since the install, removed while the
-    /// epoch was being built, or loaded dead. The over-fetch margin every
-    /// snapshot query currently pays; consolidation drops these rows.
+    /// Stamped epoch rows — removed since the install or while the epoch
+    /// was being built. The over-fetch margin every snapshot query
+    /// currently pays; consolidation drops these rows.
     size_t epoch_stamped = 0;
     uint64_t epoch_sequence = 0;
     uint64_t version = 0;       ///< mutations applied so far
@@ -250,41 +248,6 @@ class DynamicIndex : public baselines::AnnIndex {
   /// Blocks until no rebuild is in flight. Rethrows the first exception a
   /// background rebuild died with (the error is cleared).
   void WaitForRebuild() const;
-
-  // --- Persistence hooks (used by core/serialize.h) -----------------------
-
-  /// Writes the epoch payload of the wrapped index (e.g. its CSA). Receives
-  /// the built epoch index; layered this way so DynamicIndex stays agnostic
-  /// of what the wrapped index persists.
-  using EpochWriter =
-      std::function<void(std::ostream&, const baselines::AnnIndex&)>;
-  /// Restores an epoch index from its payload, bound to the snapshot
-  /// dataset (which outlives it inside the DynamicIndex).
-  using EpochReader = std::function<std::unique_ptr<baselines::AnnIndex>(
-      std::istream&, const dataset::Dataset&)>;
-
-  /// Streams the full mutable state — epoch snapshot, global ids, both
-  /// tombstone regions (version stamps collapse to plain bitmap bytes; a
-  /// save has a single version, the present), the delta buffer and the id
-  /// counter — under the reader lock, delegating the wrapped index's
-  /// payload to `writer`.
-  ///
-  /// With `external_vectors` the epoch's floats are NOT inlined: the stream
-  /// records the backing flat file's path, checksum and row offset instead
-  /// (out-of-line mode), and DeserializeState re-maps and re-validates that
-  /// file. Requires the epoch store to be mmap-backed (storage::MmapStore
-  /// or a slice of one) and its file persistent: a heap epoch, or a spill
-  /// epoch whose file self-deletes on release (Options::spill_dir), throws
-  /// std::invalid_argument — recording a path that is about to be unlinked
-  /// would produce a save that silently stops loading.
-  void SerializeState(std::ostream& out, const EpochWriter& writer,
-                      bool external_vectors = false) const;
-
-  /// Rebuilds a DynamicIndex from a SerializeState stream. Throws
-  /// std::runtime_error on malformed or truncated input.
-  static std::unique_ptr<DynamicIndex> DeserializeState(
-      std::istream& in, Factory factory, Options options,
-      const EpochReader& reader);
 
  private:
   /// Builds an EpochState over the store behind `rows` (global-id

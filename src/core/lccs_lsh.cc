@@ -68,21 +68,15 @@ void LccsLsh::Build(const float* data, size_t n, size_t d) {
   Build(storage::WrapBorrowed(data, n, d));
 }
 
-void LccsLsh::AttachPrebuilt(std::shared_ptr<const storage::VectorStore> store,
-                             CircularShiftArray csa) {
-  assert(store != nullptr);
-  assert(store->cols() == family_->dim());
-  assert(csa.n() == store->rows() && csa.m() == family_->num_functions());
-  store_ = std::move(store);
-  n_ = store_->rows();
-  d_ = store_->cols();
-  csa_ = std::move(csa);
-}
-
 void LccsLsh::AttachPrebuilt(const float* data, size_t n, size_t d,
                              CircularShiftArray csa) {
   assert(data != nullptr);
-  AttachPrebuilt(storage::WrapBorrowed(data, n, d), std::move(csa));
+  assert(d == family_->dim());
+  assert(csa.n() == n && csa.m() == family_->num_functions());
+  store_ = storage::WrapBorrowed(data, n, d);
+  n_ = n;
+  d_ = d;
+  csa_ = std::move(csa);
 }
 
 void LccsLsh::PrepareSearch(const float* query, QueryScratch* scratch) const {

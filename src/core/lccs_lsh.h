@@ -122,10 +122,9 @@ class LccsLsh {
   void ReleaseNextLinks() { csa_.ReleaseNextLinks(); }
 
   /// Binds a previously serialized CSA instead of hashing + rebuilding
-  /// (see core/serialize.h). The CSA must have been built over exactly this
-  /// data with this index's family; n/m consistency is checked.
-  void AttachPrebuilt(std::shared_ptr<const storage::VectorStore> store,
-                      CircularShiftArray csa);
+  /// (core::LoadIndex). The CSA must have been built over exactly these n
+  /// rows with this index's family; n/m consistency is checked. The caller
+  /// keeps `data` alive, as for Build(const float*, n, d).
   void AttachPrebuilt(const float* data, size_t n, size_t d,
                       CircularShiftArray csa);
 
@@ -166,7 +165,9 @@ class LccsLsh {
 };
 
 /// The paper's name for the multi-probe scheme (MP-LCCS-LSH, Section 4.2):
-/// the same class, constructed with ProbeParams::num_probes > 1.
+/// the same class, constructed with ProbeParams::num_probes > 1. Its last
+/// user is lccs_bench/probes.cc; the alias goes with the next change to the
+/// benchmark.
 using MpLccsLsh = LccsLsh;
 
 }  // namespace core

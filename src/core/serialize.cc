@@ -12,9 +12,6 @@ namespace core {
 namespace {
 
 constexpr char kMagic[8] = {'L', 'C', 'C', 'S', 'I', 'D', 'X', '1'};
-// Version 2: the embedded state stream gained an epoch-storage-kind byte
-// (inline floats vs external flat-file reference).
-constexpr char kDynMagic[8] = {'L', 'C', 'C', 'S', 'D', 'Y', 'X', '2'};
 
 using io::WritePod;
 
@@ -120,110 +117,6 @@ std::unique_ptr<LccsLsh> LoadIndex(const std::string& path,
                                          descriptor.metric, descriptor.probes);
   index->AttachPrebuilt(data, n, d, std::move(csa));
   return index;
-}
-
-namespace {
-
-void WriteLccsParams(std::ostream& out,
-                     const baselines::LccsLshIndex::Params& params,
-                     util::Metric metric) {
-  const lsh::FamilyKind family =
-      params.family.value_or(lsh::DefaultFamilyFor(metric));
-  WritePod(out, static_cast<uint32_t>(family));
-  WritePod(out, static_cast<uint64_t>(params.m));
-  WritePod(out, static_cast<uint64_t>(params.lambda));
-  WritePod(out, static_cast<uint64_t>(params.num_probes));
-  WritePod(out, static_cast<int64_t>(params.max_gap));
-  WritePod(out, static_cast<uint64_t>(params.num_alternatives));
-  WritePod(out, params.w);
-  WritePod(out, params.seed);
-}
-
-baselines::LccsLshIndex::Params ReadLccsParams(std::istream& in) {
-  baselines::LccsLshIndex::Params params;
-  uint32_t family = 0;
-  uint64_t m = 0, lambda = 0, num_probes = 0, num_alternatives = 0;
-  int64_t max_gap = 0;
-  ReadPod(in, &family);
-  ReadPod(in, &m);
-  ReadPod(in, &lambda);
-  ReadPod(in, &num_probes);
-  ReadPod(in, &max_gap);
-  ReadPod(in, &num_alternatives);
-  ReadPod(in, &params.w);
-  ReadPod(in, &params.seed);
-  if (m == 0 || num_probes == 0 || max_gap < 1 ||
-      max_gap > std::numeric_limits<int>::max() ||
-      family > static_cast<uint32_t>(lsh::FamilyKind::kMinHash)) {
-    throw std::runtime_error(
-        "dynamic index file corrupt: invalid LCCS parameters");
-  }
-  params.family = static_cast<lsh::FamilyKind>(family);
-  params.m = m;
-  params.lambda = lambda;
-  params.num_probes = num_probes;
-  params.max_gap = static_cast<int>(max_gap);
-  params.num_alternatives = num_alternatives;
-  return params;
-}
-
-}  // namespace
-
-void SaveDynamicIndex(const std::string& path,
-                      const baselines::LccsLshIndex::Params& params,
-                      const DynamicIndex& index, SaveMode mode) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  out.write(kDynMagic, sizeof(kDynMagic));
-  // The factory parameters come first so Load can reconstruct the factory
-  // before touching the state stream.
-  WriteLccsParams(out, params, index.metric());
-  index.SerializeState(
-      out,
-      [&](std::ostream& stream, const baselines::AnnIndex& epoch_index) {
-        const auto* lccs =
-            dynamic_cast<const baselines::LccsLshIndex*>(&epoch_index);
-        if (lccs == nullptr) {
-          throw std::invalid_argument(
-              "SaveDynamicIndex: epoch index is not an LccsLshIndex");
-        }
-        lccs->scheme().csa().Serialize(stream);
-      },
-      /*external_vectors=*/mode == SaveMode::kExternalVectors);
-  if (!out) throw std::runtime_error("write error: " + path);
-}
-
-std::unique_ptr<DynamicIndex> LoadDynamicIndex(const std::string& path,
-                                               DynamicIndex::Options options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  char magic[sizeof(kDynMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || !std::equal(magic, magic + sizeof(magic), kDynMagic)) {
-    throw std::runtime_error("not an LCCS dynamic index file: " + path);
-  }
-  const baselines::LccsLshIndex::Params params = ReadLccsParams(in);
-  DynamicIndex::Factory factory = [params] {
-    return std::make_unique<baselines::LccsLshIndex>(params);
-  };
-  return DynamicIndex::DeserializeState(
-      in, std::move(factory), options,
-      [&params](std::istream& stream, const dataset::Dataset& data) {
-        CircularShiftArray csa = CircularShiftArray::Deserialize(stream);
-        if (csa.n() != data.n()) {
-          throw std::runtime_error(
-              "dynamic index file corrupt: epoch CSA size does not match "
-              "its snapshot");
-        }
-        if (csa.m() != params.m) {
-          throw std::runtime_error(
-              "dynamic index file corrupt: epoch CSA m does not match the "
-              "LCCS parameters");
-        }
-        auto epoch = std::make_unique<baselines::LccsLshIndex>(params);
-        epoch->AttachPrebuilt(data, std::move(csa));
-        return epoch;
-      });
 }
 
 }  // namespace core

@@ -4,15 +4,14 @@
 #include <memory>
 #include <string>
 
-#include "baselines/lccs_adapter.h"
-#include "core/dynamic_index.h"
 #include "core/lccs_lsh.h"
 #include "lsh/family_factory.h"
 
 namespace lccs {
 namespace core {
 
-/// Index persistence.
+/// Static-index persistence (a mutable index — core::DynamicIndex behind
+/// serve::ShardedIndex — persists through the WAL checkpoint, serve/wal.h).
 ///
 /// A saved index is (a) a small descriptor of the hash family — kind, dim,
 /// m, bucket width and seed — and (b) the serialized CSA. Because every
@@ -50,45 +49,6 @@ IndexDescriptor ReadIndexDescriptor(const std::string& path);
 /// range, whose num_probes is 0 or whose max_gap is below 1.
 std::unique_ptr<LccsLsh> LoadIndex(const std::string& path,
                                    const float* data, size_t n, size_t d);
-
-/// How SaveDynamicIndex stores the epoch snapshot vectors.
-enum class SaveMode {
-  /// Self-contained: the floats are inlined into the saved file (the only
-  /// choice for heap-backed epochs).
-  kInlineVectors,
-  /// Out-of-line: the file records the epoch's backing flat file by path +
-  /// checksum + row offset instead of inlining the floats — a paper-scale
-  /// mmap-backed index saves in O(delta) bytes. Requires the epoch store to
-  /// be mmap-backed with a *persistent* file (a heap epoch or a
-  /// self-deleting spill epoch throws std::invalid_argument); at load the
-  /// flat file is re-mapped and must still match the recorded checksum.
-  kExternalVectors,
-};
-
-/// Dynamic-index persistence: a saved dynamic index is self-contained — the
-/// LCCS parameters of its epoch factory, the epoch snapshot vectors (inline
-/// or out-of-line per `mode`), global ids and tombstones, the epoch CSA,
-/// and the un-consolidated delta buffer (rows + ids + tombstones). Unlike
-/// SaveIndex, the raw vectors ARE part of the saved state: after mutations
-/// no caller-side dataset matches the index contents, so a mid-epoch index
-/// must carry its own (or, in kExternalVectors mode, a validated reference
-/// to it). Requires the index's epoch to be a baselines::LccsLshIndex
-/// (throws std::invalid_argument otherwise); `params` must be the factory
-/// parameters, so a loaded index consolidates into identical epochs. Throws
-/// std::runtime_error on IO failure.
-void SaveDynamicIndex(const std::string& path,
-                      const baselines::LccsLshIndex::Params& params,
-                      const DynamicIndex& index,
-                      SaveMode mode = SaveMode::kInlineVectors);
-
-/// Restores a SaveDynamicIndex file: ready to query, insert, delete and
-/// consolidate, with no external data dependency. `options` seeds the
-/// rebuild policy (metric/dim are overwritten from the file). Throws
-/// std::runtime_error on malformed, truncated or version-mismatched input,
-/// naming what was wrong.
-std::unique_ptr<DynamicIndex> LoadDynamicIndex(
-    const std::string& path,
-    DynamicIndex::Options options = DynamicIndex::Options{});
 
 }  // namespace core
 }  // namespace lccs

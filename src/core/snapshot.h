@@ -42,7 +42,7 @@ struct DeltaBuffer {
 /// wrapped index is immutable after Build and knows nothing about deletes;
 /// core::Snapshot is the only reader of the stamps and hides a row exactly
 /// when 0 < stamp <= its version. Rows removed while the epoch was being
-/// built are stamped at install, rows saved dead are stamped at load.
+/// built are stamped at install.
 struct EpochState {
   dataset::Dataset data;           ///< snapshot (queries member unused)
   std::vector<int32_t> ids;        ///< row -> global id, strictly ascending

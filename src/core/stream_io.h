@@ -7,17 +7,15 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace lccs {
 namespace core {
 namespace io {
 
-/// Little-endian-native POD/array stream helpers shared by the index
-/// serialization code (core/serialize.cc, core/dynamic_index.cc). Readers
-/// throw std::runtime_error naming `what` — the stream being parsed — on
-/// short reads, so truncated files surface as errors, never as
-/// half-initialized structures.
+/// Little-endian-native stream helpers of the index serialization code
+/// (core/serialize.cc, core/csa.cc). ReadPod throws std::runtime_error
+/// naming `what` — the stream being parsed — on a short read, so truncated
+/// files surface as errors, never as half-initialized structures.
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -27,21 +25,6 @@ void WritePod(std::ostream& out, const T& value) {
 template <typename T>
 void ReadPod(std::istream& in, T* value, const char* what) {
   in.read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!in) throw std::runtime_error(std::string("truncated ") + what);
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-/// Reads exactly `size` elements (the count is already known/validated).
-template <typename T>
-void ReadVec(std::istream& in, std::vector<T>* v, uint64_t size,
-             const char* what) {
-  v->resize(size);
-  in.read(reinterpret_cast<char*>(v->data()), size * sizeof(T));
   if (!in) throw std::runtime_error(std::string("truncated ") + what);
 }
 
@@ -65,20 +48,6 @@ inline uint64_t RemainingBytes(std::istream& in) {
     return std::numeric_limits<uint64_t>::max();
   }
   return static_cast<uint64_t>(end - pos);
-}
-
-/// Reads a WriteVec-prefixed array, rejecting counts above `max_size` so a
-/// corrupted length can never drive a huge allocation.
-template <typename T>
-void ReadSizedVec(std::istream& in, std::vector<T>* v, uint64_t max_size,
-                  const char* what) {
-  uint64_t size = 0;
-  ReadPod(in, &size, what);
-  if (size > max_size) {
-    throw std::runtime_error(std::string(what) + " corrupt: array of " +
-                             std::to_string(size) + " exceeds limit");
-  }
-  ReadVec(in, v, size, what);
 }
 
 }  // namespace io

@@ -39,6 +39,9 @@ constexpr size_t kHeartbeatBodyBytes =
 /// Bootstrap checkpoint sanity cap (a mangled reply must not make the
 /// follower allocate petabytes).
 constexpr uint64_t kMaxCheckpointBytes = 1ull << 40;
+/// The bootstrap image buffer grows by at most this much per receive, so
+/// memory follows the bytes that actually arrived.
+constexpr size_t kBootstrapStepBytes = size_t{64} << 20;
 
 uint64_t NowUs() {
   return static_cast<uint64_t>(
@@ -497,10 +500,30 @@ bool Replica::StreamOnce() {
     }
 
     if (ckpt_len > 0) {
-      std::vector<unsigned char> image(static_cast<size_t>(ckpt_len));
+      // The image's own prefix must imply exactly the length the reply
+      // claims; only then does the buffer grow, a bounded step at a time,
+      // as the rows arrive.
+      std::vector<unsigned char> image(WriteAheadLog::kCheckpointPrefixBytes);
       if (RecvFull(fd, image.data(), image.size(), stopped) !=
           RecvStatus::kOk) {
         return !stopped();
+      }
+      const uint64_t implied = WriteAheadLog::CheckpointImageBytes(
+          image.data(), image.size(), "replication bootstrap");
+      if (implied != ckpt_len) {
+        throw std::runtime_error(
+            "Replica: bootstrap reply claims " + std::to_string(ckpt_len) +
+            " checkpoint bytes, its header implies " + std::to_string(implied));
+      }
+      while (image.size() < ckpt_len) {
+        const size_t have = image.size();
+        const size_t step = static_cast<size_t>(
+            std::min<uint64_t>(kBootstrapStepBytes, ckpt_len - have));
+        image.resize(have + step);
+        if (RecvFull(fd, image.data() + have, step, stopped) !=
+            RecvStatus::kOk) {
+          return !stopped();
+        }
       }
       const ShardedIndex::CheckpointState state = WriteAheadLog::DecodeCheckpoint(
           image.data(), image.size(), "replication bootstrap");

@@ -44,7 +44,10 @@ namespace serve {
 ///                   frame that will follow
 ///         20     8  checkpoint length in bytes (uint64); when nonzero,
 ///                   that many bytes follow — a checkpoint image whose
-///                   state_version is exactly start_version - 1
+///                   state_version is exactly start_version - 1, and
+///                   whose own prefix implies exactly this length
+///                   (WriteAheadLog::CheckpointImageBytes; the follower
+///                   poisons otherwise, before it buffers the rows)
 ///
 ///   then an unbounded stream of record frames, byte-identical to the
 ///   primary's segment bytes.

@@ -30,6 +30,9 @@ constexpr uint32_t kCkptFormatVersion = 1;
 constexpr size_t kCkptHeaderBytes = 16;
 /// state_version (8) + next_id (8) + metric (4) + dim (4) + rows (8).
 constexpr uint64_t kCkptFixedBodyBytes = 32;
+static_assert(WriteAheadLog::kCheckpointPrefixBytes ==
+                  kCkptHeaderBytes + kCkptFixedBodyBytes,
+              "the checkpoint prefix is the header plus the fixed body");
 
 template <typename T>
 void PutPod(std::vector<unsigned char>* buf, const T& v) {
@@ -476,7 +479,7 @@ void WriteAheadLog::WriteCheckpoint(const ShardedIndex::CheckpointState& state) 
     // Two writes with a failpoint between them, so the kill harness can
     // leave a half-written image behind (split at the ids/vectors border).
     const size_t split =
-        std::min(image.size(), kCkptHeaderBytes + kCkptFixedBodyBytes +
+        std::min(image.size(), kCheckpointPrefixBytes +
                                    state.ids.size() * sizeof(int32_t));
     const auto write_part = [&](const void* data, size_t n) {
       if (n == 0) return;
@@ -712,7 +715,7 @@ std::vector<std::string> WriteAheadLog::ListOrphans(const std::string& dir) {
 std::vector<unsigned char> WriteAheadLog::EncodeCheckpoint(
     const ShardedIndex::CheckpointState& state) {
   std::vector<unsigned char> out;
-  out.reserve(kCkptHeaderBytes + kCkptFixedBodyBytes +
+  out.reserve(kCheckpointPrefixBytes +
               state.ids.size() * sizeof(int32_t) + state.vectors.SizeBytes() +
               sizeof(uint64_t));
   out.resize(sizeof(kCkptMagic));
@@ -736,8 +739,21 @@ std::vector<unsigned char> WriteAheadLog::EncodeCheckpoint(
   return out;
 }
 
-ShardedIndex::CheckpointState WriteAheadLog::DecodeCheckpoint(
-    const unsigned char* bytes, size_t len, const std::string& context) {
+namespace {
+
+/// The fixed fields of a checkpoint prefix, validated, and the image length
+/// they imply.
+struct CheckpointPrefix {
+  uint64_t state_version = 0;
+  int64_t next_id = 0;
+  uint32_t metric = 0;
+  uint32_t dim = 0;
+  uint64_t rows = 0;
+  uint64_t image_bytes = 0;
+};
+
+CheckpointPrefix ParseCheckpointPrefix(const unsigned char* bytes, size_t len,
+                                       const std::string& context) {
   if (len < kCkptHeaderBytes) {
     throw std::runtime_error("checkpoint header truncated: " + context);
   }
@@ -756,59 +772,64 @@ ShardedIndex::CheckpointState WriteAheadLog::DecodeCheckpoint(
         "checkpoint endianness does not match this machine: " + context);
   }
 
-  if (len < kCkptHeaderBytes + kCkptFixedBodyBytes) {
+  if (len < WriteAheadLog::kCheckpointPrefixBytes) {
     throw std::runtime_error("checkpoint body truncated: " + context);
   }
   const unsigned char* fixed = bytes + kCkptHeaderBytes;
-  uint64_t state_version = 0;
-  int64_t next_id = 0;
-  uint32_t metric = 0;
-  uint32_t dim = 0;
-  uint64_t rows = 0;
-  std::memcpy(&state_version, fixed + 0, sizeof(state_version));
-  std::memcpy(&next_id, fixed + 8, sizeof(next_id));
-  std::memcpy(&metric, fixed + 16, sizeof(metric));
-  std::memcpy(&dim, fixed + 20, sizeof(dim));
-  std::memcpy(&rows, fixed + 24, sizeof(rows));
-  if (next_id < 0 || next_id > INT32_MAX ||
-      metric > static_cast<uint32_t>(util::Metric::kJaccard) ||
-      dim > (1u << 20) || rows > static_cast<uint64_t>(next_id) ||
-      (rows > 0 && dim == 0)) {
+  CheckpointPrefix prefix;
+  std::memcpy(&prefix.state_version, fixed + 0, sizeof(prefix.state_version));
+  std::memcpy(&prefix.next_id, fixed + 8, sizeof(prefix.next_id));
+  std::memcpy(&prefix.metric, fixed + 16, sizeof(prefix.metric));
+  std::memcpy(&prefix.dim, fixed + 20, sizeof(prefix.dim));
+  std::memcpy(&prefix.rows, fixed + 24, sizeof(prefix.rows));
+  if (prefix.next_id < 0 || prefix.next_id > INT32_MAX ||
+      prefix.metric > static_cast<uint32_t>(util::Metric::kJaccard) ||
+      prefix.dim > (1u << 20) ||
+      prefix.rows > static_cast<uint64_t>(prefix.next_id) ||
+      (prefix.rows > 0 && prefix.dim == 0)) {
     throw std::runtime_error("checkpoint fields implausible: " + context);
   }
-
-  const uint64_t overhead =
-      kCkptHeaderBytes + kCkptFixedBodyBytes + sizeof(uint64_t);
-  // Validate rows * (4 + 4 * dim) against the payload without forming the
-  // (overflowable) product, the ReadFlatHeader trick.
+  // rows < 2^31 and a row under 2^23 bytes: the product stays below 2^54.
   const uint64_t row_bytes =
-      sizeof(int32_t) + static_cast<uint64_t>(dim) * sizeof(float);
-  bool size_ok = len >= overhead;
-  if (size_ok) {
-    const uint64_t payload = len - overhead;
-    size_ok = rows == 0 ? payload == 0
-                        : payload % row_bytes == 0 && payload / row_bytes == rows;
-  }
-  if (!size_ok) {
+      sizeof(int32_t) + static_cast<uint64_t>(prefix.dim) * sizeof(float);
+  prefix.image_bytes = WriteAheadLog::kCheckpointPrefixBytes +
+                       prefix.rows * row_bytes + sizeof(uint64_t);
+  return prefix;
+}
+
+}  // namespace
+
+uint64_t WriteAheadLog::CheckpointImageBytes(const unsigned char* bytes,
+                                             size_t len,
+                                             const std::string& context) {
+  return ParseCheckpointPrefix(bytes, len, context).image_bytes;
+}
+
+ShardedIndex::CheckpointState WriteAheadLog::DecodeCheckpoint(
+    const unsigned char* bytes, size_t len, const std::string& context) {
+  const CheckpointPrefix prefix = ParseCheckpointPrefix(bytes, len, context);
+  if (prefix.image_bytes != len) {
     throw std::runtime_error("checkpoint size does not match its header: " +
                              context);
   }
 
+  const unsigned char* fixed = bytes + kCkptHeaderBytes;
+  const size_t rows = static_cast<size_t>(prefix.rows);
   storage::FnvChecksum fnv;
   fnv.Update(fixed, kCkptFixedBodyBytes);
   ShardedIndex::CheckpointState state;
-  state.state_version = state_version;
-  state.next_id = static_cast<int32_t>(next_id);
-  state.metric = static_cast<util::Metric>(metric);
-  state.dim = dim;
+  state.state_version = prefix.state_version;
+  state.next_id = static_cast<int32_t>(prefix.next_id);
+  state.metric = static_cast<util::Metric>(prefix.metric);
+  state.dim = prefix.dim;
   state.ids.resize(rows);
-  state.vectors = util::Matrix(rows, dim);
+  state.vectors = util::Matrix(rows, prefix.dim);
   if (rows > 0) {
     const unsigned char* p = fixed + kCkptFixedBodyBytes;
     std::memcpy(state.ids.data(), p, rows * sizeof(int32_t));
     fnv.Update(p, rows * sizeof(int32_t));
     p += rows * sizeof(int32_t);
-    const size_t vec_bytes = static_cast<size_t>(rows) * dim * sizeof(float);
+    const size_t vec_bytes = rows * prefix.dim * sizeof(float);
     std::memcpy(state.vectors.data(), p, vec_bytes);
     fnv.Update(p, vec_bytes);
   }

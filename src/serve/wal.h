@@ -252,6 +252,19 @@ class WriteAheadLog {
   static ShardedIndex::CheckpointState DecodeCheckpoint(
       const unsigned char* bytes, size_t len, const std::string& context);
 
+  /// A checkpoint image's prefix: the 16-byte header and the 32-byte fixed
+  /// body (version, next id, metric, dim, row count).
+  static constexpr size_t kCheckpointPrefixBytes = 48;
+
+  /// The whole image length that a checkpoint prefix implies, read from the
+  /// first `len` bytes of `bytes` (at least kCheckpointPrefixBytes of them,
+  /// else it throws as truncated). Validates the prefix exactly as
+  /// DecodeCheckpoint does, so a reader can size its buffer from a header
+  /// it trusts before the rows arrive. Throws std::runtime_error (prefixed
+  /// with `context`).
+  static uint64_t CheckpointImageBytes(const unsigned char* bytes, size_t len,
+                                       const std::string& context);
+
   // --- Log-frame codec (segment files and the replication stream) ---------
 
   static constexpr size_t kFramePreludeBytes = 12;  ///< length + FNV-1a 64

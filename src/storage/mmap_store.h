@@ -70,10 +70,6 @@ class MmapStore : public VectorStore {
 
   const std::string& path() const { return path_; }
   const FlatHeader& header() const { return header_; }
-  uint64_t checksum() const { return header_.checksum; }
-  /// True when the file is a self-deleting temporary (spill epochs) — such
-  /// a store must never be recorded by path in a saved index.
-  bool unlink_on_close() const { return options_.unlink_on_close; }
 
   size_t ResidentBytes() const override { return 0; }
   void PrefetchRange(size_t begin, size_t n) const override;
@@ -90,10 +86,6 @@ class MmapStore : public VectorStore {
   /// tables, so the copy neither grows RSS nor charges the clock. Without a
   /// budget, the default in-place memcpy is used.
   void ReadRowsInto(const int32_t* ids, size_t n, float* out) const override;
-  const MmapStore* BackingMmap(size_t* row_offset) const override {
-    if (row_offset != nullptr) *row_offset = 0;
-    return this;
-  }
   std::string DebugName() const override;
 
   /// Drops every resident page of the mapping now (and resets the budget

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
-#include "storage/flat_file.h"
 #include "util/simd_distance.h"
 #include "util/thread_pool.h"
 
@@ -17,23 +13,10 @@ namespace storage {
 
 namespace {
 
-constexpr char kCodebookMagic[8] = {'L', 'C', 'C', 'S', 'Q', 'N', 'T', '1'};
-
 /// Largest quantized query weight magnitude — together with kMaxDim and the
 /// uint8 codes this bounds the AVX2 int32 lane accumulation (see
 /// util::simd::DotCodesI8).
 constexpr double kMaxWeight = 4095.0;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void ReadPod(std::istream& in, T* value, const char* what) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!in) throw std::runtime_error(std::string("truncated ") + what);
-}
 
 /// Same combine as the exact angular kernels (simd_distance.cc): the
 /// quantized score only ranks candidates, but using the identical form
@@ -127,8 +110,7 @@ std::shared_ptr<const QuantizedStore> QuantizedStore::Build(
 
 void QuantizedStore::EncodeRow(const float* row, uint8_t* codes,
                                float* term) const {
-  // Double arithmetic + lround keeps encoding deterministic across call
-  // sites (bulk build, delta inserts, post-deserialization re-encode).
+  // Double arithmetic + lround keeps the encoding deterministic.
   double acc = 0.0;
   for (size_t j = 0; j < cols_; ++j) {
     const double s = static_cast<double>(codebook_.scales[j]);
@@ -240,75 +222,6 @@ void QuantizedStore::ScoreCandidates(const PreparedQuery& q,
         util::simd::DotCodesI8(Codes(row), weights, cols_);
     out[i] = Combine(q, isum, terms_[row]);
   }
-}
-
-void QuantizedStore::SerializeCodebook(std::ostream& out) const {
-  out.write(kCodebookMagic, sizeof(kCodebookMagic));
-  const uint32_t metric = static_cast<uint32_t>(metric_);
-  const uint64_t cols = cols_;
-  WritePod(out, metric);
-  WritePod(out, cols);
-  out.write(reinterpret_cast<const char*>(codebook_.mins.data()),
-            cols_ * sizeof(float));
-  out.write(reinterpret_cast<const char*>(codebook_.scales.data()),
-            cols_ * sizeof(float));
-  FnvChecksum checksum;
-  checksum.Update(&metric, sizeof(metric));
-  checksum.Update(&cols, sizeof(cols));
-  checksum.Update(codebook_.mins.data(), cols_ * sizeof(float));
-  checksum.Update(codebook_.scales.data(), cols_ * sizeof(float));
-  const uint64_t digest = checksum.Digest();
-  WritePod(out, digest);
-}
-
-QuantizedStore::Codebook QuantizedStore::DeserializeCodebook(
-    std::istream& in, size_t expected_cols) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kCodebookMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("quantized codebook: bad magic");
-  }
-  uint32_t metric = 0;
-  uint64_t cols = 0;
-  ReadPod(in, &metric, "quantized codebook metric");
-  ReadPod(in, &cols, "quantized codebook cols");
-  if (metric != static_cast<uint32_t>(util::Metric::kEuclidean) &&
-      metric != static_cast<uint32_t>(util::Metric::kAngular)) {
-    throw std::runtime_error("quantized codebook: unsupported metric tag " +
-                             std::to_string(metric));
-  }
-  // cols is validated against the caller's store *before* the allocation,
-  // so a corrupt header can never drive the resize (no bad_alloc path).
-  if (cols != expected_cols || cols > kMaxDim) {
-    throw std::runtime_error("quantized codebook: dimension " +
-                             std::to_string(cols) + " does not match store (" +
-                             std::to_string(expected_cols) + ")");
-  }
-  Codebook cb;
-  cb.mins.resize(cols);
-  cb.scales.resize(cols);
-  in.read(reinterpret_cast<char*>(cb.mins.data()), cols * sizeof(float));
-  in.read(reinterpret_cast<char*>(cb.scales.data()), cols * sizeof(float));
-  if (!in) throw std::runtime_error("truncated quantized codebook");
-  uint64_t stored_digest = 0;
-  ReadPod(in, &stored_digest, "quantized codebook checksum");
-  FnvChecksum checksum;
-  checksum.Update(&metric, sizeof(metric));
-  checksum.Update(&cols, sizeof(cols));
-  checksum.Update(cb.mins.data(), cols * sizeof(float));
-  checksum.Update(cb.scales.data(), cols * sizeof(float));
-  if (checksum.Digest() != stored_digest) {
-    throw std::runtime_error("quantized codebook: checksum mismatch");
-  }
-  for (size_t j = 0; j < cols; ++j) {
-    if (!std::isfinite(cb.mins[j]) || !std::isfinite(cb.scales[j]) ||
-        cb.scales[j] <= 0.0f) {
-      throw std::runtime_error(
-          "quantized codebook: non-finite or non-positive entry at dim " +
-          std::to_string(j));
-    }
-  }
-  return cb;
 }
 
 const QuantizedStore* EnsureQuantized(

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -118,22 +117,9 @@ class QuantizedStore {
     return codebook_.mins[j] + codebook_.scales[j] * Codes(i)[j];
   }
 
-  /// Persists the codebook (not the codes: they are re-encoded from the
-  /// float store at load time, deterministically). Format: magic
-  /// "LCCSQNT1", metric u32, cols u64, mins, scales, FNV-1a checksum.
-  void SerializeCodebook(std::ostream& out) const;
-
-  /// Validates magic, metric, cols (against `expected_cols`), value
-  /// finiteness, and the checksum — all bounds checked before any
-  /// allocation, so corrupt input raises std::runtime_error, never
-  /// std::bad_alloc.
-  static Codebook DeserializeCodebook(std::istream& in, size_t expected_cols);
-
  private:
   /// Encodes one float row into `codes` (cols() bytes) and its per-row
-  /// reconstruction term. Deterministic (double arithmetic + lround), so
-  /// re-encoding the store after deserialization reproduces the bytes
-  /// exactly.
+  /// reconstruction term. Deterministic (double arithmetic + lround).
   void EncodeRow(const float* row, uint8_t* codes, float* term) const;
 
   size_t rows_ = 0;

@@ -110,19 +110,9 @@ void SliceStore::ReadRowsInto(const int32_t* ids, size_t n,
   parent_->ReadRowsInto(translated.data(), n, out);
 }
 
-const MmapStore* SliceStore::BackingMmap(size_t* row_offset) const {
-  size_t parent_offset = 0;
-  const MmapStore* backing = parent_->BackingMmap(&parent_offset);
-  if (backing != nullptr && row_offset != nullptr) {
-    *row_offset = parent_offset + first_row_;
-  }
-  return backing;
-}
-
 const QuantizedStore* SliceStore::Quantized(size_t* row_offset) const {
   // A sibling attached directly to the slice (rare) covers slice-local ids;
-  // otherwise translate into a sibling attached to the parent, exactly as
-  // BackingMmap translates row offsets.
+  // otherwise translate into a sibling attached to the parent.
   const QuantizedStore* own = VectorStore::Quantized(row_offset);
   if (own != nullptr) return own;
   size_t parent_offset = 0;
@@ -131,12 +121,6 @@ const QuantizedStore* SliceStore::Quantized(size_t* row_offset) const {
     *row_offset = parent_offset + first_row_;
   }
   return parent_q;
-}
-
-std::shared_ptr<const QuantizedStore> SliceStore::QuantizedShared() const {
-  std::shared_ptr<const QuantizedStore> own = VectorStore::QuantizedShared();
-  if (own != nullptr) return own;
-  return parent_->QuantizedShared();
 }
 
 std::string SliceStore::DebugName() const {

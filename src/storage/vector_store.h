@@ -14,7 +14,6 @@
 namespace lccs {
 namespace storage {
 
-class MmapStore;
 class QuantizedStore;
 
 /// Read access to a dense row-major float matrix of base or query vectors —
@@ -86,32 +85,14 @@ class VectorStore {
   virtual void NoteTouched(size_t n) const { (void)n; }
   virtual void NoteGather(size_t n) const { NoteTouched(n); }
 
-  /// The memory-mapped flat file ultimately backing this store, if any,
-  /// with `*row_offset` set to this store's first row inside it — how
-  /// serialization decides it can record path + checksum instead of
-  /// inlining floats. nullptr for heap-backed stores.
-  virtual const MmapStore* BackingMmap(size_t* row_offset) const {
-    (void)row_offset;
-    return nullptr;
-  }
-
   /// The int8 quantized sibling attached to this store, if any, with
-  /// `*row_offset` set to this store's first row inside it — the same
-  /// row-translation contract as BackingMmap, so a SliceStore view of a
-  /// quantized base scores its slice-local candidate ids against the right
-  /// code rows. nullptr when no quantized tier is attached. Lock-free (one
-  /// atomic load); called on every query.
+  /// `*row_offset` set to this store's first row inside it, so a SliceStore
+  /// view of a quantized base scores its slice-local candidate ids against
+  /// the right code rows. nullptr when no quantized tier is attached.
+  /// Lock-free (one atomic load); called on every query.
   virtual const QuantizedStore* Quantized(size_t* row_offset) const {
     if (row_offset != nullptr) *row_offset = 0;
     return quantized_raw_.load(std::memory_order_acquire);
-  }
-
-  /// Owning handle to the attached quantized sibling (for epoch install and
-  /// serialization, which must keep it alive past this store). Null when
-  /// none is attached; SliceStore forwards to its parent.
-  virtual std::shared_ptr<const QuantizedStore> QuantizedShared() const {
-    std::lock_guard<std::mutex> lock(quantized_mu_);
-    return quantized_;
   }
 
   /// Attaches a quantized sibling covering exactly this store's rows.
@@ -227,9 +208,7 @@ class SliceStore : public VectorStore {
   void PrefetchRange(size_t begin, size_t n) const override;
   void NoteTouched(size_t n) const override { parent_->NoteTouched(n); }
   void NoteGather(size_t n) const override { parent_->NoteGather(n); }
-  const MmapStore* BackingMmap(size_t* row_offset) const override;
   const QuantizedStore* Quantized(size_t* row_offset) const override;
-  std::shared_ptr<const QuantizedStore> QuantizedShared() const override;
   bool PrefersCopyGather() const override {
     return parent_->PrefersCopyGather();
   }

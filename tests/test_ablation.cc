@@ -86,7 +86,7 @@ TEST(SkipUnaffectedTest, RecallComparableToFullResearch) {
     ProbeParams probes;
     probes.num_probes = 33;
     probes.skip_unaffected = skip;
-    auto index = std::make_unique<MpLccsLsh>(std::move(family),
+    auto index = std::make_unique<LccsLsh>(std::move(family),
                                              util::Metric::kEuclidean,
                                              probes);
     index->Build(data.data.data(), data.n(), data.dim());
@@ -121,7 +121,7 @@ TEST(SkipUnaffectedTest, SingleProbeUnaffectedBySwitch) {
     ProbeParams probes;
     probes.num_probes = 1;
     probes.skip_unaffected = skip;
-    auto index = std::make_unique<MpLccsLsh>(std::move(family),
+    auto index = std::make_unique<LccsLsh>(std::move(family),
                                              util::Metric::kEuclidean,
                                              probes);
     index->Build(data.data.data(), data.n(), data.dim());

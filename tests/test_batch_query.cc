@@ -284,7 +284,7 @@ TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
       }
       core::ProbeParams pp;
       pp.num_probes = probes;
-      schemes.push_back(std::make_unique<core::MpLccsLsh>(
+      schemes.push_back(std::make_unique<core::LccsLsh>(
           make_family(), data.metric, pp));
 
       for (const auto& scheme : schemes) {
@@ -316,7 +316,7 @@ TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
 // the k nearest by exact distance. `mp` selects the multi-probe candidate
 // generator.
 std::vector<util::Neighbor> PaperOracle(const core::LccsLsh& scheme,
-                                        const core::MpLccsLsh* mp,
+                                        const core::LccsLsh* mp,
                                         const storage::VectorStore& store,
                                         const float* query, size_t k,
                                         size_t lambda) {
@@ -354,13 +354,13 @@ TEST(QueryBatchTest, CoreSchemesMatchPaperOracleAtEveryWindow) {
     core::ProbeParams pp;
     pp.num_probes = probes;
     auto mp =
-        std::make_unique<core::MpLccsLsh>(make_family(), data.metric, pp);
-    const core::MpLccsLsh* mp_ptr = mp.get();
+        std::make_unique<core::LccsLsh>(make_family(), data.metric, pp);
+    const core::LccsLsh* mp_ptr = mp.get();
     schemes.push_back(std::move(mp));
 
     for (const auto& scheme : schemes) {
       scheme->Build(data.data.store());
-      const core::MpLccsLsh* as_mp = scheme.get() == mp_ptr ? mp_ptr : nullptr;
+      const core::LccsLsh* as_mp = scheme.get() == mp_ptr ? mp_ptr : nullptr;
       const std::string leg = std::string(as_mp ? "MP-LCCS" : "LCCS") +
                               " probes=" + std::to_string(probes);
       std::vector<std::vector<util::Neighbor>> expected;
@@ -410,7 +410,7 @@ TEST(QueryBatchTest, SeededShrinkingDedupNeverDropsCandidates) {
 
     core::ProbeParams pp;
     pp.num_probes = 4;
-    core::MpLccsLsh scheme(
+    core::LccsLsh scheme(
         lsh::MakeFamily(lsh::FamilyKind::kRandomProjection, data.dim(), 16,
                         4.0, seed),
         data.metric, pp);

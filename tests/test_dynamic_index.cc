@@ -33,7 +33,6 @@
 #include "baselines/lccs_adapter.h"
 #include "baselines/linear_scan.h"
 #include "core/dynamic_index.h"
-#include "core/serialize.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
@@ -485,6 +484,65 @@ TEST(DynamicIndexStorage, BuildDeepCopiesBorrowedStores) {
   EXPECT_EQ(result[0].dist, 0.0);
 }
 
+// Spill consolidation: with Options::spill_dir, consolidation streams
+// survivors to a flat file and serves the new epoch memory-mapped. Results
+// must match the heap consolidation bit for bit.
+TEST(DynamicIndexStorage, SpillConsolidationMatchesHeapConsolidation) {
+  dataset::SyntheticConfig config;
+  config.n = 300;
+  config.num_queries = 15;
+  config.dim = 12;
+  config.seed = 31;
+  const auto data = dataset::GenerateClustered(config);
+
+  baselines::LccsLshIndex::Params params;
+  params.m = 16;
+  params.lambda = 4096;  // exact mode: equivalence checks are strict
+  params.w = 6.0;
+  params.seed = 21;
+  DynamicIndex::Options heap_options;
+  heap_options.rebuild_threshold = size_t{1} << 30;
+  heap_options.background_rebuild = false;
+  DynamicIndex::Options spill_options = heap_options;
+  spill_options.spill_dir = testing::TempDir();
+
+  const auto factory = [params] {
+    return std::make_unique<baselines::LccsLshIndex>(params);
+  };
+  DynamicIndex heap_index(factory, heap_options);
+  DynamicIndex spill_index(factory, spill_options);
+  heap_index.Build(data);
+  spill_index.Build(data);
+
+  util::Rng rng(41);
+  std::vector<float> vec(data.dim());
+  for (int i = 0; i < 50; ++i) {
+    rng.FillGaussian(vec.data(), vec.size());
+    heap_index.Insert(vec.data());
+    spill_index.Insert(vec.data());
+  }
+  for (int32_t id = 0; id < 80; id += 3) {
+    EXPECT_EQ(heap_index.Remove(id), spill_index.Remove(id));
+  }
+  heap_index.Consolidate();
+  spill_index.Consolidate();
+  EXPECT_EQ(heap_index.epoch_size(), spill_index.epoch_size());
+  for (size_t q = 0; q < data.num_queries(); ++q) {
+    EXPECT_EQ(heap_index.Query(data.queries.Row(q), 10),
+              spill_index.Query(data.queries.Row(q), 10))
+        << "query " << q;
+  }
+
+  // A second consolidation replaces the spill epoch, unlinking the retired
+  // file; the index keeps serving.
+  for (int i = 0; i < 10; ++i) {
+    rng.FillGaussian(vec.data(), vec.size());
+    spill_index.Insert(vec.data());
+  }
+  spill_index.Consolidate();
+  EXPECT_EQ(spill_index.delta_size(), 0u);
+}
+
 dataset::Dataset SmallData(size_t n, uint64_t seed) {
   dataset::SyntheticConfig synth;
   synth.n = n;
@@ -535,55 +593,6 @@ TEST(DynamicIndexIds, RejectsBadCallerIdsWithoutChangingState) {
   EXPECT_EQ(index.Insert(vec.data()), 101);
   EXPECT_EQ(index.live_count(), 6u);
   EXPECT_EQ(index.version(), 3u);
-}
-
-// SerializeState / DeserializeState keep sparse ids, in both regions.
-TEST(DynamicIndexIds, SparseIdsSurviveSerializeRoundTrip) {
-  DynamicIndex::Options options;
-  options.dim = kDim;
-  options.background_rebuild = false;
-  DynamicIndex index(ConfigsUnderTest()[0].make, options);
-  const auto data = SmallData(20, 6);
-  std::vector<int32_t> ids(data.n());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = 7 + 3 * static_cast<int32_t>(i);
-  }
-  index.Build(data, ids);
-  for (uint64_t i = 0; i < 6; ++i) {
-    index.Insert(VectorFromPayload(i).data(),
-                 100 + 5 * static_cast<int32_t>(i));
-  }
-  ASSERT_TRUE(index.Remove(10));   // epoch row
-  ASSERT_TRUE(index.Remove(105));  // delta row
-
-  std::stringstream stream;
-  index.SerializeState(stream,
-                       [](std::ostream&, const baselines::AnnIndex&) {});
-  const auto loaded = DynamicIndex::DeserializeState(
-      stream, ConfigsUnderTest()[0].make, options,
-      [](std::istream&, const dataset::Dataset& epoch) {
-        auto scan = std::make_unique<baselines::LinearScan>();
-        scan->Build(epoch);
-        return scan;
-      });
-
-  std::vector<int32_t> want_ids;
-  const util::Matrix want = index.LiveVectors(&want_ids);
-  std::vector<int32_t> got_ids;
-  const util::Matrix got = loaded->LiveVectors(&got_ids);
-  EXPECT_EQ(got_ids, want_ids);
-  ASSERT_EQ(got.rows(), want.rows());
-  for (size_t r = 0; r < got.rows(); ++r) {
-    for (size_t j = 0; j < kDim; ++j) EXPECT_EQ(got.At(r, j), want.At(r, j));
-  }
-  EXPECT_FALSE(loaded->Contains(10));
-  EXPECT_FALSE(loaded->Contains(105));
-  EXPECT_TRUE(loaded->Contains(125));
-  const std::vector<float> query = VectorFromPayload(42);
-  EXPECT_EQ(loaded->Query(query.data(), 8), index.Query(query.data(), 8));
-  // The id counter survives too: the next id continues past 125.
-  EXPECT_THROW(loaded->Insert(query.data(), 125), std::invalid_argument);
-  EXPECT_EQ(loaded->Insert(query.data()), 126);
 }
 
 // Non-exhaustive λ: results are approximate, so oracle identity does not
@@ -641,13 +650,11 @@ TEST(DynamicOracleEquivalence, ApproximateModeInvariants) {
 // Regression for the tombstone under-fetch bug: the wrapped scheme fetched
 // λ + k - 1 candidates and *then* dropped tombstoned rows, so with enough
 // base tombstones the verified set thinned below k while live rows existed.
-// A save/load round trip is the cleanest reproduction — LoadDynamicIndex
-// re-stamps every row saved dead. With the fix, the snapshot over-fetches
-// by the stamped-row count, making
-// the search exhaustive here (budget ≥ n), so the answer must equal the
-// brute-force k-NN over the survivors exactly — ids and bit-identical
-// distances.
-TEST(DynamicIndexTest, DeleteHeavyEpochStillReturnsKAfterReload) {
+// Every remove stamps its epoch row. With the fix, the snapshot
+// over-fetches by the stamped-row count, making the search exhaustive here
+// (budget ≥ n), so the answer must equal the brute-force k-NN over the
+// survivors exactly — ids and bit-identical distances.
+TEST(DynamicIndexTest, DeleteHeavyEpochStillReturnsK) {
   baselines::LccsLshIndex::Params lccs;
   lccs.m = 16;
   lccs.lambda = 100;
@@ -679,12 +686,7 @@ TEST(DynamicIndexTest, DeleteHeavyEpochStillReturnsKAfterReload) {
     }
   }
   ASSERT_EQ(index.live_count(), 100u);
-
-  const std::string path =
-      testing::TempDir() + "/lccs_delete_heavy_reload.lccs";
-  SaveDynamicIndex(path, lccs, index);
-  const auto loaded = LoadDynamicIndex(path, options);
-  ASSERT_EQ(loaded->live_count(), 100u);
+  ASSERT_EQ(index.stats().epoch_stamped, 300u);
 
   const size_t k = 10;
   for (size_t q = 0; q < data.num_queries(); ++q) {
@@ -698,7 +700,7 @@ TEST(DynamicIndexTest, DeleteHeavyEpochStillReturnsKAfterReload) {
     std::sort(oracle.begin(), oracle.end());
     oracle.resize(k);
 
-    const auto result = loaded->Query(query, k);
+    const auto result = index.Query(query, k);
     ASSERT_EQ(result.size(), k) << "under-fetch starved query " << q;
     for (size_t i = 0; i < k; ++i) {
       EXPECT_EQ(result[i].id, oracle[i].id) << "query " << q << " rank " << i;
@@ -706,7 +708,6 @@ TEST(DynamicIndexTest, DeleteHeavyEpochStillReturnsKAfterReload) {
           << "query " << q << " rank " << i;
     }
   }
-  std::remove(path.c_str());
 }
 
 /// A factory whose next call, once armed, signals `entered` and parks until
@@ -745,9 +746,9 @@ void RemoveLive(DynamicIndex& index, Model& model, int32_t id) {
 // and its install is baked into the new epoch and must be stamped there at
 // install. Covers every delete regime — stamps before the rebuild, removes
 // racing it (epoch and delta rows, both of which the new epoch holds),
-// stamps after the install, and a save/load round trip — against the
-// survivor oracle in exhaustive mode, while a snapshot acquired before the
-// rebuild keeps answering bit-identically. The parked inserts either fit the
+// stamps after the install — against the survivor oracle in exhaustive
+// mode, while a snapshot acquired before the rebuild keeps answering
+// bit-identically. The parked inserts either fit the
 // delta generation the rebuild captured (6) or overflow its 64 slots (70),
 // forcing a doubling clone; a captured delta row removed after that clone
 // is stamped only in a generation the capture never saw, and the install
@@ -847,21 +848,6 @@ TEST(DynamicIndexTest, RemovesRacingARebuildStayHidden) {
       }
       EXPECT_EQ(index.stats().epoch_stamped, raced + stamped_after);
       check_oracle(index, "after post-install stamps");
-
-      // Save/load collapses every stamp to a dead byte and reloads it at
-      // version 1; the answers must not move.
-      std::stringstream state;
-      index.SerializeState(state,
-                           [](std::ostream&, const baselines::AnnIndex&) {});
-      const auto loaded = DynamicIndex::DeserializeState(
-          state, config.make, options,
-          [&config](std::istream&, const dataset::Dataset& epoch) {
-            auto restored = config.make();
-            restored->Build(epoch);
-            return restored;
-          });
-      EXPECT_EQ(loaded->stats().epoch_stamped, index.stats().epoch_stamped);
-      check_oracle(*loaded, "after save/load");
     }
   }
 }

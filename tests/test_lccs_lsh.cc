@@ -193,7 +193,7 @@ TEST(LccsLshTest, SeededGatherMatchesVerifiedCandidates) {
     LccsLsh single(family(), util::Metric::kEuclidean);
     ProbeParams probes;
     probes.num_probes = 4;
-    MpLccsLsh multi(family(), util::Metric::kEuclidean, probes);
+    LccsLsh multi(family(), util::Metric::kEuclidean, probes);
     for (LccsLsh* scheme : {&single, static_cast<LccsLsh*>(&multi)}) {
       scheme->Build(base.data(), n, d);
     }

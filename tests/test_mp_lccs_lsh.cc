@@ -29,14 +29,14 @@ dataset::Dataset MediumClusters(util::Metric metric, uint64_t seed = 81) {
   return dataset::GenerateClustered(config);
 }
 
-std::unique_ptr<MpLccsLsh> BuildMp(const dataset::Dataset& data, size_t m,
+std::unique_ptr<LccsLsh> BuildMp(const dataset::Dataset& data, size_t m,
                                    size_t probes, double w = 6.0) {
   auto family = lsh::MakeFamily(lsh::DefaultFamilyFor(data.metric),
                                 data.dim(), m, w, 555);
   ProbeParams params;
   params.num_probes = probes;
   auto index =
-      std::make_unique<MpLccsLsh>(std::move(family), data.metric, params);
+      std::make_unique<LccsLsh>(std::move(family), data.metric, params);
   index->Build(data.data.data(), data.n(), data.dim());
   return index;
 }

@@ -849,17 +849,29 @@ TEST(ReplicaMalformedStream, PoisonsOrReconnectsWithoutApplying) {
   Put(&prelude_only, uint32_t{40});
   Put(&prelude_only, uint64_t{0});
 
+  // A reply claiming 64 MiB of checkpoint ahead of a 3-row image's prefix:
+  // the follower must refuse the length the prefix contradicts before it
+  // allocates it, not buffer 64 MiB and wait for bytes that never come.
+  const uint64_t claimed_len = uint64_t{64} << 20;
+  const std::vector<unsigned char> lying_bootstrap = Concat(
+      Reply(6, claimed_len),
+      std::vector<unsigned char>(
+          image.begin(), image.begin() + WriteAheadLog::kCheckpointPrefixBytes));
+
   struct Case {
     const char* name;
     std::vector<unsigned char> script;
     bool poisons;              ///< false: the follower reconnects instead
     uint64_t applied_version;  ///< where the follower must stay
+    std::string error_names = "";  ///< a poison error must contain this
   };
   const std::vector<Case> cases = {
       {"bad magic", Reply(1, 0, "LCCSREPX"), true, 0},
       {"bad format", Reply(1, 0, "LCCSREP1", 2), true, 0},
       {"start_version 0", Reply(0, 0), true, 0},
       {"ckpt_len above the cap", Reply(1, (uint64_t{1} << 40) + 1), true, 0},
+      {"ckpt_len its checkpoint prefix contradicts", lying_bootstrap, true, 0,
+       std::to_string(claimed_len)},
       {"frame length below the minimum",
        Concat(resume, Frame(std::vector<unsigned char>(5, 0))), true, 0},
       {"frame length above the maximum",
@@ -894,6 +906,8 @@ TEST(ReplicaMalformedStream, PoisonsOrReconnectsWithoutApplying) {
     progress = replica.progress();
     if (c.poisons) {
       EXPECT_FALSE(progress.error.empty());
+      EXPECT_NE(progress.error.find(c.error_names), std::string::npos)
+          << progress.error;
     } else {
       EXPECT_TRUE(progress.error.empty()) << progress.error;
       EXPECT_GE(progress.reconnects, 2u);

@@ -212,27 +212,8 @@ TEST_F(StorageTest, SliceStoreIsAZeroCopyWindow) {
   EXPECT_EQ(slice->Row(3), parent->Row(8));
   EXPECT_EQ(slice->ResidentBytes(), 0u);
 
-  size_t offset = 99;
-  EXPECT_EQ(slice->BackingMmap(&offset), nullptr);
   EXPECT_THROW(SliceStore(parent, 15, 6), std::runtime_error);  // past end
   EXPECT_THROW(SliceStore(nullptr, 0, 0), std::runtime_error);
-}
-
-TEST_F(StorageTest, SliceOfMmapReportsBackingFileAndOffset) {
-  const auto m = RandomMatrix(12, 5, 7);
-  const std::string path = Path("sliced.flat");
-  WriteFlatFile(path, m);
-  const auto store = MmapStore::Open(path);
-  const auto slice = std::make_shared<SliceStore>(store, 4, 6);
-  size_t offset = 0;
-  const MmapStore* backing = slice->BackingMmap(&offset);
-  ASSERT_NE(backing, nullptr);
-  EXPECT_EQ(backing->path(), path);
-  EXPECT_EQ(offset, 4u);
-  // Nested slice: offsets accumulate.
-  const auto nested = std::make_shared<SliceStore>(slice, 2, 3);
-  EXPECT_EQ(nested->BackingMmap(&offset), backing);
-  EXPECT_EQ(offset, 6u);
 }
 
 TEST_F(StorageTest, ResidencyBudgetDropsPages) {

@@ -3,7 +3,9 @@
 // O(1) for bit sampling. The {420, 64} and {128, 16} shapes are the
 // lccs_bench read_saturated and disk_quantized indexes; the build-chunk
 // cases hash a 25k-row shard's rows on one thread, the hashing half of one
-// shard's Build, consolidation or checkpoint restore.
+// shard's Build, consolidation or checkpoint restore. The alternatives
+// cases time the multi-probe query entry, HashWithAlternatives with four
+// alternatives per function.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +30,25 @@ void RunHashBench(benchmark::State& state, lsh::FamilyKind kind) {
   for (auto _ : state) {
     family->Hash(v.data(), out.data());
     benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
+}
+
+// The multi-probe query hash: H(v) plus kAlternatives per function.
+void RunAlternativesBench(benchmark::State& state, lsh::FamilyKind kind) {
+  constexpr size_t kAlternatives = 4;
+  const auto d = static_cast<size_t>(state.range(0));
+  const auto m = static_cast<size_t>(state.range(1));
+  const auto family = lsh::MakeFamily(kind, d, m, 4.0, 11);
+  util::Rng rng(12);
+  std::vector<float> v(d);
+  rng.FillGaussian(v.data(), d);
+  std::vector<lsh::HashValue> out(m);
+  std::vector<std::vector<lsh::AltHash>> alts;
+  for (auto _ : state) {
+    family->HashWithAlternatives(v.data(), kAlternatives, out.data(), &alts);
+    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(alts);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
 }
@@ -70,6 +91,12 @@ void BM_SignProjection(benchmark::State& state) {
 void BM_BitSampling(benchmark::State& state) {
   RunHashBench(state, lsh::FamilyKind::kBitSampling);
 }
+void BM_RandomProjectionAlternatives(benchmark::State& state) {
+  RunAlternativesBench(state, lsh::FamilyKind::kRandomProjection);
+}
+void BM_CrossPolytopeAlternatives(benchmark::State& state) {
+  RunAlternativesBench(state, lsh::FamilyKind::kCrossPolytope);
+}
 void BM_RandomProjectionBuildChunk(benchmark::State& state) {
   RunBuildChunkBench(state, lsh::FamilyKind::kRandomProjection);
 }
@@ -96,6 +123,13 @@ BENCHMARK(BM_SignProjection)
 BENCHMARK(BM_BitSampling)
     ->Args({128, 64})
     ->Args({960, 64})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RandomProjectionAlternatives)
+    ->Args({128, 16})
+    ->Args({420, 64})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CrossPolytopeAlternatives)
+    ->Args({128, 64})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RandomProjectionBuildChunk)
     ->Args({420, 64})

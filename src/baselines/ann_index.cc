@@ -1,23 +1,9 @@
 #include "baselines/ann_index.h"
 
-#include <stdexcept>
-
 #include "util/thread_pool.h"
 
 namespace lccs {
 namespace baselines {
-
-int32_t AnnIndex::Insert(const float* /*vec*/) {
-  throw std::runtime_error(name() +
-                           " is build-once and does not support Insert; "
-                           "wrap it in core::DynamicIndex");
-}
-
-bool AnnIndex::Remove(int32_t /*id*/) {
-  throw std::runtime_error(name() +
-                           " is build-once and does not support Remove; "
-                           "wrap it in core::DynamicIndex");
-}
 
 std::vector<std::vector<util::Neighbor>> AnnIndex::QueryBatch(
     const float* queries, size_t num_queries, size_t k,

@@ -1,7 +1,6 @@
 #ifndef LCCS_BASELINES_ANN_INDEX_H_
 #define LCCS_BASELINES_ANN_INDEX_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,17 +40,6 @@ class AnnIndex {
   /// Dimensionality the index was built over (0 before Build). QueryBatch
   /// uses it as the row stride of the packed query block.
   virtual size_t dim() const = 0;
-
-  /// Adds one dim()-dimensional vector and returns its assigned id. The
-  /// static structures in this repository cannot absorb points, so the
-  /// default implementation throws std::runtime_error; core::DynamicIndex
-  /// overrides it (delta buffer + epoch rebuild) and makes any of them
-  /// updatable.
-  virtual int32_t Insert(const float* vec);
-
-  /// Deletes the point with the given id; returns false when the id is
-  /// unknown or already removed. Default-throwing like Insert.
-  virtual bool Remove(int32_t id);
 
   /// Memory held by the index structures (excluding the raw dataset, which
   /// all methods share).

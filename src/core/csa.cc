@@ -389,26 +389,15 @@ namespace {
 constexpr char kMagic[8] = {'L', 'C', 'C', 'S', 'C', 'S', 'A', '1'};
 
 template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!in) throw std::runtime_error("truncated CSA stream");
-}
-
-template <typename T>
 void WriteVector(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
+  io::WritePod(out, static_cast<uint64_t>(v.size()));
   out.write(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
 template <typename T>
 void ReadVector(std::istream& in, std::vector<T>* v, uint64_t expected) {
   uint64_t size = 0;
-  ReadPod(in, &size);
+  io::ReadPod(in, &size, "CSA stream");
   if (size != expected) {
     throw std::runtime_error("CSA stream: unexpected array size");
   }
@@ -433,8 +422,8 @@ void CircularShiftArray::Serialize(std::ostream& out) const {
         "CSA: cannot serialize after ReleaseNextLinks (next links gone)");
   }
   out.write(kMagic, sizeof(kMagic));
-  WritePod(out, static_cast<uint64_t>(n_));
-  WritePod(out, static_cast<uint64_t>(m_));
+  io::WritePod(out, static_cast<uint64_t>(n_));
+  io::WritePod(out, static_cast<uint64_t>(m_));
   WriteVector(out, data_);
   WriteVector(out, sorted_);
   WriteVector(out, next_);
@@ -447,8 +436,8 @@ CircularShiftArray CircularShiftArray::Deserialize(std::istream& in) {
     throw std::runtime_error("not a CSA stream (bad magic)");
   }
   uint64_t n = 0, m = 0;
-  ReadPod(in, &n);
-  ReadPod(in, &m);
+  io::ReadPod(in, &n, "CSA stream");
+  io::ReadPod(in, &m, "CSA stream");
   if (n == 0 || m == 0) throw std::runtime_error("CSA stream: empty index");
   // Header plausibility before any allocation: ids are int32, the n*m
   // element counts below must not wrap uint64, and the three arrays

@@ -109,8 +109,9 @@ class CircularShiftArray {
   /// precomputed bounds: narrows the binary search of shift `shift` through
   /// the next links of shift - 1 (Corollary 3.2) when `prev` matched at
   /// least one symbol on both sides, and falls back to a full [0, n-1]
-  /// search otherwise — the one cascade step both Search and the multi-probe
-  /// scheme used to duplicate inline. Respects use_narrowing().
+  /// search otherwise. SearchBounds' cascade (which Search and the
+  /// multi-probe scheme share) takes every shift after the first through
+  /// it. Respects use_narrowing().
   ShiftBounds SearchShiftFrom(const HashValue* query, size_t shift,
                               const ShiftBounds& prev) const;
 
@@ -153,7 +154,8 @@ class CircularShiftArray {
   /// Ablation switch: when disabled, Search performs a full-range binary
   /// search on every shift instead of the next-link-narrowed cascade of
   /// Corollary 3.2. Results are identical; only the query cost changes
-  /// (exercised by bench/ablation_csa and the equivalence property test).
+  /// (exercised by bench/ablation_design_choices and the equivalence
+  /// property test).
   void set_use_narrowing(bool enabled) { use_narrowing_ = enabled; }
   bool use_narrowing() const { return use_narrowing_; }
 

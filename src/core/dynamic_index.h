@@ -158,7 +158,7 @@ class DynamicIndex : public baselines::AnnIndex {
 
   /// Appends a dim()-dimensional vector under the next id and returns it
   /// (insert order, monotone). May trigger a background consolidation.
-  int32_t Insert(const float* vec) override;
+  int32_t Insert(const float* vec);
 
   /// Appends a dim()-dimensional vector under a caller-assigned `id`,
   /// which must be at least the next id; the next id becomes id + 1, so
@@ -171,7 +171,7 @@ class DynamicIndex : public baselines::AnnIndex {
   /// was never assigned or is already deleted. O(log n): one binary search
   /// finds the row, whose stamp is set; the static epoch is not touched
   /// until the next consolidation. May trigger a background consolidation.
-  bool Remove(int32_t id) override;
+  bool Remove(int32_t id);
 
   size_t dim() const override;
   size_t IndexSizeBytes() const override;

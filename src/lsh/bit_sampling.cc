@@ -25,20 +25,17 @@ void BitSamplingFamily::Hash(const float* v, HashValue* out) const {
   }
 }
 
-HashValue BitSamplingFamily::HashOne(size_t func, const float* v) const {
-  assert(func < m_);
-  return util::IsSetCoordinate(v[indices_[func]]) ? 1 : 0;
-}
-
-void BitSamplingFamily::Alternatives(size_t func, const float* v,
-                                     size_t max_alts,
-                                     std::vector<AltHash>* out) const {
-  out->clear();
-  if (max_alts == 0) return;
-  // Flipping the sampled bit is the only alternative; all flips are
-  // equally likely a priori, so every alternative gets unit score.
-  const HashValue primary = HashOne(func, v);
-  out->push_back({primary == 1 ? 0 : 1, 1.0});
+void BitSamplingFamily::HashWithAlternatives(
+    const float* v, size_t max_alts, HashValue* out,
+    std::vector<std::vector<AltHash>>* alts) const {
+  Hash(v, out);
+  alts->resize(m_);
+  for (size_t i = 0; i < m_; ++i) {
+    (*alts)[i].clear();
+    // Flipping the sampled bit is the only alternative; all flips are
+    // equally likely a priori, so every alternative gets unit score.
+    if (max_alts > 0) (*alts)[i].push_back({out[i] == 1 ? 0 : 1, 1.0});
+  }
 }
 
 double BitSamplingFamily::CollisionProbability(double hamming_dist) const {

@@ -22,9 +22,10 @@ class BitSamplingFamily : public HashFamily {
   size_t num_functions() const override { return m_; }
   size_t dim() const override { return dim_; }
   void Hash(const float* v, HashValue* out) const override;
-  HashValue HashOne(size_t func, const float* v) const override;
-  void Alternatives(size_t func, const float* v, size_t max_alts,
-                    std::vector<AltHash>* out) const override;
+  /// The one alternative of each function is its flipped bit, score 1.0.
+  void HashWithAlternatives(
+      const float* v, size_t max_alts, HashValue* out,
+      std::vector<std::vector<AltHash>>* alts) const override;
   double CollisionProbability(double hamming_dist) const override;
   std::string name() const override { return "bit-sampling"; }
   size_t SizeBytes() const override { return indices_.size() * sizeof(uint32_t); }

@@ -116,22 +116,6 @@ void CrossPolytopeFamily::Hash(const float* v, HashValue* out) const {
   }
 }
 
-HashValue CrossPolytopeFamily::HashOne(size_t func, const float* v) const {
-  std::vector<float> rotated(dpad_);
-  Rotate(func, v, rotated.data());
-  return NearestVertex(rotated.data(), dpad_);
-}
-
-void CrossPolytopeFamily::Alternatives(size_t func, const float* v,
-                                       size_t max_alts,
-                                       std::vector<AltHash>* out) const {
-  out->clear();
-  if (max_alts == 0) return;
-  std::vector<float> rotated(dpad_);
-  Rotate(func, v, rotated.data());
-  VertexAlternatives(rotated.data(), dpad_, max_alts, out);
-}
-
 void CrossPolytopeFamily::HashWithAlternatives(
     const float* v, size_t max_alts, HashValue* out,
     std::vector<std::vector<AltHash>>* alts) const {

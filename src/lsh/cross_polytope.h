@@ -34,9 +34,6 @@ class CrossPolytopeFamily : public HashFamily {
   size_t num_functions() const override { return m_; }
   size_t dim() const override { return dim_; }
   void Hash(const float* v, HashValue* out) const override;
-  HashValue HashOne(size_t func, const float* v) const override;
-  void Alternatives(size_t func, const float* v, size_t max_alts,
-                    std::vector<AltHash>* out) const override;
   /// Rotates the query once per function for both the hash and the
   /// alternatives.
   void HashWithAlternatives(

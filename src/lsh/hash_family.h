@@ -40,33 +40,17 @@ class HashFamily {
   /// string H(v) = [h_1(v), ..., h_m(v)] into out[0..m).
   virtual void Hash(const float* v, HashValue* out) const = 0;
 
-  /// Evaluates a single function h_{func}(v). Index in [0, m).
-  virtual HashValue HashOne(size_t func, const float* v) const = 0;
-
-  /// Multi-probe support: fills `out` with up to `max_alts` alternative hash
-  /// values for function `func` on query `v`, sorted by ascending score.
-  /// The primary hash value is excluded. Families without a natural probing
-  /// sequence may leave `out` empty (the default).
-  virtual void Alternatives(size_t func, const float* v, size_t max_alts,
-                            std::vector<AltHash>* out) const {
-    (void)func;
-    (void)v;
-    (void)max_alts;
-    out->clear();
-  }
-
-  /// Hash plus every function's Alternatives in one call: fills out[0..m)
-  /// as Hash does and resizes `alts` to m with (*alts)[f] equal to
-  /// Alternatives(f, v, max_alts). Projection families derive both from one
-  /// evaluation of the projections; the default evaluates each separately.
+  /// Hash plus each function's multi-probe alternatives in one call: fills
+  /// out[0..m) as Hash does and resizes `alts` to m, replacing any stale
+  /// contents. (*alts)[f] holds up to `max_alts` hash values for h_f other
+  /// than out[f], sorted by ascending score. Families without a natural
+  /// probing sequence leave every list empty (the default).
   virtual void HashWithAlternatives(
       const float* v, size_t max_alts, HashValue* out,
       std::vector<std::vector<AltHash>>* alts) const {
+    (void)max_alts;
     Hash(v, out);
-    alts->resize(num_functions());
-    for (size_t f = 0; f < alts->size(); ++f) {
-      Alternatives(f, v, max_alts, &(*alts)[f]);
-    }
+    alts->assign(num_functions(), {});
   }
 
   /// Collision probability p(τ) = Pr[h(o) = h(q)] of a single function for

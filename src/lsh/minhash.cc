@@ -27,21 +27,6 @@ uint64_t MinHashFamily::Rank(size_t func, uint32_t element) const {
   return z ^ (z >> 31);
 }
 
-HashValue MinHashFamily::HashOne(size_t func, const float* v) const {
-  assert(func < m_);
-  uint64_t best_rank = std::numeric_limits<uint64_t>::max();
-  HashValue best = -1;  // sentinel for the empty set
-  for (size_t j = 0; j < dim_; ++j) {
-    if (!util::IsSetCoordinate(v[j])) continue;
-    const uint64_t rank = Rank(func, static_cast<uint32_t>(j));
-    if (rank < best_rank) {
-      best_rank = rank;
-      best = static_cast<HashValue>(j);
-    }
-  }
-  return best;
-}
-
 void MinHashFamily::Hash(const float* v, HashValue* out) const {
   // One pass over the set bits updating all m minima beats m passes over
   // the (usually sparse) indicator vector.

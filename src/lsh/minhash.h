@@ -30,7 +30,6 @@ class MinHashFamily : public HashFamily {
   size_t num_functions() const override { return m_; }
   size_t dim() const override { return dim_; }
   void Hash(const float* v, HashValue* out) const override;
-  HashValue HashOne(size_t func, const float* v) const override;
   double CollisionProbability(double jaccard_dist) const override;
   std::string name() const override { return "minhash"; }
   size_t SizeBytes() const override { return keys_.size() * sizeof(uint64_t); }

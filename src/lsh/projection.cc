@@ -128,20 +128,9 @@ ProjectionMatrix::ProjectionMatrix(size_t dim, size_t num_functions,
   }
 }
 
-double ProjectionMatrix::Dot(size_t func, const float* v) const {
-  assert(func < m_);
-  const size_t first = func - func % kBlock;
-  const size_t width = std::min(kBlock, m_ - first);
-  const float* column = at_.data() + first * dim_ + (func - first);
-  double s = 0.0;
-  for (size_t i = 0; i < dim_; ++i) {
-    s += static_cast<double>(column[i * width]) * v[i];
-  }
-  return s;
-}
-
-void ProjectionMatrix::Dots(util::SimdTier tier, size_t first, size_t count,
-                            const float* v, double* dots) const {
+void ProjectionMatrix::TileDots(util::SimdTier tier, size_t first,
+                                size_t count, const float* v,
+                                double* dots) const {
   assert(first % kBlock == 0 && count == std::min(kBlock, m_ - first));
   // Every tile before this one is full, so it starts at first·d floats.
   const float* tile = at_.data() + first * dim_;

@@ -42,9 +42,6 @@ class ProjectionMatrix {
   size_t num_functions() const { return m_; }
   size_t SizeBytes() const { return at_.size() * sizeof(float); }
 
-  /// a_func · v, reading the function's column of its tile in ascending i.
-  double Dot(size_t func, const float* v) const;
-
   /// Evaluates every dot, one tile per pass over v: calls
   /// fn(first, count, dots) with dots[j] = a_{first+j} · v for j < count,
   /// for first = 0, kBlock, 2·kBlock, ... in order. `tier` pins the
@@ -57,7 +54,7 @@ class ProjectionMatrix {
     const size_t m = num_functions();
     for (size_t first = 0; first < m; first += kBlock) {
       const size_t count = std::min(kBlock, m - first);
-      Dots(tier, first, count, v, dots);
+      TileDots(tier, first, count, v, dots);
       fn(first, count, static_cast<const double*>(dots));
     }
   }
@@ -65,8 +62,8 @@ class ProjectionMatrix {
  private:
   /// dots[j] = a_{first+j} · v for the tile of `count` functions starting
   /// at function `first`.
-  void Dots(util::SimdTier tier, size_t first, size_t count, const float* v,
-            double* dots) const;
+  void TileDots(util::SimdTier tier, size_t first, size_t count,
+                const float* v, double* dots) const;
 
   size_t dim_ = 0;
   size_t m_ = 0;

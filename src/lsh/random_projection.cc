@@ -72,26 +72,12 @@ RandomProjectionFamily::RandomProjectionFamily(size_t dim,
   for (float& b : b_) b = static_cast<float>(rng.Uniform(0.0, w_));
 }
 
-double RandomProjectionFamily::Project(size_t func, const float* v) const {
-  return (a_.Dot(func, v) + b_[func]) / w_;
-}
-
 void RandomProjectionFamily::Hash(const float* v, HashValue* out) const {
   a_.ForEachBlock(v, [&](size_t first, size_t count, const double* dots) {
     for (size_t j = 0; j < count; ++j) {
       out[first + j] = FloorToHash((dots[j] + b_[first + j]) / w_);
     }
   });
-}
-
-HashValue RandomProjectionFamily::HashOne(size_t func, const float* v) const {
-  return FloorToHash(Project(func, v));
-}
-
-void RandomProjectionFamily::Alternatives(size_t func, const float* v,
-                                          size_t max_alts,
-                                          std::vector<AltHash>* out) const {
-  ProbeAlternatives(Project(func, v), max_alts, out);
 }
 
 void RandomProjectionFamily::HashWithAlternatives(

@@ -36,9 +36,6 @@ class RandomProjectionFamily : public HashFamily {
   size_t num_functions() const override { return a_.num_functions(); }
   size_t dim() const override { return a_.dim(); }
   void Hash(const float* v, HashValue* out) const override;
-  HashValue HashOne(size_t func, const float* v) const override;
-  void Alternatives(size_t func, const float* v, size_t max_alts,
-                    std::vector<AltHash>* out) const override;
   void HashWithAlternatives(
       const float* v, size_t max_alts, HashValue* out,
       std::vector<std::vector<AltHash>>* alts) const override;
@@ -47,10 +44,6 @@ class RandomProjectionFamily : public HashFamily {
   size_t SizeBytes() const override;
 
   double bucket_width() const { return w_; }
-
-  /// Raw projection (a_func · v + b_func) / w, from which both the hash value
-  /// (floor) and the probing scores (fractional part) derive.
-  double Project(size_t func, const float* v) const;
 
  private:
   double w_;

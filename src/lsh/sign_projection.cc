@@ -35,16 +35,6 @@ void SignProjectionFamily::Hash(const float* v, HashValue* out) const {
   });
 }
 
-HashValue SignProjectionFamily::HashOne(size_t func, const float* v) const {
-  return SignOf(a_.Dot(func, v));
-}
-
-void SignProjectionFamily::Alternatives(size_t func, const float* v,
-                                        size_t max_alts,
-                                        std::vector<AltHash>* out) const {
-  FlipAlternative(a_.Dot(func, v), max_alts, out);
-}
-
 void SignProjectionFamily::HashWithAlternatives(
     const float* v, size_t max_alts, HashValue* out,
     std::vector<std::vector<AltHash>>* alts) const {

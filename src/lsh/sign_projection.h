@@ -25,9 +25,6 @@ class SignProjectionFamily : public HashFamily {
   size_t num_functions() const override { return a_.num_functions(); }
   size_t dim() const override { return a_.dim(); }
   void Hash(const float* v, HashValue* out) const override;
-  HashValue HashOne(size_t func, const float* v) const override;
-  void Alternatives(size_t func, const float* v, size_t max_alts,
-                    std::vector<AltHash>* out) const override;
   void HashWithAlternatives(
       const float* v, size_t max_alts, HashValue* out,
       std::vector<std::vector<AltHash>>* alts) const override;

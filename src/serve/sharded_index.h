@@ -180,12 +180,12 @@ class ShardedIndex : public baselines::AnnIndex {
   /// Appends a dim()-dimensional vector; returns its global id (insert
   /// order, monotone across the whole sharded index). ApplyInsert with the
   /// version dropped.
-  int32_t Insert(const float* vec) override;
+  int32_t Insert(const float* vec);
 
   /// Tombstones the point with global id `id`; returns false when the id
   /// was never assigned or is already deleted. ApplyRemove with the version
   /// dropped (the log position is consumed either way).
-  bool Remove(int32_t id) override;
+  bool Remove(int32_t id);
 
   // --- Versioned mutations ------------------------------------------------
 

@@ -104,8 +104,8 @@ std::shared_ptr<const QuantizedStore> QuantizedStore::Build(
   if (store.empty() || !SupportsMetric(metric) || store.cols() > kMaxDim) {
     return nullptr;
   }
-  return std::make_shared<const QuantizedStore>(store, metric,
-                                                TrainCodebook(store));
+  return std::shared_ptr<const QuantizedStore>(
+      new QuantizedStore(store, metric, TrainCodebook(store)));
 }
 
 void QuantizedStore::EncodeRow(const float* row, uint8_t* codes,

@@ -64,18 +64,11 @@ class QuantizedStore {
            metric == util::Metric::kAngular;
   }
 
-  /// Scans the store once for per-dimension min/max. Throws on d > kMaxDim.
-  static Codebook TrainCodebook(const VectorStore& store);
-
-  /// Encodes every row of `store` under `codebook` (parallel sweep). The
-  /// store is only read during construction; the QuantizedStore owns all
-  /// its bytes afterwards.
-  QuantizedStore(const VectorStore& store, util::Metric metric,
-                 Codebook codebook);
-
-  /// TrainCodebook + construct. Returns nullptr for empty stores,
-  /// unsupported metrics, or d > kMaxDim — callers treat "no quantized
-  /// tier" and "tier not applicable" identically.
+  /// Trains a codebook over `store` and encodes every row under it. The
+  /// store is only read here; the QuantizedStore owns all its bytes
+  /// afterwards. Returns nullptr for empty stores, unsupported metrics, or
+  /// d > kMaxDim — callers treat "no quantized tier" and "tier not
+  /// applicable" identically.
   static std::shared_ptr<const QuantizedStore> Build(const VectorStore& store,
                                                      util::Metric metric);
 
@@ -118,6 +111,13 @@ class QuantizedStore {
   }
 
  private:
+  /// Scans the store once for per-dimension min/max. Throws on d > kMaxDim.
+  static Codebook TrainCodebook(const VectorStore& store);
+
+  /// Encodes every row of `store` under `codebook` (parallel sweep).
+  QuantizedStore(const VectorStore& store, util::Metric metric,
+                 Codebook codebook);
+
   /// Encodes one float row into `codes` (cols() bytes) and its per-row
   /// reconstruction term. Deterministic (double arithmetic + lround).
   void EncodeRow(const float* row, uint8_t* codes, float* term) const;

@@ -131,7 +131,8 @@ std::vector<std::unique_ptr<AnnIndex>> AllIndexes(
   for (auto& index : indexes) index->Build(data);
 
   {
-    auto& dynamic = *indexes.back();
+    // The last index is the DynamicIndex pushed above.
+    auto& dynamic = static_cast<core::DynamicIndex&>(*indexes.back());
     util::Rng rng(5150);
     std::vector<float> vec(data.dim());
     for (int i = 0; i < 50; ++i) {

@@ -32,6 +32,90 @@ std::vector<float> RandomUnitVector(size_t d, util::Rng* rng) {
 }
 
 // ---------------------------------------------------------------------------
+// Scalar references the families are checked against.
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// The m x d Gaussian rows a projection family built from `seed` uses, and
+// (for random projection, which draws them next) its m offsets in [0, w).
+struct ReferenceProjections {
+  util::Matrix a;
+  std::vector<float> b;
+};
+
+ReferenceProjections DrawReference(size_t d, size_t m, double w,
+                                   uint64_t seed) {
+  ReferenceProjections ref{util::Matrix(m, d), std::vector<float>(m)};
+  util::Rng rng(seed);
+  rng.FillGaussian(ref.a.data(), m * d);
+  for (float& b : ref.b) b = static_cast<float>(rng.Uniform(0.0, w));
+  return ref;
+}
+
+// Query vectors for a shape: two Gaussian ones, and both scaled by 1000.
+std::vector<std::vector<float>> KernelInputs(size_t d, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> inputs;
+  for (int r = 0; r < 2; ++r) {
+    std::vector<float> v(d);
+    rng.FillGaussian(v.data(), d);
+    std::vector<float> scaled(v);
+    for (float& x : scaled) x *= 1000.0f;
+    inputs.push_back(v);
+    inputs.push_back(scaled);
+  }
+  return inputs;
+}
+
+constexpr size_t kKernelDims[] = {1,  7,   8,   9,   15,  16,  17,
+                                  31, 32,  33,  255, 256, 257, 420};
+constexpr size_t kKernelFuncs[] = {1, 15, 16, 17, 64, 100};
+constexpr util::SimdTier kTiers[] = {util::SimdTier::kScalar,
+                                     util::SimdTier::kAvx2};
+
+// The Lv et al. probing sequence computed straight from a reference
+// projection: what RandomProjectionFamily's alternatives must equal, value
+// for value, for every in-range projection.
+std::vector<AltHash> ReferenceProbes(double proj, size_t max_alts) {
+  std::vector<AltHash> out;
+  if (max_alts == 0) return out;
+  const auto base = static_cast<HashValue>(std::floor(proj));
+  const double frac = proj - std::floor(proj);
+  for (int step = 1; out.size() < max_alts; ++step) {
+    const double up = (static_cast<double>(step) - frac);
+    const double down = (frac + static_cast<double>(step) - 1.0);
+    if (down <= up) {
+      out.push_back({base - step, down * down});
+      if (out.size() < max_alts) out.push_back({base + step, up * up});
+    } else {
+      out.push_back({base + step, up * up});
+      if (out.size() < max_alts) out.push_back({base - step, down * down});
+    }
+    if (step > 64) break;
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const AltHash& x, const AltHash& y) {
+                     return x.score < y.score;
+                   });
+  if (out.size() > max_alts) out.resize(max_alts);
+  return out;
+}
+
+void ExpectSameAlternatives(const std::vector<AltHash>& got,
+                            const std::vector<AltHash>& want,
+                            const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].value, want[i].value) << where << " alt " << i;
+    EXPECT_EQ(Bits(got[i].score), Bits(want[i].score)) << where << " alt " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Random projection family (Euclidean, Eq. (1)-(2)).
 
 TEST(RandomProjectionTest, DeterministicGivenSeed) {
@@ -45,30 +129,20 @@ TEST(RandomProjectionTest, DeterministicGivenSeed) {
   EXPECT_EQ(ha, hb);
 }
 
-TEST(RandomProjectionTest, HashOneMatchesBatch) {
-  RandomProjectionFamily family(12, 6, 2.0, 7);
-  util::Rng rng(2);
-  std::vector<float> v(12);
-  rng.FillGaussian(v.data(), v.size());
-  std::vector<HashValue> h(6);
-  family.Hash(v.data(), h.data());
-  for (size_t f = 0; f < 6; ++f) {
-    EXPECT_EQ(family.HashOne(f, v.data()), h[f]);
-  }
-}
-
 TEST(RandomProjectionTest, TranslationByWShiftsBucketByOne) {
   // h = floor((a·v + b)/w): moving v so that a·v increases by exactly w must
   // increase the bucket by exactly 1. Construct the move along a itself.
   const size_t d = 8;
   RandomProjectionFamily family(d, 1, 3.0, 21);
+  const ReferenceProjections ref = DrawReference(d, 1, 3.0, 21);
   util::Rng rng(3);
   std::vector<float> v(d);
   rng.FillGaussian(v.data(), d);
-  const double p0 = family.Project(0, v.data());
-  // family.Project is (a·v+b)/w; we cannot access `a` directly, but scaling v
-  // by t moves the projection linearly in t: verify floor monotonicity.
-  const HashValue h0 = family.HashOne(0, v.data());
+  // The projection (a·v+b)/w from the reference draw of the same seed: the
+  // hash is its floor.
+  const double p0 = (util::Dot(ref.a.Row(0), v.data(), d) + ref.b[0]) / 3.0;
+  HashValue h0 = 0;
+  family.Hash(v.data(), &h0);
   EXPECT_EQ(h0, static_cast<HashValue>(std::floor(p0)));
 }
 
@@ -122,11 +196,13 @@ TEST(RandomProjectionTest, AlternativesSortedAndExcludePrimary) {
   util::Rng rng(4);
   std::vector<float> v(8);
   rng.FillGaussian(v.data(), 8);
+  std::vector<HashValue> h(4);
+  std::vector<std::vector<AltHash>> all_alts;
+  family.HashWithAlternatives(v.data(), 6, h.data(), &all_alts);
   for (size_t f = 0; f < 4; ++f) {
-    std::vector<AltHash> alts;
-    family.Alternatives(f, v.data(), 6, &alts);
+    const std::vector<AltHash>& alts = all_alts[f];
     ASSERT_EQ(alts.size(), 6u);
-    const HashValue primary = family.HashOne(f, v.data());
+    const HashValue primary = h[f];
     double prev = -1.0;
     std::set<HashValue> seen;
     for (const auto& alt : alts) {
@@ -217,10 +293,11 @@ TEST(CrossPolytopeTest, OppositeVectorsGetOppositeVertex) {
   std::vector<float> neg(v);
   for (auto& x : neg) x = -x;
   const auto dpad = static_cast<HashValue>(family.padded_dim());
+  std::vector<HashValue> hv(16), hn(16);
+  family.Hash(v.data(), hv.data());
+  family.Hash(neg.data(), hn.data());
   for (size_t f = 0; f < 16; ++f) {
-    const HashValue hv = family.HashOne(f, v.data());
-    const HashValue hn = family.HashOne(f, neg.data());
-    EXPECT_EQ((hv + dpad) % (2 * dpad), hn);
+    EXPECT_EQ((hv[f] + dpad) % (2 * dpad), hn[f]);
   }
 }
 
@@ -262,11 +339,13 @@ TEST(CrossPolytopeTest, AlternativesAreValidVertices) {
   CrossPolytopeFamily family(8, 4, 3);
   util::Rng rng(11);
   auto v = RandomUnitVector(8, &rng);
+  std::vector<HashValue> h(4);
+  std::vector<std::vector<AltHash>> all_alts;
+  family.HashWithAlternatives(v.data(), 5, h.data(), &all_alts);
   for (size_t f = 0; f < 4; ++f) {
-    std::vector<AltHash> alts;
-    family.Alternatives(f, v.data(), 5, &alts);
+    const std::vector<AltHash>& alts = all_alts[f];
     ASSERT_EQ(alts.size(), 5u);
-    const HashValue primary = family.HashOne(f, v.data());
+    const HashValue primary = h[f];
     double prev = -1.0;
     for (const auto& alt : alts) {
       EXPECT_NE(alt.value, primary);
@@ -330,11 +409,12 @@ TEST(SignProjectionTest, AlternativeIsTheFlip) {
   SignProjectionFamily family(8, 4, 5);
   util::Rng rng(14);
   auto v = RandomUnitVector(8, &rng);
+  std::vector<HashValue> h(4);
+  std::vector<std::vector<AltHash>> alts;
+  family.HashWithAlternatives(v.data(), 3, h.data(), &alts);
   for (size_t f = 0; f < 4; ++f) {
-    std::vector<AltHash> alts;
-    family.Alternatives(f, v.data(), 3, &alts);
-    ASSERT_EQ(alts.size(), 1u);  // only one possible flip
-    EXPECT_EQ(alts[0].value, 1 - family.HashOne(f, v.data()));
+    ASSERT_EQ(alts[f].size(), 1u);  // only one possible flip
+    EXPECT_EQ(alts[f][0].value, 1 - h[f]);
   }
 }
 
@@ -350,6 +430,31 @@ TEST(BitSamplingTest, HashReadsSampledCoordinates) {
   EXPECT_EQ(h[3], 1);
   for (size_t f = 0; f < 16; ++f) {
     EXPECT_EQ(h[f], family.sampled_index(f) == family.sampled_index(3) ? 1 : 0);
+  }
+}
+
+TEST(BitSamplingTest, AlternativeIsTheFlip) {
+  BitSamplingFamily family(32, 16, 405);
+  util::Rng rng(15);
+  std::vector<float> v(32);
+  for (float& bit : v) bit = rng.UniformDouble() < 0.5 ? 1.0f : 0.0f;
+  std::vector<HashValue> expected_h(16);
+  family.Hash(v.data(), expected_h.data());
+  for (size_t max_alts : {0, 1, 3}) {
+    std::vector<HashValue> h(16);
+    std::vector<std::vector<AltHash>> alts;
+    family.HashWithAlternatives(v.data(), max_alts, h.data(), &alts);
+    EXPECT_EQ(h, expected_h);
+    ASSERT_EQ(alts.size(), 16u);
+    for (size_t f = 0; f < 16; ++f) {
+      if (max_alts == 0) {
+        EXPECT_TRUE(alts[f].empty()) << "f=" << f;
+        continue;
+      }
+      ASSERT_EQ(alts[f].size(), 1u) << "max_alts=" << max_alts << " f=" << f;
+      EXPECT_EQ(alts[f][0].value, 1 - h[f]);
+      EXPECT_EQ(alts[f][0].score, 1.0);
+    }
   }
 }
 
@@ -387,50 +492,8 @@ TEST(FamilyFactoryTest, DefaultFamilies) {
 
 // ---------------------------------------------------------------------------
 // Transposed projection kernel: every dot, projection and hash is bit-equal
-// to a scalar util::Dot over the m x d matrix the same seed draws.
-
-uint64_t Bits(double x) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
-
-// The m x d Gaussian rows a projection family built from `seed` uses, and
-// (for random projection, which draws them next) its m offsets in [0, w).
-struct ReferenceProjections {
-  util::Matrix a;
-  std::vector<float> b;
-};
-
-ReferenceProjections DrawReference(size_t d, size_t m, double w,
-                                   uint64_t seed) {
-  ReferenceProjections ref{util::Matrix(m, d), std::vector<float>(m)};
-  util::Rng rng(seed);
-  rng.FillGaussian(ref.a.data(), m * d);
-  for (float& b : ref.b) b = static_cast<float>(rng.Uniform(0.0, w));
-  return ref;
-}
-
-// Query vectors for a shape: two Gaussian ones, and both scaled by 1000.
-std::vector<std::vector<float>> KernelInputs(size_t d, uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::vector<float>> inputs;
-  for (int r = 0; r < 2; ++r) {
-    std::vector<float> v(d);
-    rng.FillGaussian(v.data(), d);
-    std::vector<float> scaled(v);
-    for (float& x : scaled) x *= 1000.0f;
-    inputs.push_back(v);
-    inputs.push_back(scaled);
-  }
-  return inputs;
-}
-
-constexpr size_t kKernelDims[] = {1,  7,   8,   9,   15,  16,  17,
-                                  31, 32,  33,  255, 256, 257, 420};
-constexpr size_t kKernelFuncs[] = {1, 15, 16, 17, 64, 100};
-constexpr util::SimdTier kTiers[] = {util::SimdTier::kScalar,
-                                     util::SimdTier::kAvx2};
+// to a scalar util::Dot over the m x d matrix the same seed draws (the
+// references are at the top of this file).
 
 TEST(ProjectionMatrixTest, DotsBitEqualScalarDotOnBothTiers) {
   for (size_t d : kKernelDims) {
@@ -461,8 +524,6 @@ TEST(ProjectionMatrixTest, DotsBitEqualScalarDotOnBothTiers) {
             ASSERT_EQ(Bits(dots[f]), Bits(expected))
                 << "d=" << d << " m=" << m << " f=" << f
                 << " tier=" << util::SimdTierName(tier);
-            ASSERT_EQ(Bits(proj.Dot(f, v.data())), Bits(expected))
-                << "d=" << d << " m=" << m << " f=" << f;
           }
         }
       }
@@ -477,17 +538,22 @@ TEST(RandomProjectionTest, HashBitExactAgainstScalarReference) {
       const uint64_t seed = 2000 + d * 7 + m;
       const RandomProjectionFamily family(d, m, w, seed);
       const ReferenceProjections ref = DrawReference(d, m, w, seed);
-      std::vector<HashValue> h(m);
+      std::vector<HashValue> h(m), h_alt(m);
+      std::vector<std::vector<AltHash>> alts;
       for (const std::vector<float>& v : KernelInputs(d, seed)) {
         family.Hash(v.data(), h.data());
+        family.HashWithAlternatives(v.data(), 2, h_alt.data(), &alts);
+        ASSERT_EQ(h_alt, h);
         for (size_t f = 0; f < m; ++f) {
           const double proj =
               (util::Dot(ref.a.Row(f), v.data(), d) + ref.b[f]) / w;
-          ASSERT_EQ(Bits(family.Project(f, v.data())), Bits(proj))
-              << "d=" << d << " m=" << m << " f=" << f;
-          ASSERT_EQ(h[f], static_cast<HashValue>(std::floor(proj)))
-              << "d=" << d << " m=" << m << " f=" << f;
-          ASSERT_EQ(family.HashOne(f, v.data()), h[f]);
+          const std::string where = "d=" + std::to_string(d) +
+                                    " m=" + std::to_string(m) +
+                                    " f=" + std::to_string(f);
+          ASSERT_EQ(h[f], static_cast<HashValue>(std::floor(proj))) << where;
+          // The two nearest probes are scored by the squared distances from
+          // the projection to both bucket boundaries, so they expose it.
+          ExpectSameAlternatives(alts[f], ReferenceProbes(proj, 2), where);
         }
       }
     }
@@ -501,7 +567,6 @@ TEST(SignProjectionTest, HashBitExactAgainstScalarReference) {
       const SignProjectionFamily family(d, m, seed);
       const ReferenceProjections ref = DrawReference(d, m, 1.0, seed);
       std::vector<HashValue> h(m), h_alt(m);
-      std::vector<AltHash> alts;
       std::vector<std::vector<AltHash>> all_alts;
       for (const std::vector<float>& v : KernelInputs(d, seed)) {
         family.Hash(v.data(), h.data());
@@ -511,57 +576,14 @@ TEST(SignProjectionTest, HashBitExactAgainstScalarReference) {
           const double dot = util::Dot(ref.a.Row(f), v.data(), d);
           ASSERT_EQ(h[f], dot >= 0.0 ? 1 : 0)
               << "d=" << d << " m=" << m << " f=" << f;
-          ASSERT_EQ(family.HashOne(f, v.data()), h[f]);
           // The flip alternative's score is the squared margin, so it
-          // exposes the dot: from the block kernel, and from the
-          // per-function column walk.
+          // exposes the dot.
           ASSERT_EQ(all_alts[f].size(), 1u);
           ASSERT_EQ(Bits(all_alts[f][0].score), Bits(dot * dot))
               << "d=" << d << " m=" << m << " f=" << f;
-          family.Alternatives(f, v.data(), 1, &alts);
-          ASSERT_EQ(alts.size(), 1u);
-          ASSERT_EQ(Bits(alts[0].score), Bits(dot * dot));
         }
       }
     }
-  }
-}
-
-// The Lv et al. probing sequence computed straight from a reference
-// projection: what RandomProjectionFamily's alternatives must equal, value
-// for value, for every in-range projection.
-std::vector<AltHash> ReferenceProbes(double proj, size_t max_alts) {
-  std::vector<AltHash> out;
-  if (max_alts == 0) return out;
-  const auto base = static_cast<HashValue>(std::floor(proj));
-  const double frac = proj - std::floor(proj);
-  for (int step = 1; out.size() < max_alts; ++step) {
-    const double up = (static_cast<double>(step) - frac);
-    const double down = (frac + static_cast<double>(step) - 1.0);
-    if (down <= up) {
-      out.push_back({base - step, down * down});
-      if (out.size() < max_alts) out.push_back({base + step, up * up});
-    } else {
-      out.push_back({base + step, up * up});
-      if (out.size() < max_alts) out.push_back({base - step, down * down});
-    }
-    if (step > 64) break;
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const AltHash& x, const AltHash& y) {
-                     return x.score < y.score;
-                   });
-  if (out.size() > max_alts) out.resize(max_alts);
-  return out;
-}
-
-void ExpectSameAlternatives(const std::vector<AltHash>& got,
-                            const std::vector<AltHash>& want,
-                            const std::string& where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].value, want[i].value) << where << " alt " << i;
-    EXPECT_EQ(Bits(got[i].score), Bits(want[i].score)) << where << " alt " << i;
   }
 }
 
@@ -580,7 +602,6 @@ TEST(HashWithAlternativesTest, RandomProjectionMatchesReferenceProbes) {
           family.Hash(v.data(), expected_h.data());
           EXPECT_EQ(h, expected_h);
           ASSERT_EQ(alts.size(), m);
-          std::vector<AltHash> single;
           for (size_t f = 0; f < m; ++f) {
             const double proj =
                 (util::Dot(ref.a.Row(f), v.data(), d) + ref.b[f]) / w;
@@ -589,8 +610,6 @@ TEST(HashWithAlternativesTest, RandomProjectionMatchesReferenceProbes) {
                                       " f=" + std::to_string(f);
             ExpectSameAlternatives(alts[f], ReferenceProbes(proj, max_alts),
                                    where);
-            family.Alternatives(f, v.data(), max_alts, &single);
-            ExpectSameAlternatives(single, alts[f], where);
           }
         }
       }
@@ -598,10 +617,14 @@ TEST(HashWithAlternativesTest, RandomProjectionMatchesReferenceProbes) {
   }
 }
 
-TEST(HashWithAlternativesTest, EveryFamilyMatchesPerFunctionCalls) {
+// The HashWithAlternatives contract, for every family: the hash string is
+// Hash's, and each function's list replaces what `alts` held, holds at most
+// max_alts values other than the primary one, and ascends in score.
+TEST(HashWithAlternativesTest, EveryFamilyKeepsTheContract) {
   for (FamilyKind kind :
        {FamilyKind::kRandomProjection, FamilyKind::kSignProjection,
-        FamilyKind::kCrossPolytope, FamilyKind::kBitSampling}) {
+        FamilyKind::kCrossPolytope, FamilyKind::kBitSampling,
+        FamilyKind::kMinHash}) {
     const size_t d = 20, m = 18;
     const auto family = MakeFamily(kind, d, m, 2.0, 77);
     util::Rng rng(78);
@@ -616,12 +639,18 @@ TEST(HashWithAlternativesTest, EveryFamilyMatchesPerFunctionCalls) {
       family->Hash(v.data(), expected_h.data());
       EXPECT_EQ(h, expected_h) << FamilyKindName(kind);
       ASSERT_EQ(alts.size(), m);
-      std::vector<AltHash> single;
       for (size_t f = 0; f < m; ++f) {
-        family->Alternatives(f, v.data(), max_alts, &single);
-        ExpectSameAlternatives(alts[f], single,
-                               std::string(FamilyKindName(kind)) +
-                                   " f=" + std::to_string(f));
+        const std::string where = std::string(FamilyKindName(kind)) +
+                                  " max_alts=" + std::to_string(max_alts) +
+                                  " f=" + std::to_string(f);
+        EXPECT_LE(alts[f].size(), max_alts) << where;
+        for (size_t i = 0; i < alts[f].size(); ++i) {
+          EXPECT_NE(alts[f][i].value, h[f]) << where << " alt " << i;
+          if (i > 0) {
+            EXPECT_GE(alts[f][i].score, alts[f][i - 1].score)
+                << where << " alt " << i;
+          }
+        }
       }
     }
   }
@@ -664,10 +693,10 @@ TEST(RandomProjectionTest, NonFiniteAndHugeCoordinatesHashDeterministically) {
             kTiers[t]);
       }
       std::vector<HashValue> h(m), again(m);
+      std::vector<std::vector<AltHash>> alts;
       family.Hash(v.data(), h.data());
-      family.Hash(v.data(), again.data());
+      family.HashWithAlternatives(v.data(), 4, again.data(), &alts);
       EXPECT_EQ(h, again);
-      std::vector<AltHash> alts;
       for (size_t f = 0; f < m; ++f) {
         const double dot = util::Dot(ref.a.Row(f), v.data(), d);
         for (int t = 0; t < 2; ++t) {
@@ -692,11 +721,9 @@ TEST(RandomProjectionTest, NonFiniteAndHugeCoordinatesHashDeterministically) {
           expected = static_cast<HashValue>(std::floor(p));
         }
         EXPECT_EQ(h[f], expected) << "special=" << special << " f=" << f;
-        EXPECT_EQ(family.HashOne(f, v.data()), expected);
         // A saturated or NaN bucket has no neighbours to probe.
-        family.Alternatives(f, v.data(), 4, &alts);
         if (expected == kMin || expected == kMax) {
-          EXPECT_TRUE(alts.empty());
+          EXPECT_TRUE(alts[f].empty());
         }
       }
     }
@@ -719,7 +746,6 @@ TEST(SignProjectionTest, NonFiniteCoordinatesHashDeterministically) {
     for (size_t f = 0; f < m; ++f) {
       const double dot = util::Dot(ref.a.Row(f), v.data(), d);
       EXPECT_EQ(h[f], dot >= 0.0 ? 1 : 0);  // NaN hashes to 0
-      EXPECT_EQ(family.HashOne(f, v.data()), h[f]);
     }
   }
 }

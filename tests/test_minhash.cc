@@ -2,6 +2,7 @@
 
 #include "lsh/family_factory.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,14 +60,28 @@ TEST(MinHashTest, EmptySetHashesToSentinel) {
   for (const HashValue value : h) EXPECT_EQ(value, -1);
 }
 
-TEST(MinHashTest, HashOneMatchesBatch) {
-  MinHashFamily family(64, 12, 10);
+// The minimum over A ∪ B is the smaller of the minima over A and over B, so
+// each function of the union hashes to what it gives A or what it gives B.
+TEST(MinHashTest, UnionHashIsOneOfTheOperandHashes) {
+  const size_t dim = 64, m = 12;
+  MinHashFamily family(dim, m, 10);
   util::Rng rng(11);
-  const auto v = RandomSet(64, 0.3, &rng);
-  std::vector<HashValue> h(12);
-  family.Hash(v.data(), h.data());
-  for (size_t f = 0; f < 12; ++f) {
-    EXPECT_EQ(family.HashOne(f, v.data()), h[f]);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto a = RandomSet(dim, 0.3, &rng);
+    const auto b = RandomSet(dim, 0.3, &rng);
+    std::vector<float> both(dim);
+    for (size_t j = 0; j < dim; ++j) both[j] = std::max(a[j], b[j]);
+    std::vector<HashValue> ha(m), hb(m), hu(m);
+    family.Hash(a.data(), ha.data());
+    family.Hash(b.data(), hb.data());
+    family.Hash(both.data(), hu.data());
+    for (size_t f = 0; f < m; ++f) {
+      EXPECT_TRUE(hu[f] == ha[f] || hu[f] == hb[f])
+          << "trial=" << trial << " f=" << f;
+      ASSERT_GE(ha[f], 0) << "trial=" << trial << " f=" << f;
+      ASSERT_LT(ha[f], static_cast<HashValue>(dim));
+      EXPECT_GE(a[ha[f]], 0.5f) << "h_f(A) must be a member of A";
+    }
   }
 }
 

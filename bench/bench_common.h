@@ -12,6 +12,7 @@
 #include "eval/runner.h"
 #include "eval/workloads.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace lccs {
 namespace bench {
@@ -52,16 +53,10 @@ inline size_t NumCpus() {
   return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
-/// Effective util::ThreadPool worker count: the LCCS_POOL_WORKERS pin when
-/// set (the same variable the pool itself reads), hardware concurrency
-/// otherwise.
+/// The worker count util::ThreadPool actually runs with (LCCS_POOL_WORKERS
+/// when set, hardware concurrency otherwise — parsed by the pool alone).
 inline size_t PoolWorkers() {
-  const char* env = std::getenv("LCCS_POOL_WORKERS");
-  if (env != nullptr && *env != '\0') {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return NumCpus();
+  return util::ThreadPool::Instance().num_workers();
 }
 
 /// CMAKE_BUILD_TYPE baked in at compile time (bench/CMakeLists.txt) — a

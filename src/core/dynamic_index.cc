@@ -435,12 +435,10 @@ bool DynamicIndex::ClaimRebuild() {
 }
 
 void DynamicIndex::LaunchRebuild() {
-  // A dedicated thread, NOT a pool task: RunRebuild blocks on mutex_
-  // (shared at capture, exclusive at install), and queued pool tasks may be
-  // stolen by any thread helping to drain a ParallelRange — including a
-  // QueryBatch caller already holding mutex_ in shared mode, which would
-  // then recursively re-acquire the shared lock and self-deadlock waiting
-  // for exclusivity.
+  // A dedicated thread, NOT a pool task: the pool has no fire-and-forget
+  // entry (every ParallelFor blocks its caller until the range is done),
+  // and RunRebuild blocks on mutex_ (shared at capture, exclusive at
+  // install), which would park a pool worker behind the writers.
   std::lock_guard<std::mutex> lock(rebuild_mutex_);
   // The previous rebuild thread, if any, has already run FinishRebuild (the
   // caller won ClaimRebuild, so rebuild_in_flight_ was observed false) and

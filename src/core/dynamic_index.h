@@ -74,10 +74,9 @@ namespace core {
 /// readers ever see is the O(rows) reconciliation (bench/micro_dynamic).
 /// Snapshots acquired before the install keep the retired epoch and delta
 /// buffer alive and bit-identical for as long as they are held. (A
-/// dedicated thread and not a pool task: the rebuild blocks on the index
-/// rwlock, and a QueryBatch caller helping to drain a ParallelRange could
-/// steal a queued task and deadlock against the shared lock it already
-/// holds.)
+/// dedicated thread and not a pool task: the pool only runs fork-join
+/// ranges whose caller waits for them, it has no fire-and-forget entry, and
+/// the rebuild blocks on the index rwlock for as long as writers hold it.)
 ///
 /// Thread safety: Query/QueryBatch/AcquireSnapshot take a reader lock and
 /// may run freely in parallel; Insert/Remove take the writer lock and may

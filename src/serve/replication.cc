@@ -515,10 +515,16 @@ bool Replica::StreamOnce() {
             "Replica: bootstrap reply claims " + std::to_string(ckpt_len) +
             " checkpoint bytes, its header implies " + std::to_string(implied));
       }
+      // Capacity doubles with the bytes received but never passes
+      // ckpt_len, so a growth step holds at most have + ckpt_len bytes.
       while (image.size() < ckpt_len) {
         const size_t have = image.size();
         const size_t step = static_cast<size_t>(
             std::min<uint64_t>(kBootstrapStepBytes, ckpt_len - have));
+        if (image.capacity() < have + step) {
+          image.reserve(static_cast<size_t>(std::min<uint64_t>(
+              ckpt_len, std::max(2 * have, have + step))));
+        }
         image.resize(have + step);
         if (RecvFull(fd, image.data() + have, step, stopped) !=
             RecvStatus::kOk) {
@@ -527,6 +533,9 @@ bool Replica::StreamOnce() {
       }
       const ShardedIndex::CheckpointState state = WriteAheadLog::DecodeCheckpoint(
           image.data(), image.size(), "replication bootstrap");
+      // The decoded rows are a second copy of the image: free it before the
+      // restore builds the shards from them.
+      std::vector<unsigned char>().swap(image);
       if (state.state_version + 1 != start_version) {
         throw std::runtime_error(
             "Replica: bootstrap checkpoint does not meet the stream");

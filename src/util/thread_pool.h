@@ -1,27 +1,29 @@
 #ifndef LCCS_UTIL_THREAD_POOL_H_
 #define LCCS_UTIL_THREAD_POOL_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace lccs {
 namespace util {
 
-/// Lazily-initialized persistent work-stealing thread pool. Workers are
-/// spawned once (on first use) and live for the process, so small parallel
-/// batches stop paying std::thread creation/join latency on every call —
-/// the old ParallelFor spawned fresh threads per invocation, which dominated
+/// Lazily-initialized persistent fork-join pool. Workers are spawned once
+/// (on first use) and live for the process, so small parallel batches stop
+/// paying std::thread creation/join latency on every call — the old
+/// ParallelFor spawned fresh threads per invocation, which dominated
 /// AnnIndex::QueryBatch at batch sizes 1–64.
 ///
-/// Each worker owns a deque: it pops its own work LIFO (cache-warm) and
-/// steals FIFO from the other workers when idle. Submitting threads also
-/// participate: ParallelRange runs chunks on the caller and lets it steal
-/// until the range completes, so progress never depends on pool capacity
-/// (the pool works even with a single hardware thread).
+/// Every entry is a ParallelRange: the range is one job on a single
+/// mutex-guarded FIFO, and workers claim its chunks in order. The caller
+/// claims chunks of its own range only — never another caller's — so a
+/// serving window cannot end up running a consolidation's chunk, and the
+/// range still completes when every worker is busy elsewhere (the pool works
+/// even with a single hardware thread).
 ///
 /// Worker count defaults to std::thread::hardware_concurrency() and can be
 /// pinned with the LCCS_POOL_WORKERS environment variable (read once, at
@@ -35,7 +37,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
   ~ThreadPool();
 
-  size_t num_workers() const { return workers_.size(); }
+  size_t num_workers() const { return threads_.size(); }
 
   /// Chunked-range submit: splits [0, n) into min(parallelism, n) balanced
   /// contiguous chunks (sizes differ by at most one — no empty tail ranges)
@@ -50,22 +52,20 @@ class ThreadPool {
                      const std::function<void(size_t, size_t)>& fn);
 
  private:
-  struct Worker;
+  struct Job;
 
   explicit ThreadPool(size_t num_workers);
-  void WorkerLoop(size_t index);
-  /// Enqueues one task, round-robin across worker deques, and wakes the
-  /// target worker.
-  void PushTask(std::function<void()> task);
-  /// Pops one task — the home deque first (LIFO), then steals from the
-  /// other deques (FIFO) — and runs it. Returns false if every deque was
-  /// empty.
-  bool RunOneTask(size_t home_index);
+  void WorkerLoop();
+  /// Claims the next chunk of `job` (mu_ held via `lock`), runs it with mu_
+  /// released, and records its completion. Returns with mu_ held.
+  void RunChunk(Job& job, std::unique_lock<std::mutex>& lock);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // a job was queued, or stop_
+  std::condition_variable done_cv_;  // some job's last chunk finished
+  std::deque<Job*> queue_;           // jobs with unclaimed chunks, FIFO
+  bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> next_submit_{0};
 };
 
 /// Runs fn(begin, end) over [0, n) split into contiguous chunks across up to

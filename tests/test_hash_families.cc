@@ -131,19 +131,43 @@ TEST(RandomProjectionTest, DeterministicGivenSeed) {
 
 TEST(RandomProjectionTest, TranslationByWShiftsBucketByOne) {
   // h = floor((a·v + b)/w): moving v so that a·v increases by exactly w must
-  // increase the bucket by exactly 1. Construct the move along a itself.
+  // increase the bucket by exactly 1. Construct the move along a itself:
+  // v' = v + (w/|a|²)·a, with a the reference draw of the same seed.
   const size_t d = 8;
-  RandomProjectionFamily family(d, 1, 3.0, 21);
-  const ReferenceProjections ref = DrawReference(d, 1, 3.0, 21);
+  const double w = 3.0;
+  RandomProjectionFamily family(d, 1, w, 21);
+  const ReferenceProjections ref = DrawReference(d, 1, w, 21);
+  const float* a = ref.a.Row(0);
+  const double scale = w / util::Dot(a, a, d);
+  auto projection = [&](const std::vector<float>& v) {
+    return (util::Dot(a, v.data(), d) + ref.b[0]) / w;
+  };
+  // Float rounding of v' moves its projection by far less than 0.01, so
+  // away from a bucket edge the floor is unambiguous on both sides.
+  auto clear_of_edge = [](double p) {
+    const double frac = p - std::floor(p);
+    return frac >= 0.01 && frac <= 0.99;
+  };
   util::Rng rng(3);
-  std::vector<float> v(d);
-  rng.FillGaussian(v.data(), d);
-  // The projection (a·v+b)/w from the reference draw of the same seed: the
-  // hash is its floor.
-  const double p0 = (util::Dot(ref.a.Row(0), v.data(), d) + ref.b[0]) / 3.0;
-  HashValue h0 = 0;
-  family.Hash(v.data(), &h0);
-  EXPECT_EQ(h0, static_cast<HashValue>(std::floor(p0)));
+  size_t checked = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<float> v(d);
+    rng.FillGaussian(v.data(), d);
+    std::vector<float> moved(d);
+    for (size_t j = 0; j < d; ++j) {
+      moved[j] = static_cast<float>(v[j] + scale * a[j]);
+    }
+    const double p0 = projection(v);
+    const double p1 = projection(moved);
+    if (!clear_of_edge(p0) || !clear_of_edge(p1)) continue;
+    HashValue h0 = 0, h1 = 0;
+    family.Hash(v.data(), &h0);
+    family.Hash(moved.data(), &h1);
+    EXPECT_EQ(h0, static_cast<HashValue>(std::floor(p0))) << "trial " << trial;
+    EXPECT_EQ(h1, h0 + 1) << "trial " << trial;
+    ++checked;
+  }
+  EXPECT_GE(checked, 12u);
 }
 
 TEST(RandomProjectionTest, CollisionProbabilityFormulaEndpoints) {

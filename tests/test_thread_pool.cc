@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -168,6 +170,61 @@ TEST(ThreadPoolTest, ManySmallBatchesReusePool) {
     });
   }
   EXPECT_EQ(total.load(), 6000u);
+}
+
+// Set on the thread that runs range B in CallerRunsOnlyItsOwnRange.
+thread_local bool tl_is_caller_b = false;
+
+TEST(ThreadPoolTest, CallerRunsOnlyItsOwnRange) {
+  // Range A occupies every worker and its own caller with chunks that block
+  // until released, and still has chunks queued. Range B, submitted from a
+  // second thread, must then complete on B's caller alone: a caller that
+  // picks up A's queued chunks would stall behind A.
+  const size_t workers = ThreadPool::Instance().num_workers();
+  const size_t a_chunks = 4 * workers + 8;
+  const size_t b_chunks = 2 * workers + 2;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<size_t> a_started{0};
+  std::atomic<bool> a_ran_on_b{false};
+  std::thread a([&] {
+    ParallelFor(
+        a_chunks,
+        [&](size_t, size_t) {
+          if (tl_is_caller_b) a_ran_on_b.store(true);
+          a_started.fetch_add(1);
+          released.wait();
+        },
+        a_chunks);
+  });
+  const auto start_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (a_started.load() < workers + 1 &&
+         std::chrono::steady_clock::now() < start_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(a_started.load(), workers + 1);
+
+  std::atomic<size_t> b_total{0};
+  std::promise<void> b_done;
+  std::future<void> b_finished = b_done.get_future();
+  std::thread b([&] {
+    tl_is_caller_b = true;
+    ParallelFor(
+        b_chunks,
+        [&](size_t begin, size_t end) { b_total.fetch_add(end - begin); },
+        b_chunks);
+    b_done.set_value();
+  });
+  const bool b_in_time = b_finished.wait_for(std::chrono::seconds(3)) ==
+                         std::future_status::ready;
+  release.set_value();
+  b.join();
+  a.join();
+  EXPECT_TRUE(b_in_time) << "range B stalled behind range A";
+  EXPECT_FALSE(a_ran_on_b.load()) << "B's caller ran a chunk of range A";
+  EXPECT_EQ(b_total.load(), b_chunks);
+  EXPECT_EQ(a_started.load(), a_chunks);
 }
 
 }  // namespace

@@ -273,35 +273,17 @@ bool DynamicIndex::Contains(int32_t id) const {
 }
 
 util::Matrix DynamicIndex::LiveVectors(std::vector<int32_t>* ids) const {
-  auto lock = ReadLock();
-  return LiveVectorsLocked(ids);
-}
-
-util::Matrix DynamicIndex::LiveVectorsLocked(std::vector<int32_t>* ids) const {
-  const size_t d = options_.dim;
-  util::Matrix out(survivors_, d);
-  if (ids != nullptr) ids->clear();
+  const Snapshot snap = AcquireSnapshot();
+  util::Matrix out(snap.live_count(), snap.dim_);
+  if (ids != nullptr) {
+    ids->clear();
+    ids->reserve(snap.live_count());
+  }
   size_t row = 0;
-  auto append = [&](int32_t id, const float* vec) {
-    std::memcpy(out.Row(row), vec, d * sizeof(float));
+  snap.ForEachLive([&](int32_t id, const float* vec) {
+    std::memcpy(out.Row(row++), vec, snap.dim_ * sizeof(float));
     if (ids != nullptr) ids->push_back(id);
-    ++row;
-  };
-  // Epoch ids all precede delta ids, and both regions are stored ascending,
-  // so this sweep emits global-id order without sorting. A row is live iff
-  // unstamped. Const access only: a non-const Row() on the shared epoch
-  // handle would trigger its copy-on-write clone.
-  if (epoch_ != nullptr) {
-    const EpochState& ep = *epoch_;
-    for (size_t r = 0; r < ep.ids.size(); ++r) {
-      if (ep.deleted_at[r].load(std::memory_order_relaxed) != 0) continue;
-      append(ep.ids[r], ep.data.data.Row(r));
-    }
-  }
-  for (size_t s = 0; s < delta_len_; ++s) {
-    if (delta_->deleted_at[s].load(std::memory_order_relaxed) != 0) continue;
-    append(delta_->ids[s], delta_->rows.get() + s * d);
-  }
+  });
   assert(row == out.rows());
   return out;
 }
@@ -394,7 +376,8 @@ bool DynamicIndex::Remove(int32_t id) {
   return true;
 }
 
-Snapshot DynamicIndex::AcquireSnapshotLocked() const {
+Snapshot DynamicIndex::AcquireSnapshot() const {
+  auto lock = ReadLock();
   Snapshot snap;
   snap.epoch_ = epoch_;
   snap.delta_ = delta_;
@@ -402,16 +385,12 @@ Snapshot DynamicIndex::AcquireSnapshotLocked() const {
   // Every stamp at or below version_ is on an epoch row already counted in
   // epoch_removed_, so over-fetching by it guarantees k survivors.
   snap.epoch_overfetch_ = epoch_removed_;
+  snap.live_count_ = survivors_;
   snap.version_ = version_;
   snap.epoch_sequence_ = epoch_sequence_;
   snap.metric_ = options_.metric;
   snap.dim_ = options_.dim;
   return snap;
-}
-
-Snapshot DynamicIndex::AcquireSnapshot() const {
-  auto lock = ReadLock();
-  return AcquireSnapshotLocked();
 }
 
 std::vector<util::Neighbor> DynamicIndex::Query(const float* query,
@@ -475,68 +454,20 @@ void DynamicIndex::FinishRebuild(std::exception_ptr error) {
 
 void DynamicIndex::RunRebuild() {
   try {
-    // Capture under the reader lock: the epoch shared_ptr, the delta buffer
-    // shared_ptr, the used prefix length, and which rows of both regions
-    // are stamped as of now — never the floats themselves. Both stores
-    // are immutable over the captured range (rows are written before the
-    // releasing writer unlock that happens-before this reader lock) and
-    // kept alive by the shared_ptrs, so the heavy survivor materialization
-    // below runs with no lock held; for a memory-mapped epoch this is the
-    // difference between consolidation costing O(delta) heap and costing
-    // the whole base set. Writers wait only for the O(rows) stamp reads.
-    std::shared_ptr<const EpochState> old_epoch;
-    std::shared_ptr<const DeltaBuffer> old_delta;
-    std::vector<uint8_t> epoch_dead;
-    std::vector<uint8_t> delta_dead;
-    size_t delta_end = 0;
+    // Capture: an ordinary snapshot, pinning the epoch, the delta buffer,
+    // its used prefix and the version in O(1) under the reader lock —
+    // never the floats themselves. The survivors are then materialized
+    // from the pinned stores with no lock held; for a memory-mapped epoch
+    // this is the difference between consolidation costing O(delta) heap
+    // and costing the whole base set. ForEachLive is the one survivor walk
+    // for both sinks below, so the spill and heap epochs can never diverge
+    // in ordering or tombstone handling (the equivalence the spill-vs-heap
+    // test protects).
+    const Snapshot snap = AcquireSnapshot();
     const size_t d = options_.dim;
-    {
-      auto lock = ReadLock();
-      old_epoch = epoch_;
-      if (old_epoch != nullptr) {
-        epoch_dead.resize(old_epoch->ids.size());
-        for (size_t r = 0; r < epoch_dead.size(); ++r) {
-          epoch_dead[r] =
-              old_epoch->deleted_at[r].load(std::memory_order_relaxed) != 0;
-        }
-      }
-      old_delta = delta_;
-      delta_end = delta_len_;
-      delta_dead.resize(delta_end);
-      for (size_t s = 0; s < delta_end; ++s) {
-        delta_dead[s] =
-            old_delta->deleted_at[s].load(std::memory_order_relaxed) != 0;
-      }
-    }
-
-    // Survivors, in ascending global-id order (epoch ids all precede delta
-    // ids; both regions are stored ascending).
     std::vector<int32_t> ids;
+    ids.reserve(snap.live_count());
     storage::VectorStoreRef rows;
-    const EpochState* ep = old_epoch.get();
-    const size_t epoch_rows = ep != nullptr ? ep->ids.size() : 0;
-    size_t live = 0;
-    for (size_t r = 0; r < epoch_rows; ++r) live += epoch_dead[r] ? 0 : 1;
-    for (size_t s = 0; s < delta_end; ++s) live += delta_dead[s] ? 0 : 1;
-    ids.reserve(live);
-    // One survivor sweep for both sinks below, so the spill and heap
-    // epochs can never diverge in ordering or tombstone handling (the
-    // equivalence the spill-vs-heap test protects). ScanRows, not a bare
-    // loop: the old epoch may itself be a budgeted mmap store, and this
-    // full sweep is exactly the scan the residency clock (and read-ahead)
-    // must see.
-    const auto sweep_survivors = [&](auto&& sink) {
-      if (epoch_rows > 0) {
-        storage::ScanRows(*ep->data.data.get(), 0, epoch_rows, [&](size_t r) {
-          if (!epoch_dead[r]) sink(ep->ids[r], ep->data.data.Row(r));
-        });
-      }
-      for (size_t s = 0; s < delta_end; ++s) {
-        if (!delta_dead[s]) {
-          sink(old_delta->ids[s], old_delta->rows.get() + s * d);
-        }
-      }
-    };
     if (!options_.spill_dir.empty()) {
       // Spill: stream survivors into a flat file (O(row) memory) and map it
       // back. The MmapStore unlinks the file when the epoch is released, so
@@ -549,7 +480,7 @@ void DynamicIndex::RunRebuild() {
           options_.spill_dir + "/lccs-epoch-" + std::to_string(::getpid()) +
           "-" + std::to_string(g_spill_counter.fetch_add(1)) + ".flat";
       storage::FlatFileWriter writer(path, d);
-      sweep_survivors([&](int32_t id, const float* vec) {
+      snap.ForEachLive([&](int32_t id, const float* vec) {
         writer.AppendRow(vec);
         ids.push_back(id);
       });
@@ -567,12 +498,13 @@ void DynamicIndex::RunRebuild() {
         throw;
       }
     } else {
-      util::Matrix heap_rows(live, d);
+      util::Matrix heap_rows(snap.live_count(), d);
       size_t row = 0;
-      sweep_survivors([&](int32_t id, const float* vec) {
+      snap.ForEachLive([&](int32_t id, const float* vec) {
         std::memcpy(heap_rows.Row(row++), vec, d * sizeof(float));
         ids.push_back(id);
       });
+      assert(row == heap_rows.rows());
       rows = std::move(heap_rows);
     }
     // Build: the expensive part — hashing + CSA construction — runs with no
@@ -588,27 +520,29 @@ void DynamicIndex::RunRebuild() {
       // Rows removed since capture are baked into the new static structure;
       // stamp them with the current version. No snapshot older than this
       // install can ever see the new epoch, so the original remove versions
-      // are not needed. Walk the captured survivors in the sweep's order,
-      // reading each source row's stamp now: the old epoch is still epoch_
+      // are not needed. The captured survivors are the rows the capture
+      // sees as visible, walked in ForEachLive's order; reading each source
+      // row's stamp now still tells them apart, since a stamp written after
+      // the capture lies above its version. The old epoch is still epoch_
       // (installs and Build hold the rebuild claim), and a doubling during
       // the build copied slots to the same indices of the current delta
       // generation, which holds the stamps written since.
-      assert(epoch_.get() == ep && (delta_end == 0 || delta_ != nullptr));
+      assert(epoch_ == snap.epoch_ &&
+             (snap.delta_len_ == 0 || delta_ != nullptr));
       size_t row = 0;
       size_t reconciled = 0;
       const auto reconcile = [&](const std::atomic<uint64_t>& source) {
+        if (!snap.Visible(source)) return;
         if (source.load(std::memory_order_relaxed) != 0) {
           epoch->deleted_at[row].store(version_, std::memory_order_relaxed);
           ++reconciled;
         }
         ++row;
       };
-      for (size_t r = 0; r < epoch_rows; ++r) {
-        if (!epoch_dead[r]) reconcile(epoch_->deleted_at[r]);
-      }
-      for (size_t s = 0; s < delta_end; ++s) {
-        if (!delta_dead[s]) reconcile(delta_->deleted_at[s]);
-      }
+      const size_t epoch_rows = epoch_ != nullptr ? epoch_->ids.size() : 0;
+      for (size_t r = 0; r < epoch_rows; ++r) reconcile(epoch_->deleted_at[r]);
+      const size_t delta_end = snap.delta_len_;
+      for (size_t s = 0; s < delta_end; ++s) reconcile(delta_->deleted_at[s]);
       assert(row == epoch->ids.size());
       // Inserts since capture become the new delta generation, copied from
       // the current buffer with their stamps verbatim — every stamp is at

@@ -40,9 +40,9 @@ namespace core {
 ///   * **tombstones**: one per-row atomic version stamp, epoch or delta,
 ///     carrying the version of the mutation that removed the row (rows
 ///     removed while a rebuild ran are stamped at its install). The wrapped
-///     index never sees them: only core::Snapshot reads the stamps, and a
-///     row is visible iff it is unstamped or stamped after the reader's
-///     version, so any point in mutation history can still be read.
+///     index never sees them: only core::Snapshot reads the stamps, through
+///     its one visibility rule, so any point in mutation history can still
+///     be read.
 ///
 /// Reads are MVCC snapshots: AcquireSnapshot() captures the epoch
 /// shared_ptr, the delta buffer shared_ptr, the delta prefix length and the
@@ -230,9 +230,9 @@ class DynamicIndex : public baselines::AnnIndex {
   bool rebuild_in_flight() const;
 
   /// Copies the surviving vectors in ascending global-id order; `ids`
-  /// (optional) receives the matching global ids. This is the from-scratch
-  /// rebuild input — the oracle tests and eval::DynamicRecall build their
-  /// exact reference over it.
+  /// (optional) receives the matching global ids. Acquires a snapshot and
+  /// copies its Snapshot::ForEachLive walk with no lock held. The oracle
+  /// tests and eval::DynamicRecall build their exact reference over it.
   util::Matrix LiveVectors(std::vector<int32_t>* ids = nullptr) const;
 
   /// Starts a background consolidation on a dedicated thread if none is in
@@ -269,10 +269,6 @@ class DynamicIndex : public baselines::AnnIndex {
   /// Stats::consolidation_due; caller must hold mutex_ (either mode).
   bool ConsolidationDueLocked() const;
 
-  /// Snapshot capture body; caller must hold mutex_ (either mode).
-  Snapshot AcquireSnapshotLocked() const;
-  /// LiveVectors body; caller must hold mutex_ (either mode).
-  util::Matrix LiveVectorsLocked(std::vector<int32_t>* ids) const;
   /// Makes room for one more delta slot: allocates the first buffer, or
   /// clones into a doubled successor when full — the version-chain step
   /// that lets snapshots keep reading the retired buffer. Caller must hold
@@ -284,9 +280,9 @@ class DynamicIndex : public baselines::AnnIndex {
   /// Spawns rebuild_thread_ running RunRebuild (joining the previous,
   /// already-finished thread first). Caller must have won ClaimRebuild.
   void LaunchRebuild();
-  /// The consolidation pipeline: capture (reader lock) -> build (no lock)
-  /// -> install (writer lock). Runs on rebuild_thread_ or inline
-  /// (Consolidate).
+  /// The consolidation pipeline: capture (a snapshot) -> build from its
+  /// survivors (no lock) -> install (writer lock). Runs on rebuild_thread_
+  /// or inline (Consolidate).
   void RunRebuild();
   void FinishRebuild(std::exception_ptr error);
 

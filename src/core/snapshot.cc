@@ -19,17 +19,10 @@ DeltaBuffer::DeltaBuffer(size_t capacity_, size_t dim_)
 
 std::vector<util::Neighbor> Snapshot::FilterEpoch(
     std::vector<util::Neighbor> stat, size_t k) const {
-  // Drop rows removed at or before this snapshot's version. Stamps above
-  // version_ belong to mutations this snapshot must not see; the relaxed
-  // load is safe because stamps at or below version_ were published before
-  // the acquiring reader-lock hold, and later stamps only ever move a row
-  // from "live" to "dead above version_" — both filtered identically.
   size_t kept = 0;
   for (const util::Neighbor& nb : stat) {
     const size_t row = static_cast<size_t>(nb.id);
-    const uint64_t stamp =
-        epoch_->deleted_at[row].load(std::memory_order_relaxed);
-    if (stamp != 0 && stamp <= version_) continue;
+    if (!Visible(epoch_->deleted_at[row])) continue;
     // Row -> global id: a monotone remap (snapshot rows are stored in
     // ascending global-id order), so the (distance, id) order is unchanged.
     stat[kept] = util::Neighbor{epoch_->ids[row], nb.dist};
@@ -82,9 +75,7 @@ std::vector<std::vector<util::Neighbor>> Snapshot::QueryBatch(
   if (delta_len_ > 0) {
     live.reserve(delta_len_);
     for (size_t s = 0; s < delta_len_; ++s) {
-      const uint64_t stamp =
-          delta_->deleted_at[s].load(std::memory_order_relaxed);
-      if (stamp == 0 || stamp > version_) {
+      if (Visible(delta_->deleted_at[s])) {
         live.push_back(static_cast<int32_t>(s));
       }
     }

@@ -8,6 +8,7 @@
 
 #include "baselines/ann_index.h"
 #include "dataset/dataset.h"
+#include "storage/vector_store.h"
 #include "util/metric.h"
 #include "util/topk.h"
 
@@ -32,22 +33,21 @@ struct DeltaBuffer {
   size_t dim = 0;
   std::unique_ptr<float[]> rows;     ///< capacity x dim, slot-major
   std::unique_ptr<int32_t[]> ids;    ///< slot -> global id, ascending
-  /// Slot -> version of the mutation that removed it; 0 = live. A snapshot
-  /// at version V treats a slot as deleted iff 0 < stamp <= V.
+  /// Slot -> version of the mutation that removed it; 0 = live. Read only
+  /// through core::Snapshot's visibility rule.
   std::unique_ptr<std::atomic<uint64_t>[]> deleted_at;
 };
 
 /// One consolidation generation of a DynamicIndex: the static snapshot the
 /// wrapped AnnIndex was built over, plus one version stamp per row. The
 /// wrapped index is immutable after Build and knows nothing about deletes;
-/// core::Snapshot is the only reader of the stamps and hides a row exactly
-/// when 0 < stamp <= its version. Rows removed while the epoch was being
-/// built are stamped at install.
+/// core::Snapshot's visibility rule hides the removed rows. Rows removed
+/// while the epoch was being built are stamped at install.
 struct EpochState {
   dataset::Dataset data;           ///< snapshot (queries member unused)
   std::vector<int32_t> ids;        ///< row -> global id, strictly ascending
-  /// Row -> version of the mutation that removed it; 0 = live. Same
-  /// visibility rule as DeltaBuffer::deleted_at.
+  /// Row -> version of the mutation that removed it; 0 = live. Read only
+  /// through core::Snapshot's visibility rule.
   std::unique_ptr<std::atomic<uint64_t>[]> deleted_at;
   std::unique_ptr<baselines::AnnIndex> index;  ///< null when no rows
 };
@@ -87,18 +87,52 @@ class Snapshot {
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const;
 
+  /// Calls fn(id, row) for every row visible at version(), in ascending
+  /// global-id order: the epoch rows (read through storage::ScanRows, so a
+  /// budgeted mmap epoch sees the sweep), then the pinned delta prefix.
+  /// `row` points at the row's dim floats and stays valid while the
+  /// snapshot is held. The one survivor walk: consolidation, LiveVectors
+  /// and checkpoint capture all read the live set through it.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    const size_t epoch_rows = epoch_ != nullptr ? epoch_->ids.size() : 0;
+    if (epoch_rows > 0) {
+      const EpochState& ep = *epoch_;
+      storage::ScanRows(*ep.data.data.get(), 0, epoch_rows, [&](size_t r) {
+        if (Visible(ep.deleted_at[r])) fn(ep.ids[r], ep.data.data.Row(r));
+      });
+    }
+    for (size_t s = 0; s < delta_len_; ++s) {
+      if (Visible(delta_->deleted_at[s])) {
+        fn(delta_->ids[s], delta_->rows.get() + s * dim_);
+      }
+    }
+  }
+
   /// Mutations (of the owning DynamicIndex) applied before acquisition.
   uint64_t version() const { return version_; }
   /// Consolidations completed before acquisition (test observability).
   uint64_t epoch_sequence() const { return epoch_sequence_; }
   /// Rows visible to this snapshot's delta scan.
   size_t delta_size() const { return delta_len_; }
+  /// Rows visible at version(): the number ForEachLive visits.
+  size_t live_count() const { return live_count_; }
 
  private:
   friend class DynamicIndex;
 
-  /// Epoch results with rows stamped at or before version_ dropped and row
-  /// ids remapped to global ids, truncated to k.
+  /// The one visibility rule: a row is visible at version_ iff it is
+  /// unstamped or was removed by a later mutation. The relaxed load is
+  /// safe: stamps at or below version_ were published before the acquiring
+  /// reader-lock hold, and later stamps only ever move a row from "live"
+  /// to "dead above version_", both visible here.
+  bool Visible(const std::atomic<uint64_t>& stamp) const {
+    const uint64_t v = stamp.load(std::memory_order_relaxed);
+    return v == 0 || v > version_;
+  }
+
+  /// Epoch results with invisible rows dropped and row ids remapped to
+  /// global ids, truncated to k.
   std::vector<util::Neighbor> FilterEpoch(std::vector<util::Neighbor> stat,
                                           size_t k) const;
   /// Exact brute-force top-k over the live pinned delta prefix, global ids.
@@ -113,6 +147,7 @@ class Snapshot {
   std::shared_ptr<const DeltaBuffer> delta_;
   size_t delta_len_ = 0;       ///< pinned delta prefix (slots)
   size_t epoch_overfetch_ = 0; ///< epoch rows stamped at acquisition
+  size_t live_count_ = 0;      ///< rows visible at version_
   uint64_t version_ = 0;
   uint64_t epoch_sequence_ = 0;
   util::Metric metric_ = util::Metric::kEuclidean;

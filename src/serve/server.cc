@@ -155,6 +155,8 @@ Server::Stats Server::stats() const {
   out.windows_closed_shutdown =
       closed_shutdown_.load(std::memory_order_relaxed);
   out.rebuilds_triggered = rebuilds_triggered_.load(std::memory_order_relaxed);
+  out.checkpoint_failures =
+      checkpoint_failures_.load(std::memory_order_relaxed);
   if (options_.wal != nullptr) {
     const WriteAheadLog::Stats wal = options_.wal->stats();
     out.wal_fsyncs = wal.fsyncs;
@@ -212,15 +214,18 @@ void Server::WriterLoop() {
     }
     if (options_.wal != nullptr && options_.checkpoint_every > 0 &&
         ++mutations_since_checkpoint >= options_.checkpoint_every) {
-      // Ack latency hygiene: a checkpoint stalls this thread for a full
-      // live-set copy, so release what is already fsync-coverable first.
+      // Ack latency hygiene: a checkpoint stalls this thread while it copies
+      // the live set out of a pinned snapshot and writes and fsyncs the
+      // image, so release what is already fsync-coverable first.
       FlushPendingAcks(&pending);
       try {
         CheckpointNow();
       } catch (...) {
         // A failed checkpoint costs nothing but disk reclamation — the WAL
         // keeps every record and recovery falls back to the older cut. The
-        // writer must keep serving acks regardless.
+        // writer must keep serving acks regardless; the failure is counted
+        // so a log that can never checkpoint shows in stats().
+        checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
       }
       mutations_since_checkpoint = 0;
     }

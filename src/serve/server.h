@@ -195,6 +195,9 @@ class Server {
     uint64_t windows_closed_deadline = 0;
     uint64_t windows_closed_shutdown = 0;
     uint64_t rebuilds_triggered = 0;
+    /// Periodic (checkpoint_every) checkpoints that threw; the writer
+    /// drops the error and keeps serving, the WAL keeps every record.
+    uint64_t checkpoint_failures = 0;
     // Durability counters, mirrored from the attached WriteAheadLog
     // (all zero without one) — the observable cost of each fsync policy.
     uint64_t wal_fsyncs = 0;
@@ -273,6 +276,7 @@ class Server {
   std::atomic<uint64_t> closed_deadline_{0};
   std::atomic<uint64_t> closed_shutdown_{0};
   std::atomic<uint64_t> rebuilds_triggered_{0};
+  std::atomic<uint64_t> checkpoint_failures_{0};
 
   std::thread window_thread_;
   std::thread writer_thread_;

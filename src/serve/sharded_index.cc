@@ -234,51 +234,42 @@ std::vector<core::DynamicIndex::Stats> ShardedIndex::ShardStats() const {
 }
 
 util::Matrix ShardedIndex::LiveVectors(std::vector<int32_t>* ids) const {
-  auto lock = ReadLock();
-  return LiveVectorsLocked(ids);
-}
-
-util::Matrix ShardedIndex::LiveVectorsLocked(std::vector<int32_t>* ids) const {
-  const size_t S = shards_.size();
-  const size_t d = options_.dim;
-  // Each shard lists its survivors in ascending global-id order, so an
-  // S-way merge of the lists is the global order.
-  std::vector<util::Matrix> rows(S);
-  std::vector<std::vector<int32_t>> shard_ids(S);
-  size_t total = 0;
-  for (size_t s = 0; s < S; ++s) {
-    rows[s] = shards_[s]->LiveVectors(&shard_ids[s]);
-    total += shard_ids[s].size();
-  }
-  util::Matrix out(total, d);
-  if (ids != nullptr) {
-    ids->clear();
-    ids->reserve(total);
-  }
-  std::vector<size_t> next(S, 0);
-  for (size_t i = 0; i < total; ++i) {
-    size_t best = S;
-    for (size_t s = 0; s < S; ++s) {
-      if (next[s] < shard_ids[s].size() &&
-          (best == S || shard_ids[s][next[s]] < shard_ids[best][next[best]])) {
-        best = s;
-      }
-    }
-    std::memcpy(out.Row(i), rows[best].Row(next[best]), d * sizeof(float));
-    if (ids != nullptr) ids->push_back(shard_ids[best][next[best]]);
-    ++next[best];
-  }
-  return out;
+  CheckpointState state = CaptureCheckpointState();
+  if (ids != nullptr) *ids = std::move(state.ids);
+  return std::move(state.vectors);
 }
 
 ShardedIndex::CheckpointState ShardedIndex::CaptureCheckpointState() const {
-  auto lock = ReadLock();
   CheckpointState state;
-  state.state_version = state_version_;
-  state.next_id = next_id_;
-  state.metric = options_.metric;
-  state.dim = options_.dim;
-  state.vectors = LiveVectorsLocked(&state.ids);
+  ShardedSnapshot snap;
+  {
+    auto lock = ReadLock();
+    snap = AcquireSnapshotLocked();
+    state.state_version = state_version_;
+    state.next_id = next_id_;
+    state.metric = options_.metric;
+    state.dim = options_.dim;
+  }
+  // Outside the lock: the pinned cut stays fixed while writers go on. Each
+  // shard walks its survivors in ascending global-id order, so merging the
+  // S (id, row) runs gives the global order; every row is then copied once.
+  size_t total = 0;
+  for (const core::Snapshot& shard : snap.shards_) total += shard.live_count();
+  std::vector<std::pair<int32_t, const float*>> live;
+  live.reserve(total);
+  for (const core::Snapshot& shard : snap.shards_) {
+    const size_t mid = live.size();
+    shard.ForEachLive(
+        [&](int32_t id, const float* row) { live.emplace_back(id, row); });
+    std::inplace_merge(live.begin(), live.begin() + mid, live.end());
+  }
+  state.ids.reserve(live.size());
+  state.vectors = util::Matrix(live.size(), state.dim);
+  for (size_t i = 0; i < live.size(); ++i) {
+    state.ids.push_back(live[i].first);
+    std::memcpy(state.vectors.Row(i), live[i].second,
+                state.dim * sizeof(float));
+  }
   return state;
 }
 
@@ -362,6 +353,10 @@ bool ShardedIndex::Remove(int32_t id) { return ApplyRemove(id).applied; }
 
 ShardedSnapshot ShardedIndex::AcquireSnapshot() const {
   auto lock = ReadLock();
+  return AcquireSnapshotLocked();
+}
+
+ShardedSnapshot ShardedIndex::AcquireSnapshotLocked() const {
   ShardedSnapshot snap;
   snap.state_version_ = state_version_;
   snap.shards_.reserve(shards_.size());

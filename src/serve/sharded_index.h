@@ -220,8 +220,9 @@ class ShardedIndex : public baselines::AnnIndex {
   std::vector<core::DynamicIndex::Stats> ShardStats() const;
 
   /// Copies the surviving vectors in ascending global-id order across all
-  /// shards; `ids` (optional) receives the matching global ids. The oracle
-  /// input, exactly like DynamicIndex::LiveVectors.
+  /// shards; `ids` (optional) receives the matching global ids. The ids and
+  /// rows of CaptureCheckpointState; the oracle input, exactly like
+  /// DynamicIndex::LiveVectors.
   util::Matrix LiveVectors(std::vector<int32_t>* ids = nullptr) const;
 
   // --- Checkpointing --------------------------------------------------------
@@ -243,8 +244,10 @@ class ShardedIndex : public baselines::AnnIndex {
     util::Matrix vectors;      ///< ids.size() x dim; row i = vector of ids[i]
   };
 
-  /// Captures a CheckpointState under one reader-lock hold — an atomic cut
-  /// at state_version(), concurrent with queries and snapshots.
+  /// Captures a CheckpointState: an atomic cut at state_version(). The
+  /// reader lock is held only to pin a ShardedSnapshot and read the
+  /// counters; the live set is then read from the pinned shard snapshots
+  /// and copied once with no lock held, so writers are not held up by it.
   CheckpointState CaptureCheckpointState() const;
 
   /// Replaces the whole contents with `state`: every surviving row is
@@ -307,8 +310,8 @@ class ShardedIndex : public baselines::AnnIndex {
   std::shared_lock<std::shared_mutex> ReadLock() const;
   std::unique_lock<std::shared_mutex> WriteLock() const;
 
-  /// LiveVectors body; caller holds (at least) the reader lock.
-  util::Matrix LiveVectorsLocked(std::vector<int32_t>* ids) const;
+  /// AcquireSnapshot body; caller holds (at least) the reader lock.
+  ShardedSnapshot AcquireSnapshotLocked() const;
 
   core::DynamicIndex::Factory factory_;
   Options options_;

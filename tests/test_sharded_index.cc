@@ -4,8 +4,9 @@
 // window composition and fan-out, a failing shard failing its whole window,
 // the concurrent shard build (every shard equal to a DynamicIndex built
 // alone over its slice, a failing shard build keeping the previous
-// generation), and the consolidation scheduler (MaintainShards policy over
-// DynamicIndex::stats snapshots).
+// generation), checkpoint captures racing mutations (each one the atomic
+// cut at its version), and the consolidation scheduler (MaintainShards
+// policy over DynamicIndex::stats snapshots).
 //
 // Shard configurations run in exhaustive-verification mode where oracle
 // identity is asserted, exactly like tests/test_dynamic_index.cc.
@@ -15,8 +16,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -764,6 +767,107 @@ TEST(ShardedIndexBuild, FailingShardBuildKeepsThePreviousGeneration) {
     index.RestoreCheckpointState(foreign);
     EXPECT_EQ(index.state_version(), foreign.state_version);
     EXPECT_EQ(index.live_count(), foreign.ids.size());
+  }
+}
+
+// A checkpoint captured while another thread keeps mutating is the atomic
+// cut at its state_version: its ids, vector bytes and next_id equal a
+// replay of exactly the ops up to that version over the built rows. The
+// mutator also schedules shard consolidations, so captures race epoch
+// installs as well as inserts and removes.
+TEST(ShardedIndexCheckpoint, CaptureRacingMutationsMatchesReplayAtItsVersion) {
+  constexpr size_t kRows = 2000;
+  constexpr size_t kOps = 3000;
+  constexpr size_t kCaptures = 20;
+  const auto data = MakeData(kRows, 131, 1);
+  ShardedIndex::Options options;
+  options.num_shards = 3;
+  options.rebuild_threshold = 128;
+  ShardedIndex index(LinearScanFactory(), options);
+  index.Build(data);
+
+  // Op i (0-based) becomes mutation version i + 1: 60% inserts, removes
+  // aimed anywhere an id could exist by then (live, dead or unassigned).
+  struct Op {
+    bool is_insert = false;
+    std::vector<float> vec;
+    int32_t target = -1;
+  };
+  std::vector<Op> ops(kOps);
+  util::Rng rng(132);
+  for (size_t i = 0; i < kOps; ++i) {
+    ops[i].is_insert = rng.NextBounded(10) < 6;
+    if (ops[i].is_insert) {
+      ops[i].vec = RandomVector(rng);
+    } else {
+      ops[i].target = static_cast<int32_t>(rng.NextBounded(kRows + i));
+    }
+  }
+
+  // The ops run in kCaptures chunks. Before chunk c the mutator waits for
+  // capture c to start, so each capture overlaps the chunk after it.
+  constexpr size_t kChunk = kOps / kCaptures;
+  std::vector<uint64_t> versions(kOps, 0);
+  std::atomic<size_t> applied{0};
+  std::atomic<size_t> captures_started{0};
+  std::thread mutator([&] {
+    for (size_t i = 0; i < kOps; ++i) {
+      while (captures_started.load(std::memory_order_acquire) <=
+             i / kChunk) {
+        std::this_thread::yield();
+      }
+      const ShardedIndex::MutationResult result =
+          ops[i].is_insert ? index.ApplyInsert(ops[i].vec.data())
+                           : index.ApplyRemove(ops[i].target);
+      versions[i] = result.state_version;
+      applied.store(i + 1, std::memory_order_release);
+      if (i % 64 == 63) index.MaintainShards();
+    }
+  });
+  std::vector<ShardedIndex::CheckpointState> states;
+  for (size_t c = 0; c < kCaptures; ++c) {
+    while (applied.load(std::memory_order_acquire) < c * kChunk) {
+      std::this_thread::yield();
+    }
+    captures_started.store(c + 1, std::memory_order_release);
+    states.push_back(index.CaptureCheckpointState());
+  }
+  mutator.join();
+  index.WaitForRebuilds();
+  for (size_t i = 0; i < kOps; ++i) ASSERT_EQ(versions[i], i + 1);
+
+  uint64_t previous = 0;
+  for (const ShardedIndex::CheckpointState& state : states) {
+    SCOPED_TRACE("state_version " + std::to_string(state.state_version));
+    ASSERT_LE(state.state_version, kOps);
+    EXPECT_GE(state.state_version, previous);
+    previous = state.state_version;
+    // Replay ops 1..state_version over the built rows.
+    std::map<int32_t, const float*> live;
+    for (size_t r = 0; r < kRows; ++r) {
+      live.emplace(static_cast<int32_t>(r), data.data.Row(r));
+    }
+    int32_t next_id = static_cast<int32_t>(kRows);
+    for (size_t i = 0; i < state.state_version; ++i) {
+      if (ops[i].is_insert) {
+        live.emplace(next_id++, ops[i].vec.data());
+      } else {
+        live.erase(ops[i].target);
+      }
+    }
+    EXPECT_EQ(state.next_id, next_id);
+    EXPECT_EQ(state.metric, data.metric);
+    ASSERT_EQ(state.dim, kDim);
+    ASSERT_EQ(state.ids.size(), live.size());
+    ASSERT_EQ(state.vectors.rows(), live.size());
+    size_t row = 0;
+    for (const auto& [id, vec] : live) {
+      ASSERT_EQ(state.ids[row], id) << "row " << row;
+      ASSERT_EQ(0, std::memcmp(state.vectors.Row(row), vec,
+                               kDim * sizeof(float)))
+          << "id " << id;
+      ++row;
+    }
   }
 }
 

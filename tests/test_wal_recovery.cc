@@ -6,7 +6,8 @@
 //     valid log at *every* byte offset of its final record, mid-stream
 //     corruption, a mislabeled segment, checkpoint fallback, the
 //     Append/Recover contract, each fsync policy's fsync count under a real
-//     serve::Server, and the streaming tailer's in-flight vs settled rule;
+//     serve::Server, a failed periodic checkpoint counted in its stats, and
+//     the streaming tailer's in-flight vs settled rule;
 //
 //   * a kill-injection harness: a child process (fork + exec of this very
 //     binary, so no threads survive into it) serves a seeded mutation
@@ -36,6 +37,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -966,6 +968,53 @@ TEST(WalRecovery, ServerAcksPayTheirPolicysFsyncs) {
     ExpectMatchesOracle(*recovered, ReplayOracle(seed, kMutations),
                         kMutations, seed);
   }
+}
+
+// A periodic checkpoint that throws is counted, not dropped in silence: the
+// writer keeps acking, the later checkpoints land, and the log still
+// recovers every mutation.
+TEST(WalRecovery, FailedPeriodicCheckpointIsCounted) {
+  constexpr uint64_t kMutations = 64;
+  const uint64_t seed = 79;
+  TempDir dir;
+  auto index = MakeIndex(3, seed);
+  std::atomic<int> checkpoint_begins{0};
+  WriteAheadLog::Options wal_options;
+  wal_options.failpoint = [&checkpoint_begins](const char* site) {
+    if (std::strcmp(site, "wal:checkpoint:begin") == 0 &&
+        checkpoint_begins.fetch_add(1) == 0) {
+      throw std::runtime_error("injected checkpoint failure");
+    }
+  };
+  WriteAheadLog wal(dir.path, wal_options);
+  wal.Recover(index.get());
+  {
+    Server::Options server_options;
+    server_options.wal = &wal;
+    server_options.checkpoint_every = 16;
+    Server server(index.get(), server_options);
+    std::vector<std::future<MutationResponse>> acks;
+    for (uint64_t i = 1; i <= kMutations; ++i) {
+      const PlannedOp op = PlanOp(seed, i);
+      acks.push_back(op.is_insert ? server.SubmitInsert(op.vec.data())
+                                  : server.SubmitRemove(op.target));
+    }
+    for (auto& ack : acks) {
+      ASSERT_EQ(ack.wait_for(std::chrono::seconds(20)),
+                std::future_status::ready);
+      ack.get();
+    }
+    // The last checkpoint runs after the last ack; Stop joins the writer.
+    server.Stop();
+    const Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.checkpoint_failures, 1u);
+    EXPECT_EQ(stats.checkpoints, 3u);
+  }
+  auto recovered = MakeIndex(2, seed);
+  WriteAheadLog fresh(dir.path);
+  EXPECT_EQ(fresh.Recover(recovered.get()).final_version, kMutations);
+  ExpectMatchesOracle(*recovered, ReplayOracle(seed, kMutations), kMutations,
+                      seed);
 }
 
 // ---------------------------------------------------------------------------

@@ -45,41 +45,77 @@ void CircularShiftArray::Build(std::vector<HashValue> strings, size_t m) {
     return a < b;
   });
 
-  // rank[id] = position of id in the most recently computed sorted index.
-  std::vector<int32_t> rank(n);
-  for (size_t pos = 0; pos < n; ++pos) rank[order0[pos]] = static_cast<int32_t>(pos);
+  DeriveShiftOrders();
+  DeriveAdjacentLcp();
+}
 
+void CircularShiftArray::DeriveShiftOrders() {
+  const size_t n = n_;
+  const size_t m = m_;
   // Derive the remaining shift orders from their successors, in decreasing
   // shift order: shift(T, i) = [t_i] ++ (shift(T, i+1) minus its last
-  // element), so sorting by the pair (t_i, rank at shift i+1) reproduces the
-  // shift-i lexicographic order (see class comment).
-  std::vector<int32_t> succ_rank = rank;  // rank at shift (i+1) % m
+  // element), and I_{(i+1) % m} is already in shift-(i+1) order, so I_i is
+  // I_{(i+1) % m} stably bucketed by t_i (see class comment). Each shift is
+  // one LSD counting sort of the successor's positions on t_i, mapped to an
+  // order-preserving unsigned key less the column minimum, kDigitBits at a
+  // time; digits above the column's range are never sorted on, so a
+  // small-alphabet column takes one pass. The permutation the sort leaves
+  // is the next links: N_i[pos] is the position in I_{(i+1) % m} that I_i's
+  // position pos came from (Algorithm 1, lines 3-7).
+  constexpr int kDigitBits = 11;
+  constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+  std::vector<uint32_t> keys(n), keys_tmp(n);
+  std::vector<int32_t> from(n), from_tmp(n);
+  std::vector<int32_t> count;
   for (size_t i = m; i-- > 1;) {
-    int32_t* order = sorted_.data() + i * n;
-    std::iota(order, order + n, 0);
-    const HashValue* column_base = data_.data() + i;
-    std::sort(order, order + n,
-              [this, column_base, &succ_rank](int32_t a, int32_t b) {
-                const HashValue ca = column_base[static_cast<size_t>(a) * m_];
-                const HashValue cb = column_base[static_cast<size_t>(b) * m_];
-                if (ca != cb) return ca < cb;
-                return succ_rank[a] < succ_rank[b];
-              });
-    for (size_t pos = 0; pos < n; ++pos) {
-      succ_rank[order[pos]] = static_cast<int32_t>(pos);
+    const int32_t* succ = sorted_.data() + ((i + 1) % m) * n;
+    uint32_t lo = std::numeric_limits<uint32_t>::max(), hi = 0;
+    for (size_t p = 0; p < n; ++p) {
+      const uint32_t key =
+          static_cast<uint32_t>(data_[static_cast<size_t>(succ[p]) * m + i]) ^
+          0x80000000u;
+      keys[p] = key;
+      lo = std::min(lo, key);
+      hi = std::max(hi, key);
     }
+    const uint32_t range = hi - lo;
+    std::iota(from.begin(), from.end(), 0);
+    int32_t* link = next_.data() + i * n;
+    for (int shift = 0;; shift += kDigitBits) {
+      const uint32_t top = range >> shift;
+      const bool last = top <= kDigitMask;
+      count.assign(std::min(top, kDigitMask) + 1, 0);
+      for (size_t p = 0; p < n; ++p) {
+        ++count[((keys[p] - lo) >> shift) & kDigitMask];
+      }
+      int32_t sum = 0;
+      for (int32_t& c : count) sum += std::exchange(c, sum);
+      if (last) {
+        for (size_t p = 0; p < n; ++p) {
+          link[count[((keys[p] - lo) >> shift) & kDigitMask]++] = from[p];
+        }
+        break;
+      }
+      for (size_t p = 0; p < n; ++p) {
+        const int32_t dst = count[((keys[p] - lo) >> shift) & kDigitMask]++;
+        keys_tmp[dst] = keys[p];
+        from_tmp[dst] = from[p];
+      }
+      keys.swap(keys_tmp);
+      from.swap(from_tmp);
+    }
+    int32_t* order = sorted_.data() + i * n;
+    for (size_t pos = 0; pos < n; ++pos) order[pos] = succ[link[pos]];
   }
 
-  // Next links: N_i[pos] = position in I_{(i+1) % m} of the string at
-  // position pos of I_i (Algorithm 1, lines 3-7).
-  for (size_t i = 0; i < m; ++i) {
-    const int32_t* cur = sorted_.data() + i * n;
-    const int32_t* nxt = sorted_.data() + ((i + 1) % m) * n;
-    for (size_t pos = 0; pos < n; ++pos) rank[nxt[pos]] = static_cast<int32_t>(pos);
-    int32_t* link = next_.data() + i * n;
-    for (size_t pos = 0; pos < n; ++pos) link[pos] = rank[cur[pos]];
+  // N_0 through the inverse of I_{1 % m}: rank[id] = position of id there.
+  std::vector<int32_t>& rank = from;
+  const int32_t* order1 = sorted_.data() + (1 % m) * n;
+  for (size_t pos = 0; pos < n; ++pos) {
+    rank[order1[pos]] = static_cast<int32_t>(pos);
   }
-  DeriveAdjacentLcp();
+  const int32_t* order0 = sorted_.data();
+  for (size_t pos = 0; pos < n; ++pos) next_[pos] = rank[order0[pos]];
 }
 
 void CircularShiftArray::DeriveAdjacentLcp() {

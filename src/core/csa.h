@@ -40,13 +40,18 @@ struct LccsCandidate {
 /// arrays are uint16 (m caps at 4095), 2·m·n bytes, counted by SizeBytes;
 /// they are derived, never stored in the stream (see DeriveAdjacentLcp).
 ///
-/// Build cost is O(m n log n): shift 0 is sorted with a circular comparator,
-/// and every other shift order is derived from its successor in O(n log n)
-/// with O(1)-cost comparisons — shift(T, i) equals [t_i] ++ shift(T, i+1)
-/// minus its last element, so sorting by the pair (t_i, rank at shift i+1)
-/// reproduces the shift-i order exactly (equal-through-prefix strings can
-/// only be permuted when fully equal, where order is immaterial; we break
-/// such ties by id for determinism).
+/// Build cost is one circular sort of shift 0 (O(n log n) comparisons of up
+/// to m symbols, ties broken by id for determinism), then O(n) per derived
+/// shift:
+/// shift(T, i) equals [t_i] ++ shift(T, i+1) minus its last element, and
+/// I_{i+1} already holds the strings in shift-(i+1) order, so a stable
+/// counting sort of I_{i+1} on t_i reproduces the shift-i order exactly —
+/// the order a sort on the pair (t_i, rank at shift i+1) gives. It takes
+/// one pass per 11-bit digit of the column's value range (one for the usual
+/// hash alphabets, at most three for 32-bit values), and the permutation it
+/// leaves is N_i. The derived shifts thus cost O(m n) in total where
+/// Theorem 3.1 charges O(m n log n) for them, and the arrays are the ones
+/// the per-shift comparison sorts produced.
 ///
 /// The low-level primitives (per-shift binary search, LCP, next links) are
 /// public so that MP-LCCS-LSH (Section 4.2) can drive its multi-probe search
@@ -257,6 +262,10 @@ class CircularShiftArray {
                        std::vector<LccsCandidate>* out) const;
 
  private:
+  /// Fills I_1 .. I_{m-1} of sorted_ and all of next_ from data_ and I_0
+  /// (see the .cc).
+  void DeriveShiftOrders();
+
   /// Fills lcp_ from data_, sorted_ and next_ (see the .cc): L_0 by direct
   /// compares, every other shift from its successor's L through the next
   /// links. Throws std::runtime_error when the arrays are out of order —

@@ -46,13 +46,15 @@ void LccsLsh::Build(std::shared_ptr<const storage::VectorStore> store) {
   n_ = store_->rows();
   d_ = store_->cols();
   const size_t m = family_->num_functions();
-  // Hashing is embarrassingly parallel. The CSA build (Algorithm 1) runs on
-  // one thread per index, as in the paper's single-thread indexing cost
-  // model; a sharded index builds its shards' CSAs concurrently, one pool
-  // task each (serve::ShardedIndex), and this hashing loop then runs inline
-  // in that task. Each chunk advises the store first so a memory-mapped
-  // base set streams in with read-ahead and stays inside its residency
-  // budget. The strings move into the CSA, which keeps them as its own.
+  // Hashing is embarrassingly parallel. The CSA build (Algorithm 1: one
+  // comparison sort of shift 0, then one O(n) counting pass per further
+  // shift) runs on one thread per index, as in the paper's single-thread
+  // indexing cost model; a sharded index builds its shards' CSAs
+  // concurrently, one pool task each (serve::ShardedIndex), and this
+  // hashing loop then runs inline in that task. Each chunk advises the
+  // store first so a memory-mapped base set streams in with read-ahead and
+  // stays inside its residency budget. The strings move into the CSA, which
+  // keeps them as its own.
   std::vector<HashValue> strings(n_ * m);
   const storage::VectorStore& rows = *store_;
   util::ParallelFor(n_, [&](size_t begin, size_t end) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 #include "util/random.h"
 
@@ -33,37 +32,55 @@ HashValue NearestVertex(const float* rotated, size_t dpad) {
   return static_cast<HashValue>(rotated[best] >= 0.0f ? best : best + dpad);
 }
 
+// A polytope vertex (index as in NearestVertex) and its signed coordinate
+// value.
+struct Vertex {
+  double value;
+  size_t index;
+};
+
 // Appends up to `max_alts` (≥ 1) vertices other than the nearest one to
-// the empty `out`, in FALCONN's probing order.
+// the empty `out`, in FALCONN's probing order: by value descending, exact
+// ties by vertex index ascending. Only the top max_alts + 1 vertices are
+// kept, in `top`, scratch the caller reuses across functions.
 void VertexAlternatives(const float* rotated, size_t dpad, size_t max_alts,
-                        std::vector<AltHash>* out) {
+                        std::vector<Vertex>* top, std::vector<AltHash>* out) {
   // Signed coordinate value of each of the 2*dpad polytope vertices; the
   // primary hash is the maximum. Score of vertex j is the gap to the maximum
   // squared (proportional to the extra squared distance from the normalized
   // rotated query to that vertex, as in FALCONN's probing sequence).
+  const size_t keep = max_alts + 1;
+  const auto before = [](const Vertex& a, const Vertex& b) {
+    return a.value != b.value ? a.value > b.value : a.index < b.index;
+  };
+  const auto offer = [&](const Vertex& v) {
+    if (top->size() == keep) {
+      if (!before(v, top->back())) return;
+      top->pop_back();
+    }
+    top->insert(std::upper_bound(top->begin(), top->end(), v, before), v);
+  };
   double best = -1.0;
   size_t best_idx = 0;
-  std::vector<double> value(2 * dpad);
+  top->clear();
   for (size_t i = 0; i < dpad; ++i) {
-    value[i] = rotated[i];
-    value[i + dpad] = -rotated[i];
-    if (value[i] > best) {
-      best = value[i];
+    const Vertex pos{rotated[i], i};
+    const Vertex neg{-rotated[i], i + dpad};
+    if (pos.value > best) {
+      best = pos.value;
       best_idx = i;
     }
-    if (value[i + dpad] > best) {
-      best = value[i + dpad];
+    if (neg.value > best) {
+      best = neg.value;
       best_idx = i + dpad;
     }
+    offer(pos);
+    offer(neg);
   }
-  std::vector<size_t> order(2 * dpad);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&value](size_t a, size_t b) { return value[a] > value[b]; });
-  for (size_t idx : order) {
-    if (idx == best_idx) continue;
-    const double gap = best - value[idx];
-    out->push_back({static_cast<HashValue>(idx), gap * gap});
+  for (const Vertex& v : *top) {
+    if (v.index == best_idx) continue;
+    const double gap = best - v.value;
+    out->push_back({static_cast<HashValue>(v.index), gap * gap});
     if (out->size() >= max_alts) break;
   }
 }
@@ -121,12 +138,13 @@ void CrossPolytopeFamily::HashWithAlternatives(
     std::vector<std::vector<AltHash>>* alts) const {
   alts->resize(m_);
   std::vector<float> rotated(dpad_);
+  std::vector<Vertex> top;
   for (size_t f = 0; f < m_; ++f) {
     Rotate(f, v, rotated.data());
     out[f] = NearestVertex(rotated.data(), dpad_);
     (*alts)[f].clear();
     if (max_alts > 0) {
-      VertexAlternatives(rotated.data(), dpad_, max_alts, &(*alts)[f]);
+      VertexAlternatives(rotated.data(), dpad_, max_alts, &top, &(*alts)[f]);
     }
   }
 }

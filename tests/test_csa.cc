@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -254,6 +256,107 @@ TEST(CsaBuildTest, OwningBuildIsByteIdenticalToCopyingBuild) {
   for (int i = 0; i < 25; ++i) equal.insert(equal.end(), {3, 1, 4, 1, 5, 9});
   ExpectOwningBuildMatchesCopy(equal, 25, 6);
   ExpectOwningBuildMatchesCopy(RandomStrings(30, 9, 1, 13), 30, 9);
+}
+
+// Build sorts only shift 0 with a comparator and derives every other I_i
+// from I_{(i+1) % m}. Each I_i must be exactly what a comparison sort of the
+// ids by (rotation i, id) gives, and each N_i the inverse lookup of I_i's
+// ids in I_{(i+1) % m}.
+void ExpectDerivedOrdersMatchReferenceSort(const std::vector<HashValue>& data,
+                                           size_t n, size_t m) {
+  CircularShiftArray csa;
+  csa.Build(data.data(), n, m);
+  std::vector<int32_t> expected(n);
+  for (size_t shift = 0; shift < m; ++shift) {
+    std::iota(expected.begin(), expected.end(), 0);
+    std::sort(expected.begin(), expected.end(), [&](int32_t a, int32_t b) {
+      const int cmp = CompareShifted(data.data() + a * m, data.data() + b * m,
+                                     m, shift, nullptr);
+      return cmp != 0 ? cmp < 0 : a < b;
+    });
+    for (size_t pos = 0; pos < n; ++pos) {
+      ASSERT_EQ(csa.SortedId(shift, pos), expected[pos])
+          << "n=" << n << " m=" << m << " shift=" << shift << " pos=" << pos;
+    }
+  }
+  std::vector<int32_t> rank(n);
+  for (size_t shift = 0; shift < m; ++shift) {
+    const size_t next = (shift + 1) % m;
+    for (size_t pos = 0; pos < n; ++pos) {
+      rank[csa.SortedId(next, pos)] = static_cast<int32_t>(pos);
+    }
+    for (size_t pos = 0; pos < n; ++pos) {
+      ASSERT_EQ(csa.NextPosition(shift, pos), rank[csa.SortedId(shift, pos)])
+          << "n=" << n << " m=" << m << " shift=" << shift << " pos=" << pos;
+    }
+  }
+}
+
+// Strings over `symbols`, drawn uniformly.
+std::vector<HashValue> StringsOver(const std::vector<HashValue>& symbols,
+                                   size_t n, size_t m, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<HashValue> data(n * m);
+  for (auto& v : data) v = symbols[rng.NextBounded(symbols.size())];
+  return data;
+}
+
+TEST(CsaBuildTest, DerivedOrdersMatchReferenceSort) {
+  // The shapes of CsaSeedSweep, drawn as AdjacentLcpMatchesDirectCircularLcp
+  // draws them.
+  for (uint64_t seed = 1000; seed < 1012; ++seed) {
+    util::Rng rng(seed);
+    for (int round = 0; round < 4; ++round) {
+      const size_t n = 4 + rng.NextBounded(120);
+      const size_t m = 1 + rng.NextBounded(20);
+      const int alphabet = 2 + static_cast<int>(rng.NextBounded(6));
+      rng.NextBounded(n);  // the sweep's k
+      std::vector<HashValue> data(n * m);
+      for (auto& v : data) {
+        v = static_cast<HashValue>(rng.NextBounded(alphabet));
+      }
+      ExpectDerivedOrdersMatchReferenceSort(data, n, m);
+      for (size_t i = 0; i < m; ++i) rng.NextBounded(alphabet);  // its query
+    }
+  }
+  // One string, length-one strings, and alphabet 1.
+  ExpectDerivedOrdersMatchReferenceSort(RandomStrings(1, 5, 3, 21), 1, 5);
+  ExpectDerivedOrdersMatchReferenceSort(RandomStrings(40, 1, 6, 22), 40, 1);
+  ExpectDerivedOrdersMatchReferenceSort(RandomStrings(30, 9, 1, 23), 30, 9);
+  // Negative symbols next to non-negative ones.
+  ExpectDerivedOrdersMatchReferenceSort(
+      StringsOver({-3, -2, -1, 0, 1, 2}, 200, 7, 24), 200, 7);
+  // The extremes of int32 in one column.
+  const HashValue kMin = std::numeric_limits<int32_t>::min();
+  const HashValue kMax = std::numeric_limits<int32_t>::max();
+  ExpectDerivedOrdersMatchReferenceSort(StringsOver({kMin, kMax}, 150, 6, 25),
+                                        150, 6);
+  ExpectDerivedOrdersMatchReferenceSort(
+      StringsOver({kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax}, 300, 8, 26), 300,
+      8);
+  // Column ranges at a digit boundary: 2047 fits one 11-bit digit, 2048
+  // takes a second.
+  ExpectDerivedOrdersMatchReferenceSort(StringsOver({-5, 0, 2042}, 200, 5, 27),
+                                        200, 5);
+  ExpectDerivedOrdersMatchReferenceSort(StringsOver({-5, 0, 2043}, 200, 5, 28),
+                                        200, 5);
+  // Full-range random 32-bit columns (every digit pass), with duplicate
+  // strings mixed in so ties still fall back to id.
+  util::Rng rng(29);
+  const size_t n = 500, m = 6;
+  std::vector<HashValue> full(n * m);
+  for (auto& v : full) {
+    v = static_cast<HashValue>(static_cast<uint32_t>(rng.NextU64()));
+  }
+  for (size_t i = 0; i < 50; ++i) {
+    const size_t src = rng.NextBounded(n), dst = rng.NextBounded(n);
+    std::copy(full.begin() + src * m, full.begin() + (src + 1) * m,
+              full.begin() + dst * m);
+  }
+  ExpectDerivedOrdersMatchReferenceSort(full, n, m);
+  // A 2^15-symbol alphabet: two digit passes, the second under 11 bits.
+  ExpectDerivedOrdersMatchReferenceSort(RandomStrings(400, 12, 1 << 15, 30),
+                                        400, 12);
 }
 
 // ---------------------------------------------------------------------------

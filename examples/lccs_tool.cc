@@ -4,11 +4,14 @@
 // CLI.
 //
 //   lccs_tool build <base.fvecs> <index.lccs> [m] [w] [metric]
-//       Builds an index over the base vectors and saves it.
+//       Builds an index over the base vectors and saves its descriptor
+//       (hash family, seed, m, w, metric, probe parameters and n: the
+//       file is 81 bytes whatever n is).
 //       metric: euclidean (default) | angular.
 //
 //   lccs_tool query <base.fvecs> <index.lccs> <queries.fvecs> [k] [lambda]
-//       Loads the index, answers each query, prints ids and distances.
+//       Rebuilds the index from its descriptor over the base vectors,
+//       answers each query, prints ids and distances.
 //
 //   lccs_tool convert <in.fvecs|in.bvecs> <out.flat>
 //       Streams a TEXMEX file into the LCCS flat format (O(dim) memory).
@@ -137,7 +140,7 @@ int Build(int argc, char** argv) {
   index.Build(data.data.data(), data.n(), data.dim());
   std::printf("built in %.2f s (index %.1f MB)\n", timer.ElapsedSeconds(),
               static_cast<double>(index.SizeBytes()) / (1024.0 * 1024.0));
-  core::SaveIndex(index_path, descriptor, index.csa());
+  core::SaveIndex(index_path, descriptor, index.n());
   std::printf("saved to %s\n", index_path.c_str());
   return 0;
 }
@@ -161,12 +164,14 @@ int QueryCmd(int argc, char** argv) {
   if (data.metric == util::Metric::kAngular) {
     NormalizeForAngular(&data, base_path);
   }
+  util::Timer timer;
   auto index = core::LoadIndex(index_path, data.data.data(), data.data.rows(),
                                data.data.cols());
-  std::printf("loaded index: n=%zu m=%zu metric=%s\n", index->n(), index->m(),
+  std::printf("rebuilt index in %.2f s: n=%zu m=%zu metric=%s\n",
+              timer.ElapsedSeconds(), index->n(), index->m(),
               util::MetricName(index->metric()).c_str());
 
-  util::Timer timer;
+  timer.Restart();
   for (size_t q = 0; q < queries.rows(); ++q) {
     const auto answers = index->Query(queries.Row(q), k, lambda);
     std::printf("query %zu:", q);

@@ -57,7 +57,7 @@ class LccsLshIndex : public AnnIndex {
 
   /// Forwards core::LccsLsh::ReleaseNextLinks — drops a third of the CSA's
   /// memory for memory-tight serving (bench/disk_store quantized mode);
-  /// queries stay exact, serialization of this instance becomes impossible.
+  /// queries stay exact, and the next Build restores the links.
   void ReleaseNextLinks() {
     if (scheme_) scheme_->ReleaseNextLinks();
   }

@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <istream>
 #include <limits>
 #include <numeric>
-#include <ostream>
-#include <stdexcept>
 #include <utility>
-
-#include "core/stream_io.h"
 
 namespace lccs {
 namespace core {
@@ -126,10 +121,9 @@ void CircularShiftArray::DeriveAdjacentLcp() {
   const int32_t* order0 = sorted_.data();
   for (size_t p = 0; p + 1 < n; ++p) {
     int32_t lcp = 0;
-    if (CompareShifted(String(order0[p]), String(order0[p + 1]), m, 0,
-                       &lcp) > 0) {
-      throw std::runtime_error("CSA stream: shift 0 out of order");
-    }
+    [[maybe_unused]] const int cmp =
+        CompareShifted(String(order0[p]), String(order0[p + 1]), m, 0, &lcp);
+    assert(cmp <= 0);
     lcp_[p] = static_cast<uint16_t>(lcp);
   }
   // Every other shift from its successor, in decreasing shift order (the
@@ -176,9 +170,7 @@ void CircularShiftArray::DeriveAdjacentLcp() {
       const HashValue symbol = column[order[p]];
       int32_t from = -1;  // -1: the pair ending here has unequal symbols
       if (p > 0) {
-        if (prev > symbol) {
-          throw std::runtime_error("CSA stream: sorted index out of order");
-        }
+        assert(prev <= symbol);
         if (prev == symbol) from = link[p - 1];
       }
       start[link[p]] = from;
@@ -187,12 +179,10 @@ void CircularShiftArray::DeriveAdjacentLcp() {
     std::fill(last.begin(), last.end(), -1);
     for (int32_t q = 0; q < static_cast<int32_t>(n); ++q) {
       const int32_t from = start[q];
-      if (from == -2) throw std::runtime_error("CSA stream: corrupt next link");
+      assert(from != -2);
       uint16_t len = 0;
       if (from >= 0) {
-        if (from >= q) {
-          throw std::runtime_error("CSA stream: next links out of order");
-        }
+        assert(from < q);
         size_t range_min = succ[from];
         if (q - from <= kShortRange) {
           for (int32_t x = from + 1; x < q; ++x) {
@@ -420,108 +410,10 @@ std::vector<LccsCandidate> CircularShiftArray::Search(
   return result;
 }
 
-namespace {
-
-constexpr char kMagic[8] = {'L', 'C', 'C', 'S', 'C', 'S', 'A', '1'};
-
-template <typename T>
-void WriteVector(std::ostream& out, const std::vector<T>& v) {
-  io::WritePod(out, static_cast<uint64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-template <typename T>
-void ReadVector(std::istream& in, std::vector<T>* v, uint64_t expected) {
-  uint64_t size = 0;
-  io::ReadPod(in, &size, "CSA stream");
-  if (size != expected) {
-    throw std::runtime_error("CSA stream: unexpected array size");
-  }
-  v->resize(size);
-  in.read(reinterpret_cast<char*>(v->data()), size * sizeof(T));
-  if (!in) throw std::runtime_error("truncated CSA stream");
-}
-
-}  // namespace
-
 void CircularShiftArray::ReleaseNextLinks() {
   std::vector<int32_t>().swap(next_);
   use_narrowing_ = false;
   next_released_ = true;
-}
-
-void CircularShiftArray::Serialize(std::ostream& out) const {
-  if (next_released_) {
-    // Programming error, not data corruption: the caller chose the
-    // memory-tight mode and must persist before releasing.
-    throw std::logic_error(
-        "CSA: cannot serialize after ReleaseNextLinks (next links gone)");
-  }
-  out.write(kMagic, sizeof(kMagic));
-  io::WritePod(out, static_cast<uint64_t>(n_));
-  io::WritePod(out, static_cast<uint64_t>(m_));
-  WriteVector(out, data_);
-  WriteVector(out, sorted_);
-  WriteVector(out, next_);
-}
-
-CircularShiftArray CircularShiftArray::Deserialize(std::istream& in) {
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || !std::equal(magic, magic + sizeof(magic), kMagic)) {
-    throw std::runtime_error("not a CSA stream (bad magic)");
-  }
-  uint64_t n = 0, m = 0;
-  io::ReadPod(in, &n, "CSA stream");
-  io::ReadPod(in, &m, "CSA stream");
-  if (n == 0 || m == 0) throw std::runtime_error("CSA stream: empty index");
-  // Header plausibility before any allocation: ids are int32, the n*m
-  // element counts below must not wrap uint64, and the three arrays
-  // (8-byte count prefix each) must fit inside what the stream can still
-  // back — a range-legal corrupt header (e.g. n = 2^32, m = 2^25) must
-  // surface as the promised runtime_error, never as bad_alloc/OOM.
-  if (n > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-    throw std::runtime_error("CSA stream: corrupt header (n exceeds int32)");
-  }
-  // Build caps m at the HeapKey shift-field width; no well-formed stream
-  // can carry more, so reject rather than mis-pack search heap keys later.
-  if (m > 0xFFF) {
-    throw std::runtime_error("CSA stream: corrupt header (m exceeds 4095)");
-  }
-  if (m > std::numeric_limits<uint64_t>::max() / n) {
-    throw std::runtime_error("CSA stream: corrupt header (n*m overflows)");
-  }
-  const uint64_t count = n * m;
-  const uint64_t budget = io::RemainingBytes(in);
-  const uint64_t need_bytes =
-      count * sizeof(HashValue) + 2 * count * sizeof(int32_t);
-  if (count > std::numeric_limits<uint64_t>::max() /
-                  (sizeof(HashValue) + 2 * sizeof(int32_t)) ||
-      need_bytes > budget) {
-    throw std::runtime_error("CSA stream: arrays larger than stream");
-  }
-  CircularShiftArray csa;
-  csa.n_ = n;
-  csa.m_ = m;
-  try {
-    ReadVector(in, &csa.data_, count);
-    ReadVector(in, &csa.sorted_, count);
-    ReadVector(in, &csa.next_, count);
-  } catch (const std::bad_alloc&) {
-    throw std::runtime_error("CSA stream: allocation failed (corrupt sizes)");
-  }
-  for (const int32_t pos : csa.next_) {
-    if (pos < 0 || pos >= static_cast<int32_t>(n)) {
-      throw std::runtime_error("CSA stream: corrupt next link");
-    }
-  }
-  for (const int32_t id : csa.sorted_) {
-    if (id < 0 || id >= static_cast<int32_t>(n)) {
-      throw std::runtime_error("CSA stream: corrupt sorted index");
-    }
-  }
-  csa.DeriveAdjacentLcp();
-  return csa;
 }
 
 }  // namespace core

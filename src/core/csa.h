@@ -2,7 +2,6 @@
 #define LCCS_CORE_CSA_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "core/lccs.h"
@@ -38,7 +37,7 @@ struct LccsCandidate {
 /// lower chain is the mirror case), and a chain's LCP against any probe
 /// string is the running min of L_i over the positions it passes. The
 /// arrays are uint16 (m caps at 4095), 2·m·n bytes, counted by SizeBytes;
-/// they are derived, never stored in the stream (see DeriveAdjacentLcp).
+/// Build derives them from the strings, I_i and N_i (see DeriveAdjacentLcp).
 ///
 /// Build cost is one circular sort of shift 0 (O(n log n) comparisons of up
 /// to m symbols, ties broken by id for determinism), then O(n) per derived
@@ -145,14 +144,12 @@ class CircularShiftArray {
 
   /// Frees the next-link arrays (N_i: 4·m·n of the 14·m·n bytes SizeBytes
   /// counts) and disables narrowing. Next links only accelerate the
-  /// binary-search cascade (Corollary 3.2) and back Serialize; the pop loop
-  /// walks L_i, which stays. A memory-tight deployment — e.g.
-  /// bench/disk_store's quantized mode chasing an RSS ceiling — can drop
-  /// them after Build and still answer every query exactly (the ablation
-  /// equivalence property: full-range searches return identical results).
-  /// Irreversible for this instance; Serialize afterwards throws
-  /// std::logic_error rather than writing a structure Deserialize could not
-  /// rebuild.
+  /// binary-search cascade (Corollary 3.2); the pop loop walks L_i, which
+  /// stays. A memory-tight deployment — e.g. bench/disk_store's quantized
+  /// mode chasing an RSS ceiling — can drop them after Build and still
+  /// answer every query exactly (the ablation equivalence property:
+  /// full-range searches return identical results). The next Build
+  /// restores both the links and narrowing.
   void ReleaseNextLinks();
   bool next_links_released() const { return next_released_; }
 
@@ -163,15 +160,6 @@ class CircularShiftArray {
   /// property test).
   void set_use_narrowing(bool enabled) { use_narrowing_ = enabled; }
   bool use_narrowing() const { return use_narrowing_; }
-
-  /// Writes the complete structure (n, m, hash strings, sorted indices,
-  /// next links) to a binary stream; little-endian, versioned magic header.
-  void Serialize(std::ostream& out) const;
-
-  /// Reconstructs a CSA previously written by Serialize and derives its
-  /// adjacent-LCP arrays. Throws std::runtime_error on malformed input,
-  /// including in-range arrays whose order the derivation cannot trust.
-  static CircularShiftArray Deserialize(std::istream& in);
 
   /// Entry of the shared candidate priority queue of Algorithm 2, packed
   /// into one uint64 whose *natural descending order is the pop order*:
@@ -268,8 +256,7 @@ class CircularShiftArray {
 
   /// Fills lcp_ from data_, sorted_ and next_ (see the .cc): L_0 by direct
   /// compares, every other shift from its successor's L through the next
-  /// links. Throws std::runtime_error when the arrays are out of order —
-  /// unreachable from Build, the hardening of Deserialize.
+  /// links. Asserts the order Build gives the arrays.
   void DeriveAdjacentLcp();
 
   size_t n_ = 0;

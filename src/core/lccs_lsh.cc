@@ -70,17 +70,6 @@ void LccsLsh::Build(const float* data, size_t n, size_t d) {
   Build(storage::WrapBorrowed(data, n, d));
 }
 
-void LccsLsh::AttachPrebuilt(const float* data, size_t n, size_t d,
-                             CircularShiftArray csa) {
-  assert(data != nullptr);
-  assert(d == family_->dim());
-  assert(csa.n() == n && csa.m() == family_->num_functions());
-  store_ = storage::WrapBorrowed(data, n, d);
-  n_ = n;
-  d_ = d;
-  csa_ = std::move(csa);
-}
-
 void LccsLsh::PrepareSearch(const float* query, QueryScratch* scratch) const {
   const size_t m = family_->num_functions();
   const bool multi = params_.num_probes > 1;

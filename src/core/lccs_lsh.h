@@ -117,16 +117,9 @@ class LccsLsh {
   void set_use_narrowing(bool enabled) { csa_.set_use_narrowing(enabled); }
 
   /// Frees the CSA's next-link arrays (2/7 of its arrays) at the cost
-  /// of full-range binary searches per shift; results are unchanged. See
-  /// CircularShiftArray::ReleaseNextLinks for the serialization caveat.
+  /// of full-range binary searches per shift; results are unchanged. The
+  /// next Build restores them (see CircularShiftArray::ReleaseNextLinks).
   void ReleaseNextLinks() { csa_.ReleaseNextLinks(); }
-
-  /// Binds a previously serialized CSA instead of hashing + rebuilding
-  /// (core::LoadIndex). The CSA must have been built over exactly these n
-  /// rows with this index's family; n/m consistency is checked. The caller
-  /// keeps `data` alive, as for Build(const float*, n, d).
-  void AttachPrebuilt(const float* data, size_t n, size_t d,
-                      CircularShiftArray csa);
 
  private:
   /// Reusable per-thread candidate-generation workspace: one scratch serves

@@ -1,19 +1,15 @@
 #include "core/csa.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
-#include <sstream>
-#include <stdexcept>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/lccs.h"
+#include "csa_arrays.h"
 #include "util/random.h"
 
 namespace lccs {
@@ -130,8 +126,7 @@ TEST(CsaBuildTest, SizeBytesAccountsForAllArrays) {
 }
 
 // L_i[p] must be the circular LCP at shift i of the neighbours at p and
-// p + 1 of I_i — after Build, which derives it through the next links, and
-// after a Serialize -> Deserialize round trip, which derives it again.
+// p + 1 of I_i, which Build derives through the next links.
 void ExpectAdjacentLcpIsDirect(const CircularShiftArray& csa) {
   const size_t n = csa.n(), m = csa.m();
   for (size_t shift = 0; shift < m; ++shift) {
@@ -150,9 +145,6 @@ void ExpectAdjacentLcpIsDirect(const std::vector<HashValue>& data, size_t n,
   CircularShiftArray csa;
   csa.Build(data.data(), n, m);
   ExpectAdjacentLcpIsDirect(csa);
-  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
-  csa.Serialize(bytes);
-  ExpectAdjacentLcpIsDirect(CircularShiftArray::Deserialize(bytes));
 }
 
 TEST(CsaBuildTest, AdjacentLcpMatchesDirectCircularLcp) {
@@ -210,12 +202,6 @@ TEST(CsaBuildTest, AdjacentLcpMatchesDirectCircularLcp) {
   EXPECT_GT(longest, 255);
 }
 
-std::string SerializedBytes(const CircularShiftArray& csa) {
-  std::ostringstream out(std::ios::binary);
-  csa.Serialize(out);
-  return out.str();
-}
-
 // Build(vector, m) takes the strings over instead of copying them; the
 // structure it builds must be byte-for-byte the one the copying overload
 // builds from the same strings.
@@ -227,8 +213,7 @@ void ExpectOwningBuildMatchesCopy(const std::vector<HashValue>& data,
   owned.Build(std::vector<HashValue>(data), m);
   ASSERT_EQ(owned.n(), n);
   ASSERT_EQ(owned.m(), m);
-  // The stream holds the strings, I_i and N_i; L_i is derived from them.
-  EXPECT_EQ(SerializedBytes(owned), SerializedBytes(copied))
+  EXPECT_EQ(CsaArrays(owned), CsaArrays(copied))
       << "n=" << n << " m=" << m;
 }
 
@@ -524,161 +509,6 @@ TEST(CsaSearchTest, StateHasOneEntryPerShift) {
   EXPECT_EQ(state.size(), m);
   for (const auto& b : state) {
     EXPECT_EQ(b.pos_hi, b.pos_lo + 1);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Corrupt-stream hardening of Deserialize: a flipped header must always
-// surface as std::runtime_error — never as std::bad_alloc or an OOM kill —
-// because the header-derived allocations are capped by what the stream can
-// still back (and n*m overflow is checked before any multiply is trusted).
-// Layout: 8-byte magic "LCCSCSA1", uint64 n at byte 8, uint64 m at byte 16.
-
-std::string SerializedCsa(size_t n, size_t m) {
-  const auto data = RandomStrings(n, m, 4, 99);
-  CircularShiftArray csa;
-  csa.Build(data.data(), n, m);
-  std::ostringstream out(std::ios::binary);
-  csa.Serialize(out);
-  return out.str();
-}
-
-void OverwriteU64(std::string* bytes, size_t offset, uint64_t value) {
-  ASSERT_GE(bytes->size(), offset + sizeof(value));
-  std::memcpy(&(*bytes)[offset], &value, sizeof(value));
-}
-
-TEST(CsaDeserializeTest, HugeRowCountThrowsRuntimeError) {
-  std::string bytes = SerializedCsa(12, 6);
-  // n = 2^32 passes no plausibility test a 100-byte stream could satisfy;
-  // before the budget check this drove a ~48 GiB resize.
-  OverwriteU64(&bytes, 8, uint64_t{1} << 32);
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
-}
-
-TEST(CsaDeserializeTest, OverflowingProductThrowsRuntimeError) {
-  std::string bytes = SerializedCsa(12, 6);
-  // n * m wraps uint64: n just under the int32 cap, m = 2^40.
-  OverwriteU64(&bytes, 8, uint64_t{0x7FFFFFFF});
-  OverwriteU64(&bytes, 16, uint64_t{1} << 40);
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
-}
-
-TEST(CsaDeserializeTest, StringLengthAbovePackedKeyCapThrowsRuntimeError) {
-  std::string bytes = SerializedCsa(12, 6);
-  // m = 4096 exceeds the 12-bit shift field of the packed heap key; a
-  // stream claiming it must be rejected up front, not trip the Build-side
-  // assert (or silently fold shifts together in Release).
-  OverwriteU64(&bytes, 16, uint64_t{4096});
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
-}
-
-TEST(CsaDeserializeTest, RangeLegalHeaderBeyondStreamThrowsRuntimeError) {
-  std::string bytes = SerializedCsa(12, 6);
-  // Both fields individually plausible (fit int32, product doesn't wrap),
-  // but the arrays they describe need ~48 GiB the stream cannot back.
-  OverwriteU64(&bytes, 8, uint64_t{1} << 31);
-  OverwriteU64(&bytes, 16, uint64_t{2048});
-  std::istringstream in(bytes, std::ios::binary);
-  try {
-    CircularShiftArray::Deserialize(in);
-    FAIL() << "corrupt header was accepted";
-  } catch (const std::runtime_error&) {
-  } catch (const std::bad_alloc&) {
-    FAIL() << "corrupt header surfaced as bad_alloc";
-  }
-}
-
-TEST(CsaDeserializeTest, TruncatedArrayThrowsRuntimeError) {
-  std::string bytes = SerializedCsa(12, 6);
-  // Cut inside the first length-prefixed array (magic + n + m + count = 32
-  // bytes, then data_ payload).
-  bytes.resize(48);
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
-}
-
-// In-range arrays out of order: the adjacent-LCP derivation reads a range
-// of L_{i+1} between the next links of two neighbours with equal symbols,
-// and needs unequal symbols to ascend. Swapping two neighbours' next links
-// reverses that range; swapping two sorted ids makes the symbols descend.
-// Stream offsets: 32-byte header + count, data, then each array after an
-// 8-byte count.
-size_t SortedOffset(size_t n, size_t m, size_t shift, size_t pos) {
-  return 32 + n * m * sizeof(HashValue) + 8 + (shift * n + pos) * 4;
-}
-
-size_t NextOffset(size_t n, size_t m, size_t shift, size_t pos) {
-  return SortedOffset(n, m, shift, pos) + m * n * 4 + 8;
-}
-
-void SwapU32(std::string* bytes, size_t a, size_t b) {
-  ASSERT_LE(std::max(a, b) + 4, bytes->size());
-  std::swap_ranges(bytes->begin() + a, bytes->begin() + a + 4,
-                   bytes->begin() + b);
-}
-
-// First neighbour pair (shift >= 1, pos) whose symbols at the shift are
-// equal (`equal`) or differ.
-std::pair<size_t, size_t> NeighbourPair(const CircularShiftArray& csa,
-                                        bool equal) {
-  for (size_t shift = 1; shift < csa.m(); ++shift) {
-    for (size_t pos = 0; pos + 1 < csa.n(); ++pos) {
-      const HashValue a = csa.String(csa.SortedId(shift, pos))[shift];
-      const HashValue b = csa.String(csa.SortedId(shift, pos + 1))[shift];
-      if ((a == b) == equal) return {shift, pos};
-    }
-  }
-  ADD_FAILURE() << "no neighbour pair found";
-  return {1, 0};
-}
-
-TEST(CsaDeserializeTest, SwappedNextLinksThrowRuntimeError) {
-  const size_t n = 12, m = 6;
-  const auto data = RandomStrings(n, m, 4, 99);
-  CircularShiftArray csa;
-  csa.Build(data.data(), n, m);
-  const auto [shift, pos] = NeighbourPair(csa, /*equal=*/true);
-  std::string bytes = SerializedCsa(n, m);
-  SwapU32(&bytes, NextOffset(n, m, shift, pos),
-          NextOffset(n, m, shift, pos + 1));
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
-}
-
-TEST(CsaDeserializeTest, SwappedSortedIdsThrowRuntimeError) {
-  const size_t n = 12, m = 6;
-  const auto data = RandomStrings(n, m, 4, 99);
-  CircularShiftArray csa;
-  csa.Build(data.data(), n, m);
-  const auto [shift, pos] = NeighbourPair(csa, /*equal=*/false);
-  std::string bytes = SerializedCsa(n, m);
-  SwapU32(&bytes, SortedOffset(n, m, shift, pos),
-          SortedOffset(n, m, shift, pos + 1));
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(CircularShiftArray::Deserialize(in), std::runtime_error);
-}
-
-TEST(CsaDeserializeTest, RoundTripStillWorks) {
-  const size_t n = 12, m = 6;
-  const auto data = RandomStrings(n, m, 4, 99);
-  CircularShiftArray csa;
-  csa.Build(data.data(), n, m);
-  std::string bytes = SerializedCsa(n, m);
-  std::istringstream in(bytes, std::ios::binary);
-  const CircularShiftArray restored = CircularShiftArray::Deserialize(in);
-  ASSERT_EQ(restored.n(), n);
-  ASSERT_EQ(restored.m(), m);
-  const std::vector<HashValue> q(m, 1);
-  const auto a = csa.Search(q.data(), 8);
-  const auto b = restored.Search(q.data(), 8);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].len, b[i].len);
   }
 }
 

@@ -94,7 +94,9 @@ TEST(LshForestTest, ResultsSortedAndDistinct) {
   std::set<int32_t> ids;
   for (size_t i = 0; i < result.size(); ++i) {
     EXPECT_TRUE(ids.insert(result[i].id).second);
-    if (i > 0) EXPECT_LE(result[i - 1].dist, result[i].dist);
+    if (i > 0) {
+      EXPECT_LE(result[i - 1].dist, result[i].dist);
+    }
   }
 }
 

@@ -3,77 +3,19 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
-#include "core/lccs.h"
+#include "csa_arrays.h"
 #include "dataset/synthetic.h"
-#include "util/random.h"
 
 namespace lccs {
 namespace core {
 namespace {
-
-std::vector<HashValue> RandomStrings(size_t n, size_t m, uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<HashValue> data(n * m);
-  for (auto& v : data) v = static_cast<HashValue>(rng.NextBounded(8));
-  return data;
-}
-
-TEST(CsaSerializeTest, RoundTripPreservesEverything) {
-  const size_t n = 64, m = 8;
-  const auto strings = RandomStrings(n, m, 1);
-  CircularShiftArray original;
-  original.Build(strings.data(), n, m);
-
-  std::stringstream stream;
-  original.Serialize(stream);
-  const auto restored = CircularShiftArray::Deserialize(stream);
-
-  ASSERT_EQ(restored.n(), n);
-  ASSERT_EQ(restored.m(), m);
-  for (size_t shift = 0; shift < m; ++shift) {
-    for (size_t pos = 0; pos < n; ++pos) {
-      EXPECT_EQ(restored.SortedId(shift, pos), original.SortedId(shift, pos));
-      EXPECT_EQ(restored.NextPosition(shift, pos),
-                original.NextPosition(shift, pos));
-    }
-  }
-  // Queries agree exactly.
-  util::Rng rng(2);
-  std::vector<HashValue> q(m);
-  for (int trial = 0; trial < 10; ++trial) {
-    for (auto& v : q) v = static_cast<HashValue>(rng.NextBounded(8));
-    const auto a = original.Search(q.data(), 7);
-    const auto b = restored.Search(q.data(), 7);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].len, b[i].len);
-    }
-  }
-}
-
-TEST(CsaSerializeTest, RejectsGarbage) {
-  std::stringstream stream("this is not a CSA");
-  EXPECT_THROW(CircularShiftArray::Deserialize(stream), std::runtime_error);
-}
-
-TEST(CsaSerializeTest, RejectsTruncation) {
-  const auto strings = RandomStrings(16, 4, 3);
-  CircularShiftArray csa;
-  csa.Build(strings.data(), 16, 4);
-  std::stringstream stream;
-  csa.Serialize(stream);
-  std::string payload = stream.str();
-  payload.resize(payload.size() / 2);
-  std::stringstream truncated(payload);
-  EXPECT_THROW(CircularShiftArray::Deserialize(truncated),
-               std::runtime_error);
-}
 
 class IndexSerializeTest : public ::testing::Test {
  protected:
@@ -82,6 +24,40 @@ class IndexSerializeTest : public ::testing::Test {
   }
 
   void TearDown() override { std::remove(Path().c_str()); }
+
+  static std::string ReadFile() {
+    std::ifstream in(Path(), std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }
+
+  static void WriteFile(const std::string& bytes) {
+    std::ofstream out(Path(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Saves an index over 300 clustered 8-d rows (m = 32, 4 probes) and
+  /// returns the rows.
+  static dataset::Dataset SaveSmallIndex() {
+    dataset::SyntheticConfig config;
+    config.n = 300;
+    config.num_queries = 2;
+    config.dim = 8;
+    config.seed = 13;
+    auto data = dataset::GenerateClustered(config);
+    IndexDescriptor descriptor;
+    descriptor.dim = data.dim();
+    descriptor.m = 32;
+    descriptor.seed = 5;
+    descriptor.probes.num_probes = 4;
+    SaveIndex(Path(), descriptor, data.n());
+    return data;
+  }
+
+  static std::unique_ptr<LccsLsh> Load(const dataset::Dataset& data) {
+    return LoadIndex(Path(), data.data.data(), data.n(), data.dim());
+  }
 };
 
 TEST_F(IndexSerializeTest, SaveLoadQueryEquivalence) {
@@ -104,7 +80,7 @@ TEST_F(IndexSerializeTest, SaveLoadQueryEquivalence) {
                                 descriptor.w, descriptor.seed);
   LccsLsh original(std::move(family), descriptor.metric, descriptor.probes);
   original.Build(data.data.data(), data.n(), data.dim());
-  SaveIndex(Path(), descriptor, original.csa());
+  SaveIndex(Path(), descriptor, original.n());
 
   const auto loaded =
       LoadIndex(Path(), data.data.data(), data.n(), data.dim());
@@ -136,7 +112,7 @@ TEST_F(IndexSerializeTest, RejectsWrongData) {
                                 descriptor.w, descriptor.seed);
   LccsLsh index(std::move(family), descriptor.metric, descriptor.probes);
   index.Build(data.data.data(), data.n(), data.dim());
-  SaveIndex(Path(), descriptor, index.csa());
+  SaveIndex(Path(), descriptor, index.n());
 
   // Wrong n.
   EXPECT_THROW(LoadIndex(Path(), data.data.data(), 50, data.dim()),
@@ -151,42 +127,51 @@ TEST_F(IndexSerializeTest, MissingFileThrows) {
                std::runtime_error);
 }
 
-// A descriptor that disagrees with the CSA it carries, or names values no
-// saver writes, must be rejected at load: the family would otherwise hash
-// m values into a search that reads csa.m(), out of bounds either way.
-TEST_F(IndexSerializeTest, CorruptDescriptorThrows) {
+// Loading rebuilds the index with the ordinary Build, so for every family
+// the loaded CSA must be array for array the one the saver built: each
+// family is bit-reproducible from its seed.
+TEST_F(IndexSerializeTest, LoadRebuildsTheSavedCsaForEveryFamily) {
   dataset::SyntheticConfig config;
-  config.n = 300;
-  config.num_queries = 2;
-  config.dim = 8;
-  config.seed = 13;
+  config.n = 400;
+  config.num_queries = 1;
+  config.dim = 12;
   const auto data = dataset::GenerateClustered(config);
-  IndexDescriptor descriptor;
-  descriptor.dim = data.dim();
-  descriptor.m = 32;
-  descriptor.seed = 5;
-  descriptor.probes.num_probes = 4;
-  auto family = lsh::MakeFamily(descriptor.family, data.dim(), descriptor.m,
-                                descriptor.w, descriptor.seed);
-  LccsLsh index(std::move(family), descriptor.metric, descriptor.probes);
-  index.Build(data.data.data(), data.n(), data.dim());
-  SaveIndex(Path(), descriptor, index.csa());
-  std::string payload;
-  {
-    std::ifstream in(Path(), std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    payload = buffer.str();
+  for (const lsh::FamilyKind family :
+       {lsh::FamilyKind::kRandomProjection, lsh::FamilyKind::kCrossPolytope,
+        lsh::FamilyKind::kSignProjection, lsh::FamilyKind::kBitSampling,
+        lsh::FamilyKind::kMinHash}) {
+    IndexDescriptor descriptor;
+    descriptor.family = family;
+    descriptor.dim = data.dim();
+    descriptor.m = 16;
+    descriptor.seed = 9;
+    LccsLsh original(lsh::MakeFamily(family, data.dim(), descriptor.m,
+                                     descriptor.w, descriptor.seed),
+                     descriptor.metric, descriptor.probes);
+    original.Build(data.data.data(), data.n(), data.dim());
+    SaveIndex(Path(), descriptor, original.n());
+    const auto loaded =
+        LoadIndex(Path(), data.data.data(), data.n(), data.dim());
+    EXPECT_EQ(CsaArrays(loaded->csa()), CsaArrays(original.csa()))
+        << lsh::FamilyKindName(family);
   }
-  // The intact file loads and answers.
-  ASSERT_EQ(LoadIndex(Path(), data.data.data(), data.n(), data.dim())
-                ->Query(data.queries.Row(0), 3, 20)
-                .size(),
-            3u);
+}
 
-  // Descriptor layout after the 8-byte magic: family u32 (8), metric u32
-  // (12), dim u64 (16), m u64 (24), w f64 (32), seed u64 (40), num_probes
-  // u64 (48), max_gap i64 (56), num_alternatives u64 (64), skip u8 (72).
+// A descriptor that names values no saver writes, or that disagrees with
+// the vectors it is bound to, must be rejected before any hashing: Build
+// only asserts m's heap-key cap, and an index over another n or dim is not
+// the saved one.
+TEST_F(IndexSerializeTest, CorruptDescriptorThrows) {
+  const dataset::Dataset data = SaveSmallIndex();
+  const std::string payload = ReadFile();
+  // The intact file loads and answers.
+  ASSERT_EQ(Load(data)->Query(data.queries.Row(0), 3, 20).size(), 3u);
+
+  // Layout after the 8-byte magic: family u32 (8), metric u32 (12), dim u64
+  // (16), m u64 (24), w f64 (32), seed u64 (40), num_probes u64 (48),
+  // max_gap i64 (56), num_alternatives u64 (64), skip u8 (72), n u64 (73);
+  // 81 bytes in all.
+  ASSERT_EQ(payload.size(), 81u);
   struct Patch {
     const char* what;
     size_t offset;
@@ -194,10 +179,16 @@ TEST_F(IndexSerializeTest, CorruptDescriptorThrows) {
     uint64_t value;
     bool descriptor_only;  // ReadIndexDescriptor rejects it too
   };
+  uint64_t nan_bits = 0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(&nan_bits, &nan, sizeof(nan));
   const Patch patches[] = {
-      {"m = 64", 24, 8, 64, false},
-      {"m = 8", 24, 8, 8, false},
-      {"m = 0", 24, 8, 0, false},
+      {"m = 4096", 24, 8, 4096, true},
+      {"w = 0", 32, 8, 0, true},
+      {"w = NaN", 32, 8, nan_bits, true},
+      {"n = n + 1", 73, 8, data.n() + 1, false},
+      {"dim = 0", 16, 8, 0, true},
+      {"m = 0", 24, 8, 0, true},
       {"family = 99", 8, 4, 99, true},
       {"metric = 99", 12, 4, 99, true},
       {"num_probes = 0", 48, 8, 0, true},
@@ -208,16 +199,49 @@ TEST_F(IndexSerializeTest, CorruptDescriptorThrows) {
   for (const Patch& patch : patches) {
     std::string corrupt = payload;
     std::memcpy(&corrupt[patch.offset], &patch.value, patch.width);
-    {
-      std::ofstream out(Path(), std::ios::binary | std::ios::trunc);
-      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    }
-    EXPECT_THROW(LoadIndex(Path(), data.data.data(), data.n(), data.dim()),
-                 std::runtime_error)
-        << patch.what;
+    WriteFile(corrupt);
+    EXPECT_THROW(Load(data), std::runtime_error) << patch.what;
     if (patch.descriptor_only) {
       EXPECT_THROW(ReadIndexDescriptor(Path()), std::runtime_error)
           << patch.what;
+    }
+  }
+}
+
+// Every file cut short of a whole descriptor, and one with a byte past it,
+// is refused by both readers.
+TEST_F(IndexSerializeTest, TruncatedOrOverlongFileThrows) {
+  const dataset::Dataset data = SaveSmallIndex();
+  const std::string payload = ReadFile();
+  for (size_t size = 0; size < payload.size(); ++size) {
+    WriteFile(payload.substr(0, size));
+    EXPECT_THROW(Load(data), std::runtime_error) << "size " << size;
+    EXPECT_THROW(ReadIndexDescriptor(Path()), std::runtime_error)
+        << "size " << size;
+  }
+  WriteFile(payload + '\0');
+  EXPECT_THROW(Load(data), std::runtime_error);
+  EXPECT_THROW(ReadIndexDescriptor(Path()), std::runtime_error);
+}
+
+// Version 1 files stored the CSA after the descriptor. They are refused
+// with an error that names their version, not parsed.
+TEST_F(IndexSerializeTest, FirstVersionIsRefusedByName) {
+  const dataset::Dataset data = SaveSmallIndex();
+  std::string old = ReadFile();
+  old[7] = '1';
+  WriteFile(old);
+  for (int reader = 0; reader < 2; ++reader) {
+    try {
+      if (reader == 0) {
+        Load(data);
+      } else {
+        ReadIndexDescriptor(Path());
+      }
+      ADD_FAILURE() << "an LCCSIDX1 file was accepted by reader " << reader;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("LCCSIDX1"), std::string::npos)
+          << e.what();
     }
   }
 }

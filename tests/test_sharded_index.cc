@@ -24,7 +24,6 @@
 #include <mutex>
 #include <numeric>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -35,6 +34,7 @@
 #include "baselines/lccs_adapter.h"
 #include "baselines/linear_scan.h"
 #include "core/dynamic_index.h"
+#include "csa_arrays.h"
 #include "dataset/synthetic.h"
 #include "serve/server.h"
 #include "serve/sharded_index.h"
@@ -499,7 +499,7 @@ TEST(ShardedIndexFailure, ServerBreaksFailedWindowAndServesTheNext) {
 // --- Concurrent shard build ------------------------------------------------
 
 // Every epoch index a recording factory built, as bytes: its rows followed
-// by its serialized CSA. The shards of one ShardedIndex build concurrently,
+// by its CSA's arrays (CsaArrays). The shards of one ShardedIndex build concurrently,
 // so the factory and the log are called from several threads at once.
 struct BuildLog {
   std::mutex mu;
@@ -525,9 +525,7 @@ class RecordingLccs : public baselines::LccsLshIndex {
       bytes.append(reinterpret_cast<const char*>(data.data.Row(i)),
                    data.dim() * sizeof(float));
     }
-    std::ostringstream csa(std::ios::binary);
-    scheme().csa().Serialize(csa);
-    bytes += csa.str();
+    bytes += core::CsaArrays(scheme().csa());
     std::lock_guard<std::mutex> lock(log_->mu);
     log_->builds.push_back(std::move(bytes));
   }
@@ -572,7 +570,7 @@ struct SerialShards {
 void ExpectMatchesSerial(const ShardedIndex& index, SerialShards& serial,
                          BuildLog& log,
                          const storage::VectorStoreRef& queries) {
-  // Each shard's rows and CSA bytes equal those of its serial twin.
+  // Each shard's rows and CSA arrays equal those of its serial twin.
   EXPECT_EQ(log.Sorted(), serial.log->Sorted());
   constexpr size_t kK = 10;
   const auto batched = index.QueryBatch(queries.data(), queries.rows(), kK);
